@@ -8,7 +8,9 @@ abort.
 import argparse
 import datetime
 import os
+import shutil
 import sys
+import tempfile
 
 from . import contextenc, denoise, evalharness
 from .errors import BindingError, NumericError, ParseError, WordsimError
@@ -156,13 +158,33 @@ def _cmd_nearest(args):
     return EXIT_OK
 
 
-def _with_cleanup(out_path, fn):
+def _write_out(out_path, write):
+    """Run write(path), which creates the output file at path, without losing a file at out_path.
+
+    A file already at out_path stays untouched until write has filled a
+    temp file beside it, which then replaces it; if write fails, only the
+    temp file is removed. A new out_path is written in place and removed
+    if write fails.
+    """
+    if not os.path.exists(out_path):
+        try:
+            return write(out_path)
+        except BaseException:
+            if os.path.exists(out_path):
+                os.unlink(out_path)
+            raise
+    directory, name = os.path.split(os.path.abspath(out_path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    os.close(fd)
     try:
-        return fn()
+        result = write(tmp)
+        shutil.copymode(out_path, tmp)
+        os.replace(tmp, out_path)
     except BaseException:
-        if out_path and os.path.exists(out_path):
-            os.unlink(out_path)
+        if os.path.exists(tmp):
+            os.unlink(tmp)
         raise
+    return result
 
 
 def _cmd_train_ae(args):
@@ -177,11 +199,11 @@ def _cmd_train_ae(args):
         seed=args.seed,
     )
 
-    def run():
+    def run(path):
         trace = denoise.train_autoencoder(model, lex, config)
         denoise.save_autoencoder(
             model,
-            args.out,
+            path,
             extra_metadata={
                 "created": _timestamp(),
                 "batch_size": config.batch_size,
@@ -191,10 +213,11 @@ def _cmd_train_ae(args):
                 "final_loss": trace[-1],
             },
         )
-        print(f"trained autoencoder: final loss {trace[-1]:.6f} -> {args.out}")
-        return EXIT_OK
+        return trace
 
-    return _with_cleanup(args.out, run)
+    trace = _write_out(args.out, run)
+    print(f"trained autoencoder: final loss {trace[-1]:.6f} -> {args.out}")
+    return EXIT_OK
 
 
 def _cmd_train_ctx(args):
@@ -214,7 +237,7 @@ def _cmd_train_ctx(args):
         seed=args.seed,
     )
 
-    def run():
+    def run(path):
         trace = contextenc.train_context(model, corpus, config)
         emb = contextenc.EmbeddingMatrix(
             U=model.U.copy(),
@@ -226,14 +249,15 @@ def _cmd_train_ctx(args):
                 "final_log_likelihood": trace[-1],
             },
         )
-        contextenc.save_embedding(emb, args.out)
-        print(
-            f"trained context encoder: final mean log-likelihood "
-            f"{trace[-1]:.6f} -> {args.out}"
-        )
-        return EXIT_OK
+        contextenc.save_embedding(emb, path)
+        return trace
 
-    return _with_cleanup(args.out, run)
+    trace = _write_out(args.out, run)
+    print(
+        f"trained context encoder: final mean log-likelihood "
+        f"{trace[-1]:.6f} -> {args.out}"
+    )
+    return EXIT_OK
 
 
 def _cmd_train_combined(args):
@@ -251,16 +275,16 @@ def _cmd_train_combined(args):
     )
     config = TrainConfig(batch_size=args.batch, learning_rate=args.lr, seed=args.seed)
 
-    def run():
+    def run(path):
         emb = contextenc.train_combined(
             ctx, ae, lex, corpus, config, rounds=args.rounds, blend=args.blend
         )
         emb.metadata["created"] = _timestamp()
-        contextenc.save_embedding(emb, args.out)
-        print(f"combined training done: {args.rounds} rounds -> {args.out}")
-        return EXIT_OK
+        contextenc.save_embedding(emb, path)
 
-    return _with_cleanup(args.out, run)
+    _write_out(args.out, run)
+    print(f"combined training done: {args.rounds} rounds -> {args.out}")
+    return EXIT_OK
 
 
 def _cmd_eval(args):
@@ -313,7 +337,7 @@ def _cmd_eval(args):
             },
         )
         fmt = "csv" if args.out.endswith(".csv") else args.format
-        evalharness.export_report(report, args.out, format=fmt)
+        _write_out(args.out, lambda path: evalharness.export_report(report, path, format=fmt))
         print(f"report written to {args.out}")
     return EXIT_OK
 

@@ -2,11 +2,20 @@
 
 All functions treat strings as sequences of Unicode scalar values and are
 pure; empty strings are legal inputs unless stated otherwise.
+
+The scalar functions are the reference. Each ``*_many`` kernel scores one
+query against every candidate of a CandidateTable and returns exactly
+what the scalar function returns for each pair, as float64 in the
+table's caller order. The kernels are bit-parallel over uint64 lanes, one
+lane per candidate with the query as the pattern; a query longer than
+LANE_BITS characters takes the scalar path.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
+
+import numpy as np
 
 __all__ = [
     "CostTable",
@@ -20,6 +29,12 @@ __all__ = [
     "lcs_distance",
     "metric_lcs",
     "episode_distance",
+    "LANE_BITS",
+    "levenshtein_many",
+    "normalized_levenshtein_many",
+    "damerau_levenshtein_many",
+    "lcs_distance_many",
+    "metric_lcs_many",
 ]
 
 SubstituteCost = Union[float, Callable[[str, str], float]]
@@ -56,6 +71,10 @@ UNIT_COSTS = CostTable()
 #: Marker for an unreachable episode-distance target.
 INFINITE = math.inf
 
+#: Pattern width of the bit-parallel kernels; longer queries are scored by
+#: the scalar functions.
+LANE_BITS = 64
+
 
 def levenshtein(x: str, y: str, costs: CostTable = UNIT_COSTS) -> float:
     """Minimal total cost of an insert/delete/substitute script from x to y."""
@@ -74,11 +93,78 @@ def levenshtein(x: str, y: str, costs: CostTable = UNIT_COSTS) -> float:
     return prev[len(y)]
 
 
+def _match_masks(x: str, table) -> np.ndarray:
+    """Per alphabet index of the table, bit i set where x[i] is that character.
+
+    The last entry, which PAD indexes, stays 0.
+    """
+    masks = np.zeros(len(table.alphabet) + 1, dtype=np.uint64)
+    for i, symbol in enumerate(table.symbols(x)):
+        if symbol >= 0:
+            masks[symbol] |= np.uint64(1 << i)
+    return masks
+
+
+def _edit_distances(x: str, table, transpositions: bool) -> np.ndarray:
+    """Unit-cost (or OSA) distance from x to each sorted candidate, |x| <= LANE_BITS.
+
+    Hyyroe's formulation of Myers' algorithm (J. ACM 1999) for the global
+    distance, with Hyyroe's (2003) transposition term for OSA.
+    """
+    if not x:
+        return table.lengths.astype(np.float64)
+    size = len(table)
+    masks = _match_masks(x, table)
+    vp = np.full(size, ~np.uint64(0))
+    vn = np.zeros(size, dtype=np.uint64)
+    d0 = np.zeros(size, dtype=np.uint64)
+    pm_prev = np.zeros(size, dtype=np.uint64)
+    dist = np.full(size, len(x), dtype=np.uint64)
+    top = np.uint64(len(x) - 1)
+    for j, a in enumerate(table.active):
+        pm, v_p, v_n = masks[table.symbols_t[j, :a]], vp[:a], vn[:a]
+        diag = (((pm & v_p) + v_p) ^ v_p) | pm | v_n
+        if transpositions:
+            diag |= ((~d0[:a] & pm) << 1) & pm_prev[:a]
+            d0[:a] = diag
+            pm_prev[:a] = pm
+        hp = v_n | ~(diag | v_p)
+        hn = diag & v_p
+        dist[:a] += (hp >> top) & 1
+        dist[:a] -= (hn >> top) & 1
+        hp = (hp << 1) | 1
+        hn <<= 1
+        vp[:a] = hn | ~(diag | hp)
+        vn[:a] = hp & diag
+    return dist.astype(np.float64)
+
+
+def _scalar_row(fn, x, table) -> np.ndarray:
+    """fn(x, y) for every candidate y: the path of queries wider than one lane."""
+    return np.array([fn(x, y) for y in table.words], dtype=np.float64)
+
+
+def levenshtein_many(x: str, table) -> np.ndarray:
+    """Unit-cost levenshtein(x, y) for every candidate y."""
+    if len(x) > LANE_BITS:
+        return _scalar_row(levenshtein, x, table)
+    return table.unsort(_edit_distances(x, table, transpositions=False))
+
+
 def normalized_levenshtein(x: str, y: str) -> float:
     """Unit-cost edit distance divided by max length; 0 when both empty."""
     if not x and not y:
         return 0.0
     return levenshtein(x, y) / max(len(x), len(y))
+
+
+def normalized_levenshtein_many(x: str, table) -> np.ndarray:
+    """normalized_levenshtein(x, y) for every candidate y."""
+    if len(x) > LANE_BITS:
+        return _scalar_row(normalized_levenshtein, x, table)
+    dist = _edit_distances(x, table, transpositions=False)
+    # both empty: the distance is 0, and 0 / 1 gives the scalar 0.0
+    return table.unsort(dist / np.maximum(table.lengths, max(len(x), 1)))
 
 
 def damerau_levenshtein(x: str, y: str) -> int:
@@ -106,6 +192,13 @@ def damerau_levenshtein(x: str, y: str) -> int:
                 best = min(best, d[i - 2][j - 2] + 1)
             d[i][j] = best
     return d[m][n]
+
+
+def damerau_levenshtein_many(x: str, table) -> np.ndarray:
+    """damerau_levenshtein(x, y) for every candidate y, as float64."""
+    if len(x) > LANE_BITS:
+        return _scalar_row(damerau_levenshtein, x, table)
+    return table.unsort(_edit_distances(x, table, transpositions=True))
 
 
 def hamming(x: str, y: str) -> int:
@@ -136,11 +229,46 @@ def lcs_distance(x: str, y: str) -> int:
     return len(x) + len(y) - 2 * lcs_length(x, y)
 
 
+def _lcs_lengths(x: str, table) -> np.ndarray:
+    """LCS length of x with each sorted candidate, |x| <= LANE_BITS.
+
+    Bit-parallel LCS (Allison and Dix 1986; Hyyroe 2004): the zero bits of
+    the state vector count the matched pattern positions.
+    """
+    if not x:
+        return np.zeros(len(table), dtype=np.int64)
+    masks = _match_masks(x, table)
+    state = np.full(len(table), ~np.uint64(0))
+    for j, a in enumerate(table.active):
+        s = state[:a]
+        u = s & masks[table.symbols_t[j, :a]]
+        state[:a] = (s + u) | (s - u)
+    pattern = np.uint64((1 << len(x)) - 1)
+    return np.bitwise_count(~state & pattern).astype(np.int64)
+
+
+def lcs_distance_many(x: str, table) -> np.ndarray:
+    """lcs_distance(x, y) for every candidate y, as float64."""
+    if len(x) > LANE_BITS:
+        return _scalar_row(lcs_distance, x, table)
+    dist = len(x) + table.lengths - 2 * _lcs_lengths(x, table)
+    return table.unsort(dist.astype(np.float64))
+
+
 def metric_lcs(x: str, y: str) -> float:
     """1 - LCS/max-length; a normalized metric in [0, 1]."""
     if not x and not y:
         return 0.0
     return 1.0 - lcs_length(x, y) / max(len(x), len(y))
+
+
+def metric_lcs_many(x: str, table) -> np.ndarray:
+    """metric_lcs(x, y) for every candidate y."""
+    if len(x) > LANE_BITS:
+        return _scalar_row(metric_lcs, x, table)
+    longest = np.maximum(table.lengths, len(x))
+    share = _lcs_lengths(x, table) / np.maximum(longest, 1)
+    return table.unsort(np.where(longest == 0, 0.0, 1.0 - share))
 
 
 def episode_distance(x: str, y: str) -> float:

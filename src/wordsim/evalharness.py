@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import editfam, gramfam
+from .candidates import CandidateTable
 from .denoise import AutoencoderModel, encode_all
 from .contextenc import EmbeddingMatrix
 from .errors import BindingError, ConfigError
@@ -22,7 +23,9 @@ __all__ = [
     "MetricSpec",
     "EvalReport",
     "CLASSICAL_METRICS",
+    "BATCHED_METRICS",
     "classical_distance",
+    "scores",
     "evaluate_accuracy",
     "neighbor_curve",
     "qualitative_neighbors",
@@ -88,51 +91,77 @@ def _metric_params(name, params):
     return {k: v for k, v in params.items() if k in allowed}
 
 
-def _safe(fn, x, y, params):
-    # undefined comparisons (e.g. dice on strings shorter than n) rank last
-    try:
-        return fn(x, y, **params)
-    except ValueError:
-        return float("inf")
+# name -> the batched kernel of the same distance: one query against a
+# CandidateTable, +inf wherever the scalar function raises ValueError
+BATCHED_METRICS = {
+    "levenshtein": editfam.levenshtein_many,
+    "normalized-levenshtein": editfam.normalized_levenshtein_many,
+    "damerau-levenshtein": editfam.damerau_levenshtein_many,
+    "lcs": editfam.lcs_distance_many,
+    "metric-lcs": editfam.metric_lcs_many,
+    "qgram": gramfam.qgram_distance_many,
+    "ngram": gramfam.kondrak_ngram_distance_many,
+    "dice": gramfam.dice_distance_many,
+    "jaccard": gramfam.jaccard_distance_many,
+    "cosine": gramfam.char_cosine_distance_many,
+}
 
 
-def _distance_rows(spec: MetricSpec, lex: Lexicon, query_ids):
-    """Distances from each query id to every standard word, plus C ids."""
-    standard = list(lex.standard_ids)
-    if spec.kind == "classical":
-        fn = CLASSICAL_METRICS[spec.name]
-        params = _metric_params(spec.name, spec.params)
-        rows = [
-            [_safe(fn, lex.word_of(m), lex.word_of(c), params) for c in standard]
-            for m in query_ids
-        ]
-        return np.array(rows), standard
+def _candidate_table(lex: Lexicon, candidate_ids) -> CandidateTable:
+    """The table of one candidate set, built on first use and kept with the lexicon."""
+    key = tuple(candidate_ids)
+    table = lex._tables.get(key)
+    if table is None:
+        table = lex._tables[key] = CandidateTable(lex.word_of(c) for c in key)
+    return table
 
+
+def _learned_vectors(spec: MetricSpec, lex: Lexicon) -> np.ndarray:
+    """One vector per lexicon word id, after checking the model's lexicon binding."""
     model = spec.params.get("model")
     if model is None:
         raise ConfigError(f"metric {spec.name!r} needs a model in params")
     if spec.kind == "learned-Da":
         if not isinstance(model, AutoencoderModel):
             raise ConfigError("learned-Da expects an AutoencoderModel")
-        codes = encode_all(model, lex)  # checks the lexicon binding
-    else:
-        rows = model.U if isinstance(model, EmbeddingMatrix) else np.asarray(model)
-        if isinstance(model, EmbeddingMatrix) and (
-            model.lexicon_fingerprint != lex.fingerprint()
-        ):
+        return encode_all(model, lex)  # checks the lexicon binding
+    if isinstance(model, EmbeddingMatrix):
+        if model.lexicon_fingerprint != lex.fingerprint():
             raise BindingError("embedding was not trained against this lexicon")
-        codes = rows
+        return model.U
+    rows = np.asarray(model)
+    if rows.shape[0] != len(lex):
+        raise BindingError("embedding row count does not match the lexicon")
+    return rows
+
+
+def scores(spec: MetricSpec, lex: Lexicon, query_ids, candidate_ids) -> np.ndarray:
+    """Distances from each query to each candidate, one row per query.
+
+    Classical metrics score each query against all candidates with their
+    batched kernel; undefined comparisons (e.g. dice on strings shorter
+    than n) score +inf and so rank last. Learned kinds check the model's
+    lexicon binding once and score pair by pair with the vector metric.
+    """
+    out = np.empty((len(query_ids), len(candidate_ids)))
+    if spec.kind == "classical":
+        kernel = BATCHED_METRICS[spec.name]
+        params = _metric_params(spec.name, spec.params)
+        table = _candidate_table(lex, candidate_ids)
+        for row, q in zip(out, query_ids):
+            row[:] = kernel(lex.word_of(q), table, **params)
+        return out
+    codes = _learned_vectors(spec, lex)
     d = vector_metric(spec.params.get("vec_metric", "cosine"))
-    out = np.array(
-        [[d(codes[m], codes[c]) for c in standard] for m in query_ids]
-    )
-    return out, standard
+    candidate_ids = np.asarray(candidate_ids).tolist()
+    for row, q in zip(out, query_ids):
+        row[:] = [d(codes[q], codes[c]) for c in candidate_ids]
+    return out
 
 
-def _rank_standard(distances, standard):
-    """Standard ids sorted by (distance, word id) for one distance row."""
-    order = sorted(range(len(standard)), key=lambda i: (distances[i], standard[i]))
-    return [standard[i] for i in order]
+def _top_k(distances, ids, k):
+    """Positions of the k smallest (distance, id) pairs, in that order."""
+    return np.lexsort((ids, distances))[:k]
 
 
 def evaluate_accuracy(spec: MetricSpec, lex: Lexicon, ks=(1, 5)) -> dict:
@@ -140,15 +169,14 @@ def evaluate_accuracy(spec: MetricSpec, lex: Lexicon, ks=(1, 5)) -> dict:
     queries = list(lex.nonstandard_ids)
     if not queries:
         raise ConfigError("lexicon has no non-standard words to evaluate")
-    dist, standard = _distance_rows(spec, lex, queries)
-    hits = {k: 0 for k in ks}
-    for row, m in zip(dist, queries):
-        ranked = _rank_standard(row, standard)
-        truth = lex.standard_of[m]
-        rank = ranked.index(truth) + 1
-        for k in ks:
-            if rank <= k:
-                hits[k] += 1
+    dist = scores(spec, lex, queries, lex.standard_ids)
+    standard = np.array(lex.standard_ids)
+    truth = np.array([lex.standard_of[m] for m in queries])
+    d_truth = dist[np.arange(len(queries)), np.searchsorted(standard, truth)][:, None]
+    # rank = 1 + the number of candidates ordered before the truth by (distance, id)
+    ahead = (dist < d_truth) | ((dist == d_truth) & (standard < truth[:, None]))
+    rank = 1 + np.count_nonzero(ahead, axis=1)
+    hits = {k: int(np.count_nonzero(rank <= k)) for k in ks}
     return {k: 100.0 * hits[k] / len(queries) for k in ks}
 
 
@@ -164,43 +192,29 @@ def qualitative_neighbors(spec: MetricSpec, lex: Lexicon, queries, k=5):
     """Per-query top-k neighbor listings.
 
     D_a restricts candidates to standard words; D_c and classical metrics
-    rank the whole vocabulary. Unknown query words yield an error entry
-    without aborting the run.
+    rank the whole vocabulary but the query itself. Unknown query words
+    yield an error entry without aborting the run.
     """
-    results = {}
-    for query in queries:
-        if query not in lex:
-            results[query] = {"error": "word not in lexicon"}
-            continue
-        qid = lex.id_of(query)
-        if spec.kind == "learned-Da":
-            candidates = list(lex.standard_ids)
-        else:
-            candidates = [i for i in range(len(lex)) if i != qid]
-        dist, _ = _distance_rows_for_candidates(spec, lex, qid, candidates)
-        ranked = sorted(zip(dist, candidates))[:k]
-        results[query] = {
+    known = [q for q in queries if q in lex]
+    qids = [lex.id_of(q) for q in known]
+    if spec.kind == "learned-Da":
+        candidates = np.array(lex.standard_ids)
+    else:
+        candidates = np.arange(len(lex))
+    dist = scores(spec, lex, qids, candidates)
+    listings = {}
+    for query, qid, row in zip(known, qids, dist):
+        ids = candidates
+        if spec.kind != "learned-Da":
+            keep = candidates != qid
+            ids, row = candidates[keep], row[keep]
+        listings[query] = {
             "neighbors": [
-                {"word": lex.word_of(c), "distance": float(d)} for d, c in ranked
+                {"word": lex.word_of(int(ids[i])), "distance": float(row[i])}
+                for i in _top_k(row, ids, k)
             ]
         }
-    return results
-
-
-def _distance_rows_for_candidates(spec, lex, qid, candidates):
-    if spec.kind == "classical":
-        fn = CLASSICAL_METRICS[spec.name]
-        params = _metric_params(spec.name, spec.params)
-        return [
-            _safe(fn, lex.word_of(qid), lex.word_of(c), params) for c in candidates
-        ], candidates
-    model = spec.params["model"]
-    if spec.kind == "learned-Da":
-        codes = encode_all(model, lex)
-    else:
-        codes = model.U if isinstance(model, EmbeddingMatrix) else np.asarray(model)
-    d = vector_metric(spec.params.get("vec_metric", "cosine"))
-    return [d(codes[qid], codes[c]) for c in candidates], candidates
+    return {q: listings.get(q, {"error": "word not in lexicon"}) for q in queries}
 
 
 def export_report(report: EvalReport, path, format: str = "json"):

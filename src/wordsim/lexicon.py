@@ -29,11 +29,17 @@ class Lexicon:
     standard_flags: tuple
     standard_of: dict
     _index: dict = field(default=None, repr=False, compare=False)
+    _standard_ids: tuple = field(default=None, init=False, repr=False, compare=False)
+    _nonstandard_ids: tuple = field(default=None, init=False, repr=False, compare=False)
+    _fingerprint: str = field(default=None, init=False, repr=False, compare=False)
+    # scoring tables derived from the words, keyed by candidate ids (see evalharness)
+    _tables: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "_index", {w: i for i, w in enumerate(self.words)}
         )
+        object.__setattr__(self, "_tables", {})
 
     def __len__(self):
         return len(self.words)
@@ -53,19 +59,27 @@ class Lexicon:
     @property
     def standard_ids(self) -> tuple:
         """Ids of all standard words (the set C), in lexicon order."""
-        return tuple(i for i, f in enumerate(self.standard_flags) if f)
+        if self._standard_ids is None:
+            ids = tuple(i for i, f in enumerate(self.standard_flags) if f)
+            object.__setattr__(self, "_standard_ids", ids)
+        return self._standard_ids
 
     @property
     def nonstandard_ids(self) -> tuple:
-        return tuple(i for i, f in enumerate(self.standard_flags) if not f)
+        if self._nonstandard_ids is None:
+            ids = tuple(i for i, f in enumerate(self.standard_flags) if not f)
+            object.__setattr__(self, "_nonstandard_ids", ids)
+        return self._nonstandard_ids
 
     def fingerprint(self) -> str:
         """Content hash binding trained models to this exact lexicon."""
-        h = hashlib.sha256()
-        for i, w in enumerate(self.words):
-            std = self.standard_of.get(i, -1)
-            h.update(f"{w}\t{int(self.standard_flags[i])}\t{std}\n".encode())
-        return h.hexdigest()
+        if self._fingerprint is None:
+            h = hashlib.sha256()
+            for i, w in enumerate(self.words):
+                std = self.standard_of.get(i, -1)
+                h.update(f"{w}\t{int(self.standard_flags[i])}\t{std}\n".encode())
+            object.__setattr__(self, "_fingerprint", h.hexdigest())
+        return self._fingerprint
 
 
 @dataclass(frozen=True)

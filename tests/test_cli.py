@@ -139,6 +139,40 @@ class TestTrainAe:
         assert rc == 3
 
 
+class TestOutputFiles:
+    def train_ae(self, pairs_file, out, lr):
+        return main(
+            [
+                "train-ae", "--lexicon", str(pairs_file),
+                "--code-size", "4", "--depth", "3", "--epochs", "2",
+                "--batch", "16", "--lr", lr, "--out", str(out),
+            ]
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the lr overflows on purpose
+    def test_failed_run_keeps_existing_out(self, pairs_file, tmp_path):
+        out = tmp_path / "keep.json"
+        out.write_bytes(b"an earlier model\n")
+        assert self.train_ae(pairs_file, out, "1e300") == 4
+        assert out.read_bytes() == b"an earlier model\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.json", "pairs.tsv"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_run_leaves_no_new_out(self, pairs_file, tmp_path):
+        out = tmp_path / "new.json"
+        assert self.train_ae(pairs_file, out, "1e300") == 4
+        assert not out.exists()
+
+    def test_successful_run_replaces_out(self, pairs_file, tmp_path):
+        out = tmp_path / "ae.json"
+        out.write_text("old", encoding="utf-8")
+        out.chmod(0o640)
+        assert self.train_ae(pairs_file, out, "0.05") == 0
+        assert json.loads(out.read_text())["kind"] == "autoencoder"
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ae.json", "pairs.tsv"]
+
+
 class TestTrainContext:
     def test_train_ctx_writes_embedding(self, pairs_file, corpus_file, tmp_path, capsys):
         out = tmp_path / "emb.json"

@@ -7,7 +7,7 @@ from wordsim.errors import BindingError, ConfigError
 from wordsim.evalharness import (
     EvalReport,
     MetricSpec,
-    _rank_standard,
+    _top_k,
     evaluate_accuracy,
     export_report,
     load_report,
@@ -78,6 +78,11 @@ class TestEvaluateAccuracy:
             evaluate_accuracy(MetricSpec(name="levenshtein"), all_standard)
 
 
+def ranked(distances, ids):
+    """Every id ordered by (distance, id), as the listings order them."""
+    return [ids[i] for i in _top_k(distances, ids, len(ids))]
+
+
 class TestRanking:
     def test_invariant_under_monotone_transform(self, toy_lexicon):
         rng = np.random.default_rng(0)
@@ -86,11 +91,11 @@ class TestRanking:
         q = toy_lexicon.nonstandard_ids[0]
         dists = [float(np.linalg.norm(U[q] - U[c])) for c in std]
         squared = [d * d for d in dists]
-        assert _rank_standard(dists, std) == _rank_standard(squared, std)
+        assert ranked(dists, std) == ranked(squared, std)
 
     def test_ties_break_by_word_id(self):
         std = [7, 3, 5]
-        assert _rank_standard([1.0, 1.0, 0.5], std) == [5, 3, 7]
+        assert ranked([1.0, 1.0, 0.5], std) == [5, 3, 7]
 
 
 class TestNeighborCurve:
@@ -128,6 +133,29 @@ class TestQualitativeNeighbors:
         standard_words = {toy_lexicon.word_of(c) for c in toy_lexicon.standard_ids}
         for entry in out["thng"]["neighbors"]:
             assert entry["word"] in standard_words
+
+    def test_dc_embedding_bound_to_another_lexicon(self, toy_lexicon, small_lexicon):
+        emb = EmbeddingMatrix(
+            U=np.ones((len(toy_lexicon), 4)),
+            lexicon_fingerprint=small_lexicon.fingerprint(),
+        )
+        spec = MetricSpec(name="Dc", kind="learned-Dc", params={"model": emb})
+        with pytest.raises(BindingError):
+            qualitative_neighbors(spec, toy_lexicon, ["thng"], k=3)
+
+    def test_dc_raw_rows_must_match_lexicon(self, toy_lexicon):
+        rows = np.random.default_rng(0).normal(size=(len(toy_lexicon) + 1, 4))
+        spec = MetricSpec(name="Dc", kind="learned-Dc", params={"model": rows})
+        with pytest.raises(BindingError):
+            qualitative_neighbors(spec, toy_lexicon, ["thng"], k=3)
+        with pytest.raises(BindingError):
+            evaluate_accuracy(spec, toy_lexicon, ks=(1,))
+
+    def test_da_model_bound_to_another_lexicon(self, small_lexicon, trained_da):
+        spec = MetricSpec(name="Da", kind="learned-Da", params={"model": trained_da})
+        word = small_lexicon.word_of(0)
+        with pytest.raises(BindingError):
+            qualitative_neighbors(spec, small_lexicon, [word], k=3)
 
     def test_unknown_query_is_error_entry(self, toy_lexicon):
         spec = MetricSpec(name="levenshtein")

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from wordsim.editfam import normalized_levenshtein
 from wordsim.gramfam import (
+    BOUNDARY,
     char_cosine_distance,
     dice_coefficient,
     jaccard_distance,
@@ -77,6 +78,11 @@ class TestKondrakNgram:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             kondrak_ngram_distance("", "abc", 2)
+
+    @pytest.mark.parametrize("x, y", [(BOUNDARY + "ab", "abc"), ("abc", "a" + BOUNDARY)])
+    def test_reserved_boundary_rejected(self, x, y):
+        with pytest.raises(ValueError):
+            kondrak_ngram_distance(x, y, 2)
 
     @settings(max_examples=200)
     @given(x=nonempty, y=nonempty)

@@ -76,6 +76,13 @@ class TestLexiconInvariants:
         assert toy_lexicon.fingerprint() == toy_lexicon.fingerprint()
         assert toy_lexicon.fingerprint() != small_lexicon.fingerprint()
 
+    def test_derived_values_computed_once(self):
+        lex = build_lexicon([("thng", "thing"), ("wter", "water")])
+        assert lex.fingerprint() is lex.fingerprint()
+        assert lex.standard_ids is lex.standard_ids
+        assert lex.nonstandard_ids is lex.nonstandard_ids
+        assert lex.standard_ids == (1, 3) and lex.nonstandard_ids == (0, 2)
+
 
 class TestOneHot:
     def test_basic(self):
