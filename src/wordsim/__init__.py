@@ -7,6 +7,7 @@ from .errors import (
     ConfigError,
     NumericError,
     ParseError,
+    UnknownWordError,
     WordsimError,
 )
 

@@ -13,7 +13,7 @@ import sys
 import tempfile
 
 from . import contextenc, denoise, evalharness
-from .errors import BindingError, NumericError, ParseError, WordsimError
+from .errors import NumericError, WordsimError
 from .evalharness import CLASSICAL_METRICS, EvalReport, MetricSpec
 from .lexicon import load_corpus, load_lexicon
 from .neural import TrainConfig
@@ -27,29 +27,27 @@ EXIT_NUMERIC = 4
 def _parser():
     p = argparse.ArgumentParser(prog="wordsim")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help="worker cap (advisory)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
+    # the options _learned_spec reads, shared by dist, nearest and eval
+    learned = argparse.ArgumentParser(add_help=False)
+    learned.add_argument("--model", help="autoencoder model file (metric Da)")
+    learned.add_argument("--embedding", help="embedding file (metric Dc)")
+    learned.add_argument("--vec-metric", choices=["L1", "L2", "cosine"], default="cosine")
 
-    d = sub.add_parser("dist", help="distance between two strings or lexicon words")
+    d = sub.add_parser("dist", parents=[learned], help="distance of two strings or lexicon words")
     d.add_argument("--metric", required=True)
     d.add_argument("--n", type=int, default=2, help="gram length for n-gram metrics")
     d.add_argument("--q", type=int, default=2, help="gram length for the q-gram metric")
-    d.add_argument("--vec-metric", choices=["L1", "L2", "cosine"], default="cosine")
-    d.add_argument("--model", help="autoencoder model file (metric Da)")
-    d.add_argument("--embedding", help="embedding file (metric Dc)")
     d.add_argument("--lexicon", help="pairs TSV (required for Da/Dc)")
     d.add_argument("x")
     d.add_argument("y")
 
-    n = sub.add_parser("nearest", help="nearest standard words to a query")
-    n.add_argument("--model", help="autoencoder model file")
-    n.add_argument("--embedding", help="embedding file")
+    n = sub.add_parser("nearest", parents=[learned], help="nearest standard words to a query")
     n.add_argument("--lexicon", required=True)
     n.add_argument("--query", required=True)
     n.add_argument("--k", type=int, default=5)
-    n.add_argument("--vec-metric", choices=["L1", "L2", "cosine"], default="cosine")
 
     ta = sub.add_parser("train-ae", help="train the denoising autoencoder")
     ta.add_argument("--lexicon", required=True)
@@ -84,7 +82,7 @@ def _parser():
     tb.add_argument("--lr", type=float, default=0.01)
     tb.add_argument("--out", required=True)
 
-    e = sub.add_parser("eval", help="accuracy@k evaluation")
+    e = sub.add_parser("eval", parents=[learned], help="accuracy@k evaluation")
     e.add_argument("--lexicon", required=True)
     e.add_argument(
         "--metrics",
@@ -92,9 +90,6 @@ def _parser():
         help="comma-separated metric names, or all-classical",
     )
     e.add_argument("--ks", default="1,5", help="comma-separated k values")
-    e.add_argument("--model", help="autoencoder model for metric Da")
-    e.add_argument("--embedding", help="embedding file for metric Dc")
-    e.add_argument("--vec-metric", choices=["L1", "L2", "cosine"], default="cosine")
     e.add_argument("--n", type=int, default=2)
     e.add_argument("--out")
     return p
@@ -104,55 +99,46 @@ def _timestamp():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _learned_spec(name, args):
+    """MetricSpec of learned metric Da or Dc, its model loaded from --model or --embedding."""
+    if name == "Da":
+        if not args.model:
+            raise WordsimError("metric Da needs --model")
+        model = denoise.load_autoencoder(args.model)
+    else:
+        if not args.embedding:
+            raise WordsimError("metric Dc needs --embedding")
+        model = contextenc.load_embedding(args.embedding)
+    return MetricSpec(name, f"learned-{name}", {"model": model, "vec_metric": args.vec_metric})
+
+
 def _cmd_dist(args):
     name = args.metric
     if name in CLASSICAL_METRICS:
-        params = {}
-        if name in ("ngram", "dice", "jaccard"):
-            params["n"] = args.n
-        elif name == "qgram":
-            params["q"] = args.q
+        params = evalharness._metric_params(name, {"n": args.n, "q": args.q})
         value = evalharness.classical_distance(name, args.x, args.y, **params)
-        print(f"{name}: {value}")
-        return EXIT_OK
-    if name in ("Da", "Dc"):
+    elif name in ("Da", "Dc"):
         if not args.lexicon:
             raise WordsimError("--lexicon is required for learned metrics")
         lex = load_lexicon(args.lexicon)
         i, j = lex.id_of(args.x), lex.id_of(args.y)
-        if name == "Da":
-            if not args.model:
-                raise WordsimError("--model is required for metric Da")
-            model = denoise.load_autoencoder(args.model)
-            value = denoise.distance_Da(model, lex, i, j, args.vec_metric)
-        else:
-            if not args.embedding:
-                raise WordsimError("--embedding is required for metric Dc")
-            emb = contextenc.load_embedding(args.embedding)
-            if emb.lexicon_fingerprint != lex.fingerprint():
-                raise BindingError("embedding was not trained against this lexicon")
-            value = contextenc.distance_Dc(emb, i, j, args.vec_metric)
-        print(f"{name}: {value}")
-        return EXIT_OK
-    known = sorted(CLASSICAL_METRICS) + ["Da", "Dc"]
-    print(f"unknown metric {name!r}; choose from {known}", file=sys.stderr)
-    return EXIT_USAGE
+        value = float(evalharness.scores(_learned_spec(name, args), lex, [i], [j])[0, 0])
+    else:
+        known = sorted(CLASSICAL_METRICS) + ["Da", "Dc"]
+        print(f"unknown metric {name!r}; choose from {known}", file=sys.stderr)
+        return EXIT_USAGE
+    print(f"{name}: {value}")
+    return EXIT_OK
 
 
 def _cmd_nearest(args):
     lex = load_lexicon(args.lexicon)
-    if args.model:
-        source = denoise.load_autoencoder(args.model)
-    elif args.embedding:
-        emb = contextenc.load_embedding(args.embedding)
-        if emb.lexicon_fingerprint != lex.fingerprint():
-            raise BindingError("embedding was not trained against this lexicon")
-        source = emb.U
-    else:
+    if not (args.model or args.embedding):
         raise WordsimError("nearest needs --model or --embedding")
+    spec = _learned_spec("Da" if args.model else "Dc", args)
     qid = lex.id_of(args.query.casefold())
     for word_id, dist in denoise.nearest_standard(
-        source, lex, qid, k=args.k, vec_metric=args.vec_metric
+        spec.params["model"], lex, qid, k=args.k, vec_metric=args.vec_metric
     ):
         print(f"{lex.word_of(word_id)}\t{dist}")
     return EXIT_OK
@@ -296,28 +282,8 @@ def _cmd_eval(args):
     ks = tuple(int(k) for k in args.ks.split(","))
     specs = []
     for name in names:
-        if name == "Da":
-            if not args.model:
-                raise WordsimError("metric Da needs --model")
-            model = denoise.load_autoencoder(args.model)
-            specs.append(
-                MetricSpec(
-                    name="Da",
-                    kind="learned-Da",
-                    params={"model": model, "vec_metric": args.vec_metric},
-                )
-            )
-        elif name == "Dc":
-            if not args.embedding:
-                raise WordsimError("metric Dc needs --embedding")
-            emb = contextenc.load_embedding(args.embedding)
-            specs.append(
-                MetricSpec(
-                    name="Dc",
-                    kind="learned-Dc",
-                    params={"model": emb, "vec_metric": args.vec_metric},
-                )
-            )
+        if name in ("Da", "Dc"):
+            specs.append(_learned_spec(name, args))
         else:
             specs.append(MetricSpec(name=name, params={"n": args.n, "q": args.n}))
     accuracies = {}
@@ -359,7 +325,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (WordsimError, OSError, KeyError, IndexError) as exc:
+    except (WordsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import neural
 from .denoise import AutoencoderModel, encode_all, train_autoencoder
-from .errors import BindingError, ConfigError, WordsimError
+from .errors import ConfigError, WordsimError
 from .lexicon import Corpus, Lexicon
 from .neural import Network, TrainConfig
 from .vecdist import vector_metric
@@ -115,6 +115,7 @@ def context_prob(model: ContextModel, context) -> np.ndarray:
     return neural.forward(model.predictor, x)[-1][0]
 
 
+@neural._numeric_guard()
 def train_context(model: ContextModel, corpus: Corpus, config: TrainConfig) -> list:
     """SGD on corpus log-likelihood; updates predictor and embedding rows.
 
@@ -177,8 +178,8 @@ def train_combined(
         raise ConfigError(
             f"autoencoder code size {ae.code_size} != embedding width {ctx.n_embed}"
         )
-    if ae.lexicon_fingerprint != ctx.lexicon_fingerprint:
-        raise BindingError("context model and autoencoder bound to different lexica")
+    lex.check_binding(ae)
+    lex.check_binding(ctx)
     if not 0.0 <= blend <= 1.0:
         raise ConfigError("blend must be in [0, 1]")
     cfg = dict(
@@ -232,21 +233,24 @@ def save_embedding(emb: EmbeddingMatrix, path):
 
 
 def load_embedding(path) -> EmbeddingMatrix:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = neural._read_json(path)
     if data.get("kind") != "embedding":
         raise ConfigError(f"not an embedding file: {path}")
-    return EmbeddingMatrix(
-        U=np.array(data["rows"], dtype=float),
-        lexicon_fingerprint=data["lexicon_fingerprint"],
-        metadata=data.get("metadata", {}),
-    )
+    if data.get("format_version") != neural.FORMAT_VERSION:
+        raise ConfigError(f"unsupported embedding format version: {data.get('format_version')!r}")
+    try:
+        return EmbeddingMatrix(
+            U=np.array(data["rows"], dtype=float),
+            lexicon_fingerprint=data["lexicon_fingerprint"],
+            metadata=data.get("metadata", {}),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"embedding file lacks the field {exc}: {path}") from None
 
 
 def export_embedding_tsv(emb: EmbeddingMatrix, lex: Lexicon, path):
     """`word<TAB>v1..vn` text export for interoperability."""
-    if emb.lexicon_fingerprint != lex.fingerprint():
-        raise BindingError("embedding was not trained against this lexicon")
+    lex.check_binding(emb)
     with open(path, "w", encoding="utf-8") as fh:
         for word, row in zip(lex.words, emb.U):
             fh.write(word + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")

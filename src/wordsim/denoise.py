@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural
-from .errors import BindingError, ConfigError
+from .errors import ConfigError
 from .lexicon import Lexicon, one_hot
 from .neural import Network, TrainConfig
 from .vecdist import vector_metric
@@ -91,14 +91,9 @@ def build_autoencoder(
     )
 
 
-def _check_binding(model: AutoencoderModel, lex: Lexicon):
-    if model.lexicon_fingerprint != lex.fingerprint():
-        raise BindingError("model was not built against this lexicon")
-
-
 def encode(model: AutoencoderModel, lex: Lexicon, word_id: int) -> np.ndarray:
-    """Bottleneck activation for one_hot(word_id); deterministic."""
-    _check_binding(model, lex)
+    """Bottleneck activation for one_hot(word_id); the reference for one row of encode_all."""
+    lex.check_binding(model)
     a = one_hot(lex, word_id)
     for layer in model.net.layers[: model.bottleneck_index + 1]:
         a = neural._apply(layer.activation, a @ layer.W.T + layer.b)
@@ -107,9 +102,11 @@ def encode(model: AutoencoderModel, lex: Lexicon, word_id: int) -> np.ndarray:
 
 def encode_all(model: AutoencoderModel, lex: Lexicon) -> np.ndarray:
     """Codes for every lexicon word, one row per word id."""
-    _check_binding(model, lex)
-    a = np.eye(len(lex))
-    for layer in model.net.layers[: model.bottleneck_index + 1]:
+    lex.check_binding(model)
+    first, *rest = model.net.layers[: model.bottleneck_index + 1]
+    # eye(|A|) @ W.T is W.T; C order as that product has, so later products round alike
+    a = neural._apply(first.activation, np.ascontiguousarray(first.W.T) + first.b)
+    for layer in rest:
         a = neural._apply(layer.activation, a @ layer.W.T + layer.b)
     return a
 
@@ -125,7 +122,7 @@ def train_autoencoder(
     Standard words are also trained as identity pairs so that C itself is
     representable in code space.
     """
-    _check_binding(model, lex)
+    lex.check_binding(model)
     if not lex.standard_of:
         raise ConfigError("lexicon has no (non-standard, standard) pairs")
     inputs = list(lex.standard_of.keys())
@@ -148,24 +145,19 @@ def distance_Da(model, lex, a_i: int, a_j: int, vec_metric: str = "cosine") -> f
 def nearest_standard(source, lex, query_id: int, k: int = 5, vec_metric: str = "cosine"):
     """k standard words closest to the query, as (word_id, distance) pairs.
 
-    ``source`` is either a trained AutoencoderModel (distance D_a) or an
-    embedding matrix with one row per word id (distance D_c). Ties break
-    by ascending word id; k beyond |C| truncates.
+    ``source`` is either a trained AutoencoderModel (distance D_a), or an
+    EmbeddingMatrix or raw matrix with one row per word id (distance D_c).
+    Ties break by ascending word id; k beyond |C| truncates.
     """
+    # evalharness imports this module, so its scoring path is imported here
+    from .evalharness import MetricSpec, _top_k, scores
     if k < 1:
         raise ValueError("k must be >= 1")
-    if isinstance(source, AutoencoderModel):
-        codes = encode_all(source, lex)
-    else:
-        codes = np.asarray(source, dtype=float)
-        if codes.shape[0] != len(lex):
-            raise BindingError("embedding row count does not match the lexicon")
-    d = vector_metric(vec_metric)
-    query = codes[query_id]
-    ranked = sorted(
-        (float(d(query, codes[c])), c) for c in lex.standard_ids
-    )
-    return [(c, dist) for dist, c in ranked[:k]]
+    name = "Da" if isinstance(source, AutoencoderModel) else "Dc"
+    spec = MetricSpec(name, f"learned-{name}", {"model": source, "vec_metric": vec_metric})
+    candidates = np.array(lex.standard_ids)
+    row = scores(spec, lex, [query_id], candidates)[0]
+    return [(int(candidates[i]), float(row[i])) for i in _top_k(row, candidates, k)]
 
 
 def save_autoencoder(model: AutoencoderModel, path, extra_metadata=None):
@@ -184,16 +176,17 @@ def save_autoencoder(model: AutoencoderModel, path, extra_metadata=None):
 
 
 def load_autoencoder(path) -> AutoencoderModel:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = neural._read_json(path)
     if data.get("kind") != "autoencoder":
         raise ConfigError(f"not an autoencoder model file: {path}")
-    net = neural.network_from_dict(data["network"])
-    return AutoencoderModel(
-        net=net,
-        bottleneck_index=data["bottleneck_index"],
-        lexicon_fingerprint=data["lexicon_fingerprint"],
-        code_size=data["code_size"],
-        depth=data["depth"],
-        seed=data["network"].get("seed") or 0,
-    )
+    try:
+        return AutoencoderModel(
+            net=neural.network_from_dict(data["network"]),
+            bottleneck_index=data["bottleneck_index"],
+            lexicon_fingerprint=data["lexicon_fingerprint"],
+            code_size=data["code_size"],
+            depth=data["depth"],
+            seed=data["network"].get("seed") or 0,
+        )
+    except KeyError as exc:
+        raise ConfigError(f"model file lacks the field {exc}: {path}") from None

@@ -27,6 +27,10 @@ class ConfigError(WordsimError):
     """Invalid model or training configuration."""
 
 
+class UnknownWordError(WordsimError):
+    """A word looked up in a lexicon that does not contain it."""
+
+
 class BindingError(WordsimError):
     """Model used with a lexicon it was not trained against."""
 

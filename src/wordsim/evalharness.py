@@ -126,10 +126,9 @@ def _learned_vectors(spec: MetricSpec, lex: Lexicon) -> np.ndarray:
             raise ConfigError("learned-Da expects an AutoencoderModel")
         return encode_all(model, lex)  # checks the lexicon binding
     if isinstance(model, EmbeddingMatrix):
-        if model.lexicon_fingerprint != lex.fingerprint():
-            raise BindingError("embedding was not trained against this lexicon")
+        lex.check_binding(model)
         return model.U
-    rows = np.asarray(model)
+    rows = np.asarray(model, dtype=float)
     if rows.shape[0] != len(lex):
         raise BindingError("embedding row count does not match the lexicon")
     return rows

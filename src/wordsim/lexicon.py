@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import AmbiguityError, ParseError, WordsimError
+from .errors import AmbiguityError, BindingError, ParseError, UnknownWordError, WordsimError
 
 __all__ = ["Lexicon", "Corpus", "load_lexicon", "load_corpus", "one_hot"]
 
@@ -48,7 +48,7 @@ class Lexicon:
         try:
             return self._index[word]
         except KeyError:
-            raise KeyError(f"word not in lexicon: {word!r}") from None
+            raise UnknownWordError(f"word not in lexicon: {word!r}") from None
 
     def __contains__(self, word: str) -> bool:
         return word in self._index
@@ -80,6 +80,11 @@ class Lexicon:
                 h.update(f"{w}\t{int(self.standard_flags[i])}\t{std}\n".encode())
             object.__setattr__(self, "_fingerprint", h.hexdigest())
         return self._fingerprint
+
+    def check_binding(self, model):
+        """Raise BindingError unless model's lexicon_fingerprint is this lexicon's."""
+        if model.lexicon_fingerprint != self.fingerprint():
+            raise BindingError("model was not trained against this lexicon")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ final layer trained with cross-entropy.
 
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -257,6 +258,17 @@ def gradient_check(net, x, target, loss_kind="squared-L2", epsilon=1e-5) -> floa
     return worst
 
 
+@contextmanager
+def _numeric_guard():
+    """Abort at the first float overflow or invalid operation, which a sigmoid could hide."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(str(exc)) from None
+
+
+@_numeric_guard()
 def train_supervised(net, X, Y, config: TrainConfig, loss_kind) -> list:
     """Minibatch SGD over (X, Y) rows; returns the per-epoch mean loss trace."""
     X = np.asarray(X, dtype=float)
@@ -303,18 +315,34 @@ def network_from_dict(data: dict) -> Network:
         raise ConfigError(
             f"unsupported model format version: {data.get('format_version')!r}"
         )
-    layers = [
-        DenseLayer(
-            W=np.array(l["weights"], dtype=float),
-            b=np.array(l["biases"], dtype=float),
-            activation=l["activation"],
-        )
-        for l in data["layers"]
-    ]
+    try:
+        layers = [
+            DenseLayer(
+                W=np.array(l["weights"], dtype=float),
+                b=np.array(l["biases"], dtype=float),
+                activation=l["activation"],
+            )
+            for l in data["layers"]
+        ]
+        topology = list(data["topology"])
+    except KeyError as exc:
+        raise ConfigError(f"network lacks the field {exc}") from None
     net = Network(layers)
-    if net.topology != list(data["topology"]):
+    if net.topology != topology:
         raise ConfigError("topology signature does not match layer shapes")
     return net
+
+
+def _read_json(path) -> dict:
+    """The JSON object stored at path; ConfigError if the file holds anything else."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # also a file that is not UTF-8
+            raise ConfigError(f"not a JSON file: {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"not a JSON object: {path}")
+    return data
 
 
 def save_network(net: Network, path, seed=None):
@@ -323,5 +351,4 @@ def save_network(net: Network, path, seed=None):
 
 
 def load_network(path) -> Network:
-    with open(path, encoding="utf-8") as fh:
-        return network_from_dict(json.load(fh))
+    return network_from_dict(_read_json(path))

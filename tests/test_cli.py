@@ -2,21 +2,19 @@ import json
 
 import pytest
 
+from wordsim import cli
 from wordsim.cli import main
 
 from conftest import TOY_STANDARD, toy_variants
 
 
-@pytest.fixture()
-def pairs_file(tmp_path):
+def write_pairs(path):
     lines = [f"{v}\t{w}" for w in TOY_STANDARD for v in toy_variants(w)]
-    path = tmp_path / "pairs.tsv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
-@pytest.fixture()
-def corpus_file(tmp_path):
+def write_corpus(path):
     sentences = [
         "thing water house",
         "night right friend",
@@ -24,9 +22,41 @@ def corpus_file(tmp_path):
         "tomorrow morning coffee",
         "window garden music",
     ] * 4
-    path = tmp_path / "corpus.txt"
     path.write_text("\n".join(sentences) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture()
+def pairs_file(tmp_path):
+    return write_pairs(tmp_path / "pairs.tsv")
+
+
+@pytest.fixture()
+def corpus_file(tmp_path):
+    return write_corpus(tmp_path / "corpus.txt")
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """The toy pairs file and a trained model per learned metric: (pairs, {metric: path})."""
+    d = tmp_path_factory.mktemp("trained")
+    pairs, corpus = str(write_pairs(d / "pairs.tsv")), str(write_corpus(d / "corpus.txt"))
+    models = {"Da": str(d / "ae.json"), "Dc": str(d / "emb.json")}
+    assert main(
+        [
+            "--seed", "0", "train-ae", "--lexicon", pairs, "--code-size", "8",
+            "--depth", "5", "--batch", "16", "--lr", "0.05", "--epochs", "200",
+            "--out", models["Da"],
+        ]
+    ) == 0
+    assert main(
+        [
+            "train-combined", "--lexicon", pairs, "--corpus", corpus,
+            "--code-size", "6", "--depth", "3", "--window", "2", "--hidden", "8",
+            "--rounds", "2", "--batch", "16", "--out", models["Dc"],
+        ]
+    ) == 0
+    return pairs, models
 
 
 class TestDist:
@@ -149,7 +179,6 @@ class TestOutputFiles:
             ]
         )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the lr overflows on purpose
     def test_failed_run_keeps_existing_out(self, pairs_file, tmp_path):
         out = tmp_path / "keep.json"
         out.write_bytes(b"an earlier model\n")
@@ -157,11 +186,15 @@ class TestOutputFiles:
         assert out.read_bytes() == b"an earlier model\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.json", "pairs.tsv"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_run_leaves_no_new_out(self, pairs_file, tmp_path):
         out = tmp_path / "new.json"
         assert self.train_ae(pairs_file, out, "1e300") == 4
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_aborts_without_numpy_warnings(self, pairs_file, tmp_path, capsys):
+        assert self.train_ae(pairs_file, tmp_path / "ae.json", "1e300") == 4
+        assert capsys.readouterr().err == "numeric abort: overflow encountered in matmul\n"
 
     def test_successful_run_replaces_out(self, pairs_file, tmp_path):
         out = tmp_path / "ae.json"
@@ -246,3 +279,66 @@ class TestEval:
 
     def test_missing_lexicon_exit_3(self, tmp_path):
         assert main(["eval", "--lexicon", str(tmp_path / "nope.tsv")]) == 3
+
+
+class TestLearnedScoring:
+    """dist, nearest and eval score Da and Dc along one path."""
+
+    @pytest.mark.parametrize("metric,flag", [("Da", "--model"), ("Dc", "--embedding")])
+    def test_dist_prints_the_distance_nearest_ranks_by(self, trained, metric, flag, capsys):
+        pairs, models = trained
+        source = [flag, models[metric], "--lexicon", pairs]
+        assert main(["nearest", *source, "--query", "thng", "--k", "5"]) == 0
+        listing = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert len(listing) == 5
+        for word, distance in listing:
+            assert main(["dist", "--metric", metric, *source, "thng", word]) == 0
+            assert capsys.readouterr().out == f"{metric}: {distance}\n"
+
+    def test_nearest_embedding_of_another_lexicon_exit_3(self, trained, tmp_path, capsys):
+        _, models = trained
+        other = tmp_path / "other.tsv"
+        other.write_text("thng\tthing\nwter\twater\n", encoding="utf-8")
+        rc = main(
+            ["nearest", "--embedding", models["Dc"], "--lexicon", str(other), "--query", "thng"]
+        )
+        assert rc == 3
+        assert "lexicon" in capsys.readouterr().err
+
+    def test_unknown_query_exit_3(self, trained, capsys):
+        pairs, models = trained
+        rc = main(["nearest", "--model", models["Da"], "--lexicon", pairs, "--query", "frend"])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: word not in lexicon: 'frend'\n"
+
+    def test_model_without_field_exit_3(self, trained, tmp_path, capsys):
+        pairs, models = trained
+        with open(models["Da"], encoding="utf-8") as fh:
+            data = json.load(fh)
+        del data["bottleneck_index"]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(data), encoding="utf-8")
+        rc = main(["nearest", "--model", str(broken), "--lexicon", pairs, "--query", "thng"])
+        assert rc == 3
+        assert "bottleneck_index" in capsys.readouterr().err
+
+    def test_model_not_json_exit_3(self, trained, tmp_path):
+        pairs, _ = trained
+        broken = tmp_path / "broken.json"
+        broken.write_text("not json\n", encoding="utf-8")
+        assert main(["nearest", "--model", str(broken), "--lexicon", pairs, "--query", "thng"]) == 3
+
+    def test_key_error_escapes_main(self, trained, monkeypatch):
+        pairs, models = trained
+
+        def broken(path):
+            raise KeyError("a programming error")
+
+        monkeypatch.setattr(cli, "load_lexicon", broken)
+        with pytest.raises(KeyError):
+            main(["nearest", "--model", models["Da"], "--lexicon", pairs, "--query", "thng"])
+
+
+def test_threads_option_removed():
+    with pytest.raises(SystemExit):
+        main(["--threads", "2", "dist", "--metric", "levenshtein", "a", "b"])

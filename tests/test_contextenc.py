@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from wordsim.contextenc import (
     train_context,
 )
 from wordsim.denoise import build_autoencoder, encode_all
-from wordsim.errors import BindingError, ConfigError
+from wordsim.errors import BindingError, ConfigError, NumericError
 from wordsim.lexicon import Corpus
 from wordsim.neural import TrainConfig
 
@@ -67,6 +68,13 @@ class TestTrainContext:
             )
             improved += trace[-1] > trace[0]
         assert improved >= 9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_is_a_numeric_error(self, context_lexicon, context_corpus):
+        model = build_context_model(context_lexicon, n_embed=4, window=3, seed=0)
+        config = TrainConfig(batch_size=32, learning_rate=1e300, epochs=2, seed=0)
+        with pytest.raises(NumericError):
+            train_context(model, context_corpus, config)
 
     def test_repeated_sentence_memorized(self, context_lexicon):
         sent = tuple(context_lexicon.id_of(w) for w in ["the", "dog", "is", "very", "happy"])
@@ -231,6 +239,26 @@ class TestEmbeddingPersistence:
         assert np.array_equal(loaded.U, U)
         assert loaded.metadata["rounds"] == 2
         assert loaded.lexicon_fingerprint == emb.lexicon_fingerprint
+
+    def test_version_check(self, context_lexicon, tmp_path):
+        emb = EmbeddingMatrix(U=np.zeros((3, 2)), lexicon_fingerprint=context_lexicon.fingerprint())
+        path = tmp_path / "emb.json"
+        save_embedding(emb, path)
+        data = json.loads(path.read_text())
+        data["format_version"] = 99
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="99"):
+            load_embedding(path)
+
+    def test_missing_field_rejected(self, context_lexicon, tmp_path):
+        emb = EmbeddingMatrix(U=np.zeros((3, 2)), lexicon_fingerprint=context_lexicon.fingerprint())
+        path = tmp_path / "emb.json"
+        save_embedding(emb, path)
+        data = json.loads(path.read_text())
+        del data["rows"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="rows"):
+            load_embedding(path)
 
     def test_tsv_export(self, context_lexicon, tmp_path):
         U = np.random.default_rng(4).normal(size=(len(context_lexicon), 3))

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
+from wordsim import neural
+from wordsim.contextenc import EmbeddingMatrix
 from wordsim.denoise import (
     build_autoencoder,
     distance_Da,
@@ -78,6 +82,17 @@ class TestEncode:
         codes = encode_all(model, small_lexicon)
         for i in range(len(small_lexicon)):
             assert np.allclose(codes[i], encode(model, small_lexicon, i))
+
+    @pytest.mark.parametrize("activation", ["identity", "sigmoid"])
+    def test_encode_all_equals_the_identity_matrix_product(self, toy_lexicon, activation):
+        model = build_autoencoder(
+            toy_lexicon, code_size=6, depth=7, seed=2, hidden_activation=activation
+        )
+        train_autoencoder(model, toy_lexicon, TrainConfig(batch_size=16, learning_rate=0.1))
+        a = np.eye(len(toy_lexicon))
+        for layer in model.net.layers[: model.bottleneck_index + 1]:
+            a = neural._apply(layer.activation, a @ layer.W.T + layer.b)
+        assert np.array_equal(encode_all(model, toy_lexicon), a)
 
 
 class TestTrain:
@@ -184,6 +199,33 @@ class TestNearestStandard:
         result = nearest_standard(U, small_lexicon, 0, k=2, vec_metric="L2")
         assert len(result) == 2
 
+    def test_embedding_matrix_source(self, small_lexicon):
+        U = np.random.default_rng(0).normal(size=(len(small_lexicon), 4))
+        emb = EmbeddingMatrix(U=U, lexicon_fingerprint=small_lexicon.fingerprint())
+        result = nearest_standard(emb, small_lexicon, 0, k=3, vec_metric="L2")
+        assert result == nearest_standard(U, small_lexicon, 0, k=3, vec_metric="L2")
+        assert [type(v) for v in result[0]] == [int, float]
+
+    def test_embedding_matrix_of_another_lexicon(self, small_lexicon, toy_lexicon):
+        U = np.zeros((len(small_lexicon), 4))
+        emb = EmbeddingMatrix(U=U, lexicon_fingerprint=toy_lexicon.fingerprint())
+        with pytest.raises(BindingError):
+            nearest_standard(emb, small_lexicon, 0)
+
+    def test_raw_rows_must_match_the_lexicon(self, small_lexicon):
+        with pytest.raises(BindingError):
+            nearest_standard(np.ones((len(small_lexicon) + 1, 4)), small_lexicon, 0)
+
+    def test_ranks_by_distance_then_id(self, small_lexicon):
+        model, _ = trained_model(small_lexicon, epochs=5)
+        codes = encode_all(model, small_lexicon)
+        for q in range(len(small_lexicon)):
+            expected = sorted(
+                (float(np.abs(codes[q] - codes[c]).sum()), c) for c in small_lexicon.standard_ids
+            )
+            result = nearest_standard(model, small_lexicon, q, k=4, vec_metric="L1")
+            assert result == [(c, d) for d, c in expected[:4]]
+
 
 class TestPersistence:
     def test_round_trip_encode_bit_identical(self, small_lexicon, tmp_path):
@@ -197,3 +239,19 @@ class TestPersistence:
             )
         assert loaded.code_size == model.code_size
         assert loaded.bottleneck_index == model.bottleneck_index
+
+    def test_missing_field_rejected(self, small_lexicon, tmp_path):
+        model = build_autoencoder(small_lexicon, code_size=4, depth=5)
+        path = tmp_path / "ae.json"
+        save_autoencoder(model, path)
+        data = json.loads(path.read_text())
+        del data["network"]["layers"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="layers"):
+            load_autoencoder(path)
+
+    def test_not_json_rejected(self, tmp_path):
+        path = tmp_path / "ae.json"
+        path.write_bytes(b"\xff not json")
+        with pytest.raises(ConfigError):
+            load_autoencoder(path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wordsim.errors import AmbiguityError, ParseError, WordsimError
+from wordsim.errors import AmbiguityError, ParseError, UnknownWordError, WordsimError
 from wordsim.lexicon import build_lexicon, load_corpus, load_lexicon, one_hot
 
 
@@ -67,6 +67,13 @@ class TestLexiconInvariants:
         for i, w in enumerate(toy_lexicon.words):
             assert toy_lexicon.id_of(w) == i
             assert toy_lexicon.word_of(i) == w
+
+    def test_unknown_word_is_a_typed_error(self, toy_lexicon):
+        with pytest.raises(UnknownWordError) as info:
+            toy_lexicon.id_of("zebra")
+        assert isinstance(info.value, WordsimError)
+        assert not isinstance(info.value, KeyError)
+        assert str(info.value) == "word not in lexicon: 'zebra'"
 
     def test_mapping_lands_on_standard(self, toy_lexicon):
         for cid in toy_lexicon.standard_of.values():

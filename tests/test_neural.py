@@ -192,6 +192,17 @@ class TestTraining:
         pred = np.argmax(forward(net, X)[-1], axis=1)
         assert np.array_equal(pred, np.argmax(Y, axis=1))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_is_a_numeric_error(self):
+        # the sigmoid layer would squash the overflowed inf back to a finite output
+        r = np.random.default_rng(3)
+        X = r.normal(size=(20, 3))
+        Y = np.eye(2)[r.integers(0, 2, size=20)]
+        net = init_network([3, 8, 8, 2], ["identity", "sigmoid", "softmax"], r)
+        config = TrainConfig(batch_size=5, learning_rate=1e300, epochs=3, seed=0)
+        with pytest.raises(NumericError, match="overflow"):
+            train_supervised(net, X, Y, config, "cross-entropy")
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0)
@@ -221,6 +232,19 @@ class TestPersistence:
         data["format_version"] = 99
         with pytest.raises(ConfigError):
             network_from_dict(data)
+
+    def test_missing_field_rejected(self):
+        data = network_to_dict(init_network([2, 2], ["identity"], np.random.default_rng(0)))
+        del data["topology"]
+        with pytest.raises(ConfigError, match="topology"):
+            network_from_dict(data)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_not_a_json_object_rejected(self, tmp_path, text):
+        path = tmp_path / "net.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_network(path)
 
     def test_json_serializable(self):
         net = init_network([2, 2], ["identity"], np.random.default_rng(0))
