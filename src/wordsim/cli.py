@@ -24,6 +24,12 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
+def _gram_length(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"gram length must be >= 1, got {text}")
+    return int(text)
+
+
 def _parser():
     p = argparse.ArgumentParser(prog="wordsim")
     p.add_argument("--seed", type=int, default=0)
@@ -35,11 +41,14 @@ def _parser():
     learned.add_argument("--model", help="autoencoder model file (metric Da)")
     learned.add_argument("--embedding", help="embedding file (metric Dc)")
     learned.add_argument("--vec-metric", choices=["L1", "L2", "cosine"], default="cosine")
+    # the gram length of qgram, ngram, dice and jaccard, shared by dist and eval
+    grams = argparse.ArgumentParser(add_help=False)
+    grams.add_argument("--n", type=_gram_length, default=2, help="gram length of the gram metrics")
 
-    d = sub.add_parser("dist", parents=[learned], help="distance of two strings or lexicon words")
+    d = sub.add_parser(
+        "dist", parents=[learned, grams], help="distance of two strings or lexicon words"
+    )
     d.add_argument("--metric", required=True)
-    d.add_argument("--n", type=int, default=2, help="gram length for n-gram metrics")
-    d.add_argument("--q", type=int, default=2, help="gram length for the q-gram metric")
     d.add_argument("--lexicon", help="pairs TSV (required for Da/Dc)")
     d.add_argument("x")
     d.add_argument("y")
@@ -82,7 +91,7 @@ def _parser():
     tb.add_argument("--lr", type=float, default=0.01)
     tb.add_argument("--out", required=True)
 
-    e = sub.add_parser("eval", parents=[learned], help="accuracy@k evaluation")
+    e = sub.add_parser("eval", parents=[learned, grams], help="accuracy@k evaluation")
     e.add_argument("--lexicon", required=True)
     e.add_argument(
         "--metrics",
@@ -90,7 +99,6 @@ def _parser():
         help="comma-separated metric names, or all-classical",
     )
     e.add_argument("--ks", default="1,5", help="comma-separated k values")
-    e.add_argument("--n", type=int, default=2)
     e.add_argument("--out")
     return p
 
@@ -115,8 +123,7 @@ def _learned_spec(name, args):
 def _cmd_dist(args):
     name = args.metric
     if name in CLASSICAL_METRICS:
-        params = evalharness._metric_params(name, {"n": args.n, "q": args.q})
-        value = evalharness.classical_distance(name, args.x, args.y, **params)
+        value = evalharness.classical_distance(name, args.x, args.y, n=args.n, q=args.n)
     elif name in ("Da", "Dc"):
         if not args.lexicon:
             raise WordsimError("--lexicon is required for learned metrics")

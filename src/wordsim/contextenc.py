@@ -14,7 +14,7 @@ import numpy as np
 from . import neural
 from .denoise import AutoencoderModel, encode_all, train_autoencoder
 from .errors import ConfigError, WordsimError
-from .lexicon import Corpus, Lexicon
+from .lexicon import Corpus, Lexicon, word_ids
 from .neural import Network, TrainConfig
 from .vecdist import vector_metric
 
@@ -215,8 +215,9 @@ def train_combined(
 def distance_Dc(U, a_i: int, a_j: int, vec_metric: str = "cosine") -> float:
     """Vector distance between the embedding rows of two words."""
     rows = U.U if isinstance(U, EmbeddingMatrix) else np.asarray(U, dtype=float)
+    i, j = word_ids([a_i, a_j], len(rows))
     d = vector_metric(vec_metric)
-    return d(rows[a_i], rows[a_j])
+    return float(d(rows[i], rows[j]))
 
 
 def save_embedding(emb: EmbeddingMatrix, path):

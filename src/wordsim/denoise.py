@@ -13,7 +13,6 @@ from . import neural
 from .errors import ConfigError
 from .lexicon import Lexicon, one_hot
 from .neural import Network, TrainConfig
-from .vecdist import vector_metric
 
 __all__ = [
     "AutoencoderModel",
@@ -111,12 +110,7 @@ def encode_all(model: AutoencoderModel, lex: Lexicon) -> np.ndarray:
     return a
 
 
-def train_autoencoder(
-    model: AutoencoderModel,
-    lex: Lexicon,
-    config: TrainConfig,
-    include_identity: bool = True,
-) -> list:
+def train_autoencoder(model: AutoencoderModel, lex: Lexicon, config: TrainConfig) -> list:
     """Train on (variant -> standard) pairs; returns per-epoch loss trace.
 
     Standard words are also trained as identity pairs so that C itself is
@@ -125,11 +119,8 @@ def train_autoencoder(
     lex.check_binding(model)
     if not lex.standard_of:
         raise ConfigError("lexicon has no (non-standard, standard) pairs")
-    inputs = list(lex.standard_of.keys())
-    targets = list(lex.standard_of.values())
-    if include_identity:
-        inputs += list(lex.standard_ids)
-        targets += list(lex.standard_ids)
+    inputs = list(lex.standard_of.keys()) + list(lex.standard_ids)
+    targets = list(lex.standard_of.values()) + list(lex.standard_ids)
     eye = np.eye(len(lex))
     X = eye[inputs]
     Y = eye[targets]
@@ -137,9 +128,11 @@ def train_autoencoder(
 
 
 def distance_Da(model, lex, a_i: int, a_j: int, vec_metric: str = "cosine") -> float:
-    """Vector distance between the codes of two lexicon words."""
-    d = vector_metric(vec_metric)
-    return d(encode(model, lex, a_i), encode(model, lex, a_j))
+    """Vector distance between the codes of two lexicon words, as eval ranks by it."""
+    # evalharness imports this module, so its scoring path is imported here
+    from .evalharness import MetricSpec, scores
+    spec = MetricSpec("Da", "learned-Da", {"model": model, "vec_metric": vec_metric})
+    return float(scores(spec, lex, [a_i], [a_j])[0, 0])
 
 
 def nearest_standard(source, lex, query_id: int, k: int = 5, vec_metric: str = "cosine"):

@@ -8,6 +8,7 @@ non-standard words whose true standard form appears in the top k.
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .candidates import CandidateTable
 from .denoise import AutoencoderModel, encode_all
 from .contextenc import EmbeddingMatrix
 from .errors import BindingError, ConfigError
-from .lexicon import Lexicon
+from .lexicon import Lexicon, word_ids
 from .vecdist import vector_metric
 
 __all__ = [
@@ -80,7 +81,8 @@ class EvalReport:
 
 
 def classical_distance(name: str, x: str, y: str, **params) -> float:
-    return CLASSICAL_METRICS[name](x, y, **params)
+    """What eval ranks y by for query x (+inf if undefined); params may hold n and q."""
+    return float(BATCHED_METRICS[name](x, CandidateTable([y]), **_metric_params(name, params))[0])
 
 
 _METRIC_PARAMS = {"qgram": ("q",), "ngram": ("n",), "dice": ("n",), "jaccard": ("n",)}
@@ -137,24 +139,23 @@ def _learned_vectors(spec: MetricSpec, lex: Lexicon) -> np.ndarray:
 def scores(spec: MetricSpec, lex: Lexicon, query_ids, candidate_ids) -> np.ndarray:
     """Distances from each query to each candidate, one row per query.
 
-    Classical metrics score each query against all candidates with their
-    batched kernel; undefined comparisons (e.g. dice on strings shorter
-    than n) score +inf and so rank last. Learned kinds check the model's
-    lexicon binding once and score pair by pair with the vector metric.
+    Each query is scored against all candidates in one call: classical
+    metrics with their batched kernel (undefined comparisons, e.g. dice on
+    strings shorter than n, score +inf and so rank last), learned kinds
+    with the vector metric on the candidates' rows.
     """
-    out = np.empty((len(query_ids), len(candidate_ids)))
+    query_ids, candidate_ids = word_ids(query_ids, len(lex)), word_ids(candidate_ids, len(lex))
     if spec.kind == "classical":
-        kernel = BATCHED_METRICS[spec.name]
-        params = _metric_params(spec.name, spec.params)
-        table = _candidate_table(lex, candidate_ids)
-        for row, q in zip(out, query_ids):
-            row[:] = kernel(lex.word_of(q), table, **params)
-        return out
-    codes = _learned_vectors(spec, lex)
-    d = vector_metric(spec.params.get("vec_metric", "cosine"))
-    candidate_ids = np.asarray(candidate_ids).tolist()
-    for row, q in zip(out, query_ids):
-        row[:] = [d(codes[q], codes[c]) for c in candidate_ids]
+        d = partial(BATCHED_METRICS[spec.name], **_metric_params(spec.name, spec.params))
+        queries = [lex.word_of(q) for q in query_ids]
+        rows = _candidate_table(lex, candidate_ids.tolist())
+    else:
+        vectors = _learned_vectors(spec, lex)
+        d = vector_metric(spec.params.get("vec_metric", "cosine"))
+        queries, rows = vectors[query_ids], vectors[candidate_ids]
+    out = np.empty((len(query_ids), len(candidate_ids)))
+    for row, query in zip(out, queries):
+        row[:] = d(query, rows)
     return out
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import AmbiguityError, BindingError, ParseError, UnknownWordError, WordsimError
 
-__all__ = ["Lexicon", "Corpus", "load_lexicon", "load_corpus", "one_hot"]
+__all__ = ["Lexicon", "Corpus", "load_lexicon", "load_corpus", "one_hot", "word_ids"]
 
 
 @dataclass(frozen=True)
@@ -195,10 +195,17 @@ def load_corpus(corpus_path, lex: Lexicon, oov_policy: str = "skip-token") -> Co
     return Corpus(sentences=tuple(sentences), oov_count=oov)
 
 
+def word_ids(ids, size: int) -> np.ndarray:
+    """ids as an index array; IndexError names the first one outside [0, size)."""
+    ids = np.asarray(ids, dtype=np.intp)
+    bad = ids[(ids < 0) | (ids >= size)]
+    if len(bad):
+        raise IndexError(f"word id {bad[0]} out of range for |A|={size}")
+    return ids
+
+
 def one_hot(lex: Lexicon, word_id: int) -> np.ndarray:
     """One-hot vector of dimension |A| with a single 1 at word_id."""
-    if not 0 <= word_id < len(lex):
-        raise IndexError(f"word id {word_id} out of range for |A|={len(lex)}")
     v = np.zeros(len(lex))
-    v[word_id] = 1.0
+    v[word_ids(word_id, len(lex))] = 1.0
     return v

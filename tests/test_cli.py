@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from wordsim import cli
+from wordsim import cli, contextenc, denoise
 from wordsim.cli import main
+from wordsim.lexicon import load_lexicon
 
 from conftest import TOY_STANDARD, toy_variants
 
@@ -71,6 +72,26 @@ class TestDist:
     def test_dice_printed_as_distance(self, capsys):
         assert main(["dist", "--metric", "dice", "--n", "2", "night", "nacht"]) == 0
         assert "0.75" in capsys.readouterr().out
+
+    def test_undefined_pair_prints_inf(self, capsys):
+        assert main(["dist", "--metric", "dice", "a", "b"]) == 0
+        assert capsys.readouterr().out == "dice: inf\n"
+
+    def test_gram_length_applies_to_qgram(self, capsys):
+        assert main(["dist", "--metric", "qgram", "--n", "1", "ab", "ba"]) == 0
+        assert capsys.readouterr().out == "qgram: 0.0\n"
+
+    @pytest.mark.parametrize("command", ["dist", "eval"])
+    def test_gram_length_below_one_exit_2(self, pairs_file, command, capsys):
+        rest = {"dist": ["--metric", "dice", "a", "b"], "eval": ["--lexicon", str(pairs_file)]}
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "0", *rest[command]])
+        assert exc.value.code == 2
+        assert "gram length must be >= 1" in capsys.readouterr().err
+
+    def test_q_option_removed(self):
+        with pytest.raises(SystemExit):
+            main(["dist", "--metric", "qgram", "--q", "3", "ab", "ba"])
 
     def test_unknown_metric_exit_2(self, capsys):
         assert main(["dist", "--metric", "soundex", "a", "b"]) == 2
@@ -291,9 +312,17 @@ class TestLearnedScoring:
         assert main(["nearest", *source, "--query", "thng", "--k", "5"]) == 0
         listing = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
         assert len(listing) == 5
+        lex = load_lexicon(pairs)
+        if metric == "Da":
+            model = denoise.load_autoencoder(models[metric])
+            reference = lambda i, j: denoise.distance_Da(model, lex, i, j)  # noqa: E731
+        else:
+            emb = contextenc.load_embedding(models[metric])
+            reference = lambda i, j: contextenc.distance_Dc(emb, i, j)  # noqa: E731
         for word, distance in listing:
             assert main(["dist", "--metric", metric, *source, "thng", word]) == 0
             assert capsys.readouterr().out == f"{metric}: {distance}\n"
+            assert str(reference(lex.id_of("thng"), lex.id_of(word))) == distance
 
     def test_nearest_embedding_of_another_lexicon_exit_3(self, trained, tmp_path, capsys):
         _, models = trained

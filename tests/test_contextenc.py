@@ -226,6 +226,13 @@ class TestDistanceDc:
         with pytest.raises(IndexError):
             distance_Dc(U, 0, 5, "L1")
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_id_names_it(self, bad):
+        U = np.ones((3, 2))
+        for pair in ((bad, 0), (0, bad)):
+            with pytest.raises(IndexError, match=f"word id {bad} out of range"):
+                distance_Dc(U, *pair, "L1")
+
 
 class TestEmbeddingPersistence:
     def test_round_trip(self, context_lexicon, tmp_path):

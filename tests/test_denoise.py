@@ -168,6 +168,13 @@ class TestDistanceDa:
         with pytest.raises(IndexError):
             distance_Da(model, small_lexicon, 0, len(small_lexicon))
 
+    @pytest.mark.parametrize("bad", [-1, 20])
+    def test_out_of_range_id_names_it(self, model, small_lexicon, bad):
+        assert len(small_lexicon) == 20
+        for pair in ((bad, 0), (0, bad)):
+            with pytest.raises(IndexError, match=f"word id {bad} out of range"):
+                distance_Da(model, small_lexicon, *pair)
+
 
 class TestNearestStandard:
     def test_standard_query_ranks_itself_first(self, small_lexicon):
@@ -211,6 +218,12 @@ class TestNearestStandard:
         emb = EmbeddingMatrix(U=U, lexicon_fingerprint=toy_lexicon.fingerprint())
         with pytest.raises(BindingError):
             nearest_standard(emb, small_lexicon, 0)
+
+    @pytest.mark.parametrize("bad", [-1, 20])
+    def test_out_of_range_query_id(self, da_model, small_lexicon, bad):
+        assert len(small_lexicon) == 20
+        with pytest.raises(IndexError, match=f"word id {bad} out of range"):
+            nearest_standard(da_model, small_lexicon, bad)
 
     def test_raw_rows_must_match_the_lexicon(self, small_lexicon):
         with pytest.raises(BindingError):

@@ -13,6 +13,7 @@ from wordsim.evalharness import (
     load_report,
     neighbor_curve,
     qualitative_neighbors,
+    scores,
 )
 from wordsim.lexicon import build_lexicon
 from wordsim.neural import TrainConfig
@@ -116,6 +117,27 @@ class TestNeighborCurve:
     def test_k_validation(self, toy_lexicon):
         with pytest.raises(ValueError):
             neighbor_curve(MetricSpec(name="levenshtein"), toy_lexicon, 0)
+
+
+class TestScores:
+    def test_learned_l1_equals_numpy_reference(self, toy_lexicon):
+        rows = np.random.default_rng(0).normal(size=(len(toy_lexicon), 11))
+        spec = MetricSpec(name="Dc", kind="learned-Dc", params={"model": rows, "vec_metric": "L1"})
+        queries, candidates = list(toy_lexicon.nonstandard_ids), list(toy_lexicon.standard_ids)
+        reference = np.sum(np.abs(rows[queries][:, None, :] - rows[candidates][None, :, :]), axis=-1)
+        got = scores(spec, toy_lexicon, queries, candidates)
+        assert got.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("kind", ["classical", "learned-Dc"])
+    def test_out_of_range_ids(self, toy_lexicon, kind):
+        rows = np.ones((len(toy_lexicon), 3))
+        spec = MetricSpec(name="levenshtein" if kind == "classical" else "Dc", kind=kind,
+                          params={"model": rows})
+        for bad in (-1, len(toy_lexicon)):
+            with pytest.raises(IndexError, match=f"word id {bad} out of range"):
+                scores(spec, toy_lexicon, [0, bad], [1])
+            with pytest.raises(IndexError, match=f"word id {bad} out of range"):
+                scores(spec, toy_lexicon, [0], [1, bad])
 
 
 class TestQualitativeNeighbors:
