@@ -24,10 +24,29 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _gram_length(text):
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"gram length must be >= 1, got {text}")
-    return int(text)
+def _at_least_one(what):
+    """An argparse type reading an integer >= 1; what names it in the error."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be >= 1, got {text}")
+        return value
+
+    return parse
+
+
+_gram_length = _at_least_one("gram length")
+# a k of accuracy@k (eval --ks) or of a top-k listing (nearest --k)
+_rank = _at_least_one("k")
+
+
+def _ranks(text):
+    """Comma-separated ks, each an integer >= 1."""
+    return tuple(_rank(k) for k in text.split(","))
 
 
 def _parser():
@@ -56,7 +75,7 @@ def _parser():
     n = sub.add_parser("nearest", parents=[learned], help="nearest standard words to a query")
     n.add_argument("--lexicon", required=True)
     n.add_argument("--query", required=True)
-    n.add_argument("--k", type=int, default=5)
+    n.add_argument("--k", type=_rank, default=5)
 
     ta = sub.add_parser("train-ae", help="train the denoising autoencoder")
     ta.add_argument("--lexicon", required=True)
@@ -98,7 +117,7 @@ def _parser():
         default="all-classical",
         help="comma-separated metric names, or all-classical",
     )
-    e.add_argument("--ks", default="1,5", help="comma-separated k values")
+    e.add_argument("--ks", type=_ranks, default="1,5", help="comma-separated k values")
     e.add_argument("--out")
     return p
 
@@ -120,6 +139,12 @@ def _learned_spec(name, args):
     return MetricSpec(name, f"learned-{name}", {"model": model, "vec_metric": args.vec_metric})
 
 
+def _unknown_metric(name):
+    known = sorted(CLASSICAL_METRICS) + ["Da", "Dc"]
+    print(f"unknown metric {name!r}; choose from {known}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_dist(args):
     name = args.metric
     if name in CLASSICAL_METRICS:
@@ -131,9 +156,7 @@ def _cmd_dist(args):
         i, j = lex.id_of(args.x), lex.id_of(args.y)
         value = float(evalharness.scores(_learned_spec(name, args), lex, [i], [j])[0, 0])
     else:
-        known = sorted(CLASSICAL_METRICS) + ["Da", "Dc"]
-        print(f"unknown metric {name!r}; choose from {known}", file=sys.stderr)
-        return EXIT_USAGE
+        return _unknown_metric(name)
     print(f"{name}: {value}")
     return EXIT_OK
 
@@ -281,12 +304,14 @@ def _cmd_train_combined(args):
 
 
 def _cmd_eval(args):
-    lex = load_lexicon(args.lexicon)
     if args.metrics == "all-classical":
         names = sorted(CLASSICAL_METRICS)
     else:
         names = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    ks = tuple(int(k) for k in args.ks.split(","))
+    for name in names:
+        if name not in CLASSICAL_METRICS and name not in ("Da", "Dc"):
+            return _unknown_metric(name)
+    lex = load_lexicon(args.lexicon)
     specs = []
     for name in names:
         if name in ("Da", "Dc"):
@@ -295,7 +320,7 @@ def _cmd_eval(args):
             specs.append(MetricSpec(name=name, params={"n": args.n, "q": args.n}))
     accuracies = {}
     for spec in specs:
-        accuracies[spec.name] = evalharness.evaluate_accuracy(spec, lex, ks=ks)
+        accuracies[spec.name] = evalharness.evaluate_accuracy(spec, lex, ks=args.ks)
         line = "  ".join(f"acc@{k}={v:.2f}%" for k, v in accuracies[spec.name].items())
         print(f"{spec.name}: {line}")
     if args.out:

@@ -6,9 +6,10 @@ pure; empty strings are legal inputs unless stated otherwise.
 The scalar functions are the reference. Each ``*_many`` kernel scores one
 query against every candidate of a CandidateTable and returns exactly
 what the scalar function returns for each pair, as float64 in the
-table's caller order. The kernels are bit-parallel over uint64 lanes, one
-lane per candidate with the query as the pattern; a query longer than
-LANE_BITS characters takes the scalar path.
+table's caller order. The edit and LCS kernels are bit-parallel with the
+query as the pattern: each candidate holds ceil(|x| / LANE_BITS) uint64
+words, and additions and shifts carry from one word into the next, so a
+query of any length takes the same path.
 """
 
 import math
@@ -71,9 +72,10 @@ UNIT_COSTS = CostTable()
 #: Marker for an unreachable episode-distance target.
 INFINITE = math.inf
 
-#: Pattern width of the bit-parallel kernels; longer queries are scored by
-#: the scalar functions.
+#: Width of one word of the bit-parallel kernels: a query of m characters
+#: takes ceil(m / LANE_BITS) uint64 words per candidate.
 LANE_BITS = 64
+_TOP_BIT = np.uint64(LANE_BITS - 1)
 
 
 def levenshtein(x: str, y: str, costs: CostTable = UNIT_COSTS) -> float:
@@ -94,60 +96,87 @@ def levenshtein(x: str, y: str, costs: CostTable = UNIT_COSTS) -> float:
 
 
 def _match_masks(x: str, table) -> np.ndarray:
-    """Per alphabet index of the table, bit i set where x[i] is that character.
+    """The positions of each character in x, as words of LANE_BITS bits.
 
-    The last entry, which PAD indexes, stays 0.
+    Bit i of masks[c, w] is set where x[LANE_BITS * w + i] is alphabet
+    character c of the table. Shape (alphabet + 1, ceil(|x| / LANE_BITS));
+    the last row, which PAD indexes, stays 0.
     """
-    masks = np.zeros(len(table.alphabet) + 1, dtype=np.uint64)
+    masks = np.zeros((len(table.alphabet) + 1, -(-len(x) // LANE_BITS)), dtype=np.uint64)
     for i, symbol in enumerate(table.symbols(x)):
         if symbol >= 0:
-            masks[symbol] |= np.uint64(1 << i)
+            masks[symbol, i // LANE_BITS] |= np.uint64(1 << (i % LANE_BITS))
     return masks
 
 
+def _pattern_bits(m: int) -> np.ndarray:
+    """Per word, the bits that hold pattern positions 0..m-1."""
+    words = -(-m // LANE_BITS)
+    bits = np.full(words, ~np.uint64(0))
+    bits[-1] >>= np.uint64(words * LANE_BITS - m)
+    return bits
+
+
+def _add_carries(total, low, high):
+    """Carry the word-wise sum total = low + high from each word into the next, in place.
+
+    Axis 1 holds the words, lowest first; low's bits are a subset of high's.
+    """
+    for w in range(1, total.shape[1]):
+        total[:, w] += (low[:, w - 1] | (high[:, w - 1] & ~total[:, w - 1])) >> _TOP_BIT
+
+
+def _shift_up(v, first):
+    """v << 1 across the words on axis 1, with the bit first shifted into word 0."""
+    out = v << 1
+    if first:
+        out[:, 0] |= first
+    if v.shape[1] > 1:
+        out[:, 1:] |= v[:, :-1] >> _TOP_BIT
+    return out
+
+
 def _edit_distances(x: str, table, transpositions: bool) -> np.ndarray:
-    """Unit-cost (or OSA) distance from x to each sorted candidate, |x| <= LANE_BITS.
+    """Unit-cost (or OSA) distance from x to each sorted candidate.
 
     Hyyroe's formulation of Myers' algorithm (J. ACM 1999) for the global
-    distance, with Hyyroe's (2003) transposition term for OSA.
+    distance, with Hyyroe's (2003) transposition term for OSA, over
+    ceil(|x| / LANE_BITS) words per candidate (Hyyroe 2003's blocks).
     """
     if not x:
         return table.lengths.astype(np.float64)
     size = len(table)
     masks = _match_masks(x, table)
-    vp = np.full(size, ~np.uint64(0))
-    vn = np.zeros(size, dtype=np.uint64)
-    d0 = np.zeros(size, dtype=np.uint64)
-    pm_prev = np.zeros(size, dtype=np.uint64)
-    dist = np.full(size, len(x), dtype=np.uint64)
-    top = np.uint64(len(x) - 1)
+    words = masks.shape[1]
+    vp = np.full((size, words), ~np.uint64(0))
+    vn = np.zeros((size, words), dtype=np.uint64)
+    d0 = np.zeros((size, words), dtype=np.uint64)
+    pm_prev = np.zeros((size, words), dtype=np.uint64)
     for j, a in enumerate(table.active):
-        pm, v_p, v_n = masks[table.symbols_t[j, :a]], vp[:a], vn[:a]
-        diag = (((pm & v_p) + v_p) ^ v_p) | pm | v_n
+        pm, v_p, v_n = masks.take(table.symbols_t[j, :a], axis=0), vp[:a], vn[:a]
+        low = pm & v_p
+        total = low + v_p
+        if words > 1:
+            _add_carries(total, low, v_p)
+        diag = (total ^ v_p) | pm | v_n
         if transpositions:
-            diag |= ((~d0[:a] & pm) << 1) & pm_prev[:a]
+            diag |= _shift_up(~d0[:a] & pm, 0) & pm_prev[:a]
             d0[:a] = diag
             pm_prev[:a] = pm
-        hp = v_n | ~(diag | v_p)
-        hn = diag & v_p
-        dist[:a] += (hp >> top) & 1
-        dist[:a] -= (hn >> top) & 1
-        hp = (hp << 1) | 1
-        hn <<= 1
+        hp = _shift_up(v_n | ~(diag | v_p), 1)
+        hn = _shift_up(diag & v_p, 0)
         vp[:a] = hn | ~(diag | hp)
         vn[:a] = hp & diag
-    return dist.astype(np.float64)
-
-
-def _scalar_row(fn, x, table) -> np.ndarray:
-    """fn(x, y) for every candidate y: the path of queries wider than one lane."""
-    return np.array([fn(x, y) for y in table.words], dtype=np.float64)
+    # each candidate's state stopped at its own last column |y|: its distance
+    # is D[0][|y|] = |y| plus the vertical steps +1 (vp) and -1 (vn) down it
+    pattern = _pattern_bits(len(x))
+    ups = np.bitwise_count(vp & pattern).sum(axis=1, dtype=np.int64)
+    downs = np.bitwise_count(vn & pattern).sum(axis=1, dtype=np.int64)
+    return (table.lengths + ups - downs).astype(np.float64)
 
 
 def levenshtein_many(x: str, table) -> np.ndarray:
     """Unit-cost levenshtein(x, y) for every candidate y."""
-    if len(x) > LANE_BITS:
-        return _scalar_row(levenshtein, x, table)
     return table.unsort(_edit_distances(x, table, transpositions=False))
 
 
@@ -160,8 +189,6 @@ def normalized_levenshtein(x: str, y: str) -> float:
 
 def normalized_levenshtein_many(x: str, table) -> np.ndarray:
     """normalized_levenshtein(x, y) for every candidate y."""
-    if len(x) > LANE_BITS:
-        return _scalar_row(normalized_levenshtein, x, table)
     dist = _edit_distances(x, table, transpositions=False)
     # both empty: the distance is 0, and 0 / 1 gives the scalar 0.0
     return table.unsort(dist / np.maximum(table.lengths, max(len(x), 1)))
@@ -196,8 +223,6 @@ def damerau_levenshtein(x: str, y: str) -> int:
 
 def damerau_levenshtein_many(x: str, table) -> np.ndarray:
     """damerau_levenshtein(x, y) for every candidate y, as float64."""
-    if len(x) > LANE_BITS:
-        return _scalar_row(damerau_levenshtein, x, table)
     return table.unsort(_edit_distances(x, table, transpositions=True))
 
 
@@ -230,27 +255,30 @@ def lcs_distance(x: str, y: str) -> int:
 
 
 def _lcs_lengths(x: str, table) -> np.ndarray:
-    """LCS length of x with each sorted candidate, |x| <= LANE_BITS.
+    """LCS length of x with each sorted candidate.
 
-    Bit-parallel LCS (Allison and Dix 1986; Hyyroe 2004): the zero bits of
-    the state vector count the matched pattern positions.
+    Bit-parallel LCS (Allison and Dix 1986; Hyyroe 2004) over
+    ceil(|x| / LANE_BITS) words per candidate: the zero bits of the state
+    vector count the matched pattern positions. Only the addition carries
+    from word to word; s - u borrows nowhere, as u's bits are a subset of s's.
     """
     if not x:
         return np.zeros(len(table), dtype=np.int64)
     masks = _match_masks(x, table)
-    state = np.full(len(table), ~np.uint64(0))
+    words = masks.shape[1]
+    state = np.full((len(table), words), ~np.uint64(0))
     for j, a in enumerate(table.active):
         s = state[:a]
-        u = s & masks[table.symbols_t[j, :a]]
-        state[:a] = (s + u) | (s - u)
-    pattern = np.uint64((1 << len(x)) - 1)
-    return np.bitwise_count(~state & pattern).astype(np.int64)
+        u = s & masks.take(table.symbols_t[j, :a], axis=0)
+        total = s + u
+        if words > 1:
+            _add_carries(total, u, s)
+        state[:a] = total | (s - u)
+    return np.bitwise_count(~state & _pattern_bits(len(x))).sum(axis=1, dtype=np.int64)
 
 
 def lcs_distance_many(x: str, table) -> np.ndarray:
     """lcs_distance(x, y) for every candidate y, as float64."""
-    if len(x) > LANE_BITS:
-        return _scalar_row(lcs_distance, x, table)
     dist = len(x) + table.lengths - 2 * _lcs_lengths(x, table)
     return table.unsort(dist.astype(np.float64))
 
@@ -264,8 +292,6 @@ def metric_lcs(x: str, y: str) -> float:
 
 def metric_lcs_many(x: str, table) -> np.ndarray:
     """metric_lcs(x, y) for every candidate y."""
-    if len(x) > LANE_BITS:
-        return _scalar_row(metric_lcs, x, table)
     longest = np.maximum(table.lengths, len(x))
     share = _lcs_lengths(x, table) / np.maximum(longest, 1)
     return table.unsort(np.where(longest == 0, 0.0, 1.0 - share))

@@ -139,24 +139,42 @@ def build_lexicon(pairs: Iterable) -> Lexicon:
     return Lexicon(words=words, standard_flags=flags, standard_of=standard_of)
 
 
+def _numbered_lines(path):
+    """(line number, text) for each line of a UTF-8 file, split where text-mode reading splits.
+
+    Raises ParseError with the line number of the first line that is not UTF-8.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for line_no, raw in enumerate(data.splitlines(), start=1):
+        try:
+            yield line_no, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"not UTF-8: byte {raw[exc.start]:#04x} at offset {exc.start}", line_no
+            ) from None
+
+
 def load_lexicon(pairs_path) -> Lexicon:
     """Load a lexicon from a UTF-8 TSV of `nonstandard<TAB>standard` lines.
 
-    Lines starting with `#` are skipped. Raises ParseError on malformed
-    lines and AmbiguityError when a word maps to two standard forms.
+    Lines starting with `#` are skipped. Raises ParseError, with the line
+    number, on a line that is not UTF-8 or not two tab-separated fields,
+    and AmbiguityError when a word maps to two standard forms.
     """
     pairs = []
-    with open(pairs_path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if "\t" not in line:
-                raise ParseError("missing tab separator", line_no)
-            non, _, std = line.partition("\t")
-            if not non.strip() or not std.strip():
-                raise ParseError("empty field", line_no)
-            pairs.append((non, std))
+    for line_no, line in _numbered_lines(pairs_path):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.count("\t") + 1
+        if fields == 1:
+            raise ParseError("missing tab separator", line_no)
+        if fields > 2:
+            raise ParseError(f"expected 2 tab-separated fields, got {fields}", line_no)
+        non, _, std = line.partition("\t")
+        if not non.strip() or not std.strip():
+            raise ParseError("empty field", line_no)
+        pairs.append((non, std))
     if not pairs:
         raise ParseError(f"no pairs found in {pairs_path}")
     return build_lexicon(pairs)
@@ -167,29 +185,29 @@ def load_corpus(corpus_path, lex: Lexicon, oov_policy: str = "skip-token") -> Co
 
     Out-of-vocabulary tokens are dropped (`skip-token`, default) or cause
     the whole sentence to be dropped (`skip-sentence`). Empty sentences
-    are filtered out either way.
+    are filtered out either way. A line that is not UTF-8 raises
+    ParseError with its line number.
     """
     if oov_policy not in ("skip-token", "skip-sentence"):
         raise ValueError(f"unknown OOV policy: {oov_policy!r}")
     sentences = []
     oov = 0
-    with open(corpus_path, encoding="utf-8") as fh:
-        for line in fh:
-            tokens = [_normalize(t) for t in line.split()]
-            if not tokens:
-                continue
-            ids = []
-            skip = False
-            for t in tokens:
-                if t in lex:
-                    ids.append(lex.id_of(t))
-                else:
-                    oov += 1
-                    if oov_policy == "skip-sentence":
-                        skip = True
-                        break
-            if ids and not skip:
-                sentences.append(tuple(ids))
+    for _, line in _numbered_lines(corpus_path):
+        tokens = [_normalize(t) for t in line.split()]
+        if not tokens:
+            continue
+        ids = []
+        skip = False
+        for t in tokens:
+            if t in lex:
+                ids.append(lex.id_of(t))
+            else:
+                oov += 1
+                if oov_policy == "skip-sentence":
+                    skip = True
+                    break
+        if ids and not skip:
+            sentences.append(tuple(ids))
     if not sentences:
         raise WordsimError(f"no usable sentences in {corpus_path}")
     return Corpus(sentences=tuple(sentences), oov_count=oov)

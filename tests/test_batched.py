@@ -25,7 +25,11 @@ from wordsim.gramfam import BOUNDARY
 # a few ASCII letters and non-ASCII letters, one of them outside the BMP
 ALPHABET = "abcéß中\U0001f600"
 short = st.text(alphabet=ALPHABET, max_size=8)
-long = st.text(alphabet="abé", min_size=62, max_size=66)
+# across the first and the second 64-bit word boundary of the bit-parallel kernels
+long = st.one_of(
+    st.text(alphabet="abé", min_size=62, max_size=66),
+    st.text(alphabet="abé", min_size=126, max_size=130),
+)
 strings = st.one_of(short, short, short, long)
 PARAMS = {"qgram": "q", "ngram": "n", "dice": "n", "jaccard": "n"}
 
@@ -77,15 +81,41 @@ def test_undefined_pairs_score_inf():
     assert np.isinf(gramfam.qgram_distance_many("ab", table, 0)).all()
 
 
-def test_long_query_takes_scalar_path(monkeypatch):
-    calls = []
-    scalar = editfam.levenshtein
-    monkeypatch.setattr(editfam, "levenshtein", lambda x, y: calls.append(y) or scalar(x, y))
+EDIT_METRICS = [
+    "levenshtein", "normalized-levenshtein", "damerau-levenshtein", "lcs", "metric-lcs"
+]
+
+
+@pytest.mark.parametrize("name", EDIT_METRICS)
+def test_word_boundaries(name):
+    # an adjacent transposition, and a match run, across bits 63/64 and 127/128
+    for bit in (63, 127):
+        x = "c" * bit + "ab" + "c" * 5
+        words = [x, "c" * bit + "ba" + "c" * 5, "c" * bit + "b" + "c" * 5, "ab"]
+        assert_kernel_matches(name, x, words)
+        x = "b" * (bit - 4) + "a" * 10 + "b" * 60
+        assert_kernel_matches(name, x, ["a" * 10, "c" * 30 + "a" * 10, "a" * 8 + "b" * 70, x])
+    # a multi-word query with characters no candidate has (MISSING)
+    x = "a" * 70 + "zq" + "a" * 60
+    assert_kernel_matches(name, x, ["a" * 130, "a" * 70 + "qz" + "a" * 60, "b", ""])
+    # 129 characters: one bit in the third word
+    x = "ab" * 64 + "a"
+    assert_kernel_matches(name, x, ["", "a", x, x[::-1], x[:-1], x + "b"])
+
+
+def test_long_queries_take_the_batched_path(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("scalar function called")
+
+    for fn in ("levenshtein", "damerau_levenshtein", "lcs_length"):
+        monkeypatch.setattr(editfam, fn, forbidden)
+    table = CandidateTable(["abc", "b" * 70, "ab" * 100])
+    for n in (65, 128, 129, 200):
+        x = "ab" * (n // 2) + "a" * (n % 2)
+        for name in EDIT_METRICS:
+            BATCHED_METRICS[name](x, table)
     table = CandidateTable(["abc", "b" * 70])
-    editfam.levenshtein_many("a" * 64, table)
-    assert calls == []
     assert list(editfam.levenshtein_many("a" * 65, table)) == [64.0, 70.0]
-    assert calls == ["abc", "b" * 70]
 
 
 def scalar_accuracy(name, lex, ks):

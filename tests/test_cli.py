@@ -301,6 +301,45 @@ class TestEval:
     def test_missing_lexicon_exit_3(self, tmp_path):
         assert main(["eval", "--lexicon", str(tmp_path / "nope.tsv")]) == 3
 
+    @pytest.mark.parametrize("ks,message", [("x", "must be an integer"), ("0,-1", "must be >= 1")])
+    def test_bad_ks_exit_2(self, pairs_file, ks, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--lexicon", str(pairs_file), "--ks", ks])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_unknown_metric_exit_2(self, pairs_file, capsys):
+        rc = main(["eval", "--lexicon", str(pairs_file), "--metrics", "levenshtein,soundex"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "unknown metric 'soundex'" in captured.err and captured.out == ""
+
+
+class TestInputErrors:
+    def test_lexicon_not_utf8_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes("thng\tthing\ncaf\u00e9\tcafe\n".encode("latin-1"))
+        rc = main(["dist", "--metric", "Dc", "--lexicon", str(bad), "a", "b"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: line 2: not UTF-8")
+
+    def test_lexicon_two_tabs_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("a\tb\tc\n", encoding="utf-8")
+        assert main(["eval", "--lexicon", str(bad)]) == 3
+        assert capsys.readouterr().err.startswith("error: line 1: expected 2 tab-separated fields")
+
+    def test_corpus_not_utf8_exit_3(self, pairs_file, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"thing water\nhouse caf\xe9\n")
+        out = tmp_path / "e.json"
+        rc = main(
+            ["train-ctx", "--lexicon", str(pairs_file), "--corpus", str(corpus), "--out", str(out)]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: line 2: not UTF-8")
+        assert not out.exists()
+
 
 class TestLearnedScoring:
     """dist, nearest and eval score Da and Dc along one path."""
@@ -333,6 +372,14 @@ class TestLearnedScoring:
         )
         assert rc == 3
         assert "lexicon" in capsys.readouterr().err
+
+    def test_k_below_one_exit_2(self, trained, capsys):
+        pairs, models = trained
+        source = ["--model", models["Da"], "--lexicon", pairs]
+        with pytest.raises(SystemExit) as exc:
+            main(["nearest", *source, "--query", "thng", "--k", "0"])
+        assert exc.value.code == 2
+        assert "k must be >= 1" in capsys.readouterr().err
 
     def test_unknown_query_exit_3(self, trained, capsys):
         pairs, models = trained

@@ -39,6 +39,23 @@ class TestLoadLexicon:
         with pytest.raises(ParseError, match="line 2"):
             load_lexicon(path)
 
+    def test_two_tabs(self, tmp_path):
+        path = write(tmp_path, "pairs.tsv", "thng\tthing\na\tb\tc\n")
+        with pytest.raises(ParseError, match="line 2: expected 2 tab-separated fields, got 3"):
+            load_lexicon(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes("thng\tthing\ncaf\u00e9\tcafe\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="line 2: not UTF-8"):
+            load_lexicon(path)
+
+    def test_line_numbers_count_crlf_and_cr_endings(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(b"thng\tthing\r\nwter\twater\rbad\n")
+        with pytest.raises(ParseError, match="line 3: missing tab"):
+            load_lexicon(path)
+
     def test_ambiguous_mapping(self, tmp_path):
         path = write(tmp_path, "pairs.tsv", "dats\tthat's\ndats\tthis\n")
         with pytest.raises(AmbiguityError) as exc:
@@ -124,6 +141,12 @@ class TestLoadCorpus:
         path = write(tmp_path, "c.txt", "thing zebra\nwater house\n")
         corpus = load_corpus(path, toy_lexicon, oov_policy="skip-sentence")
         assert len(corpus) == 1
+
+    def test_not_utf8(self, tmp_path, toy_lexicon):
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"thing water\n\nhouse caf\xe9\n")
+        with pytest.raises(ParseError, match="line 3: not UTF-8"):
+            load_corpus(path, toy_lexicon)
 
     def test_all_empty_is_error(self, tmp_path, toy_lexicon):
         path = write(tmp_path, "c.txt", "zebra\n\n")
