@@ -17,6 +17,7 @@ import os
 import sys
 
 from wordsim import contextenc, denoise
+from wordsim.cli import _ranks
 from wordsim.evalharness import (
     CLASSICAL_METRICS,
     EvalReport,
@@ -28,7 +29,7 @@ from wordsim.lexicon import load_corpus, load_lexicon
 from wordsim.neural import TrainConfig
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--pairs", required=True, help="misspelling\\tstandard TSV")
     ap.add_argument("--corpus", required=True, help="one sentence per line")
@@ -40,9 +41,8 @@ def main():
     ap.add_argument("--lr", type=float, default=0.01)
     ap.add_argument("--ae-epochs", type=int, default=50)
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--ks", default="1,5")
-    args = ap.parse_args()
-    ks = tuple(int(k) for k in args.ks.split(","))
+    ap.add_argument("--ks", type=_ranks, default="1,5", help="comma-separated k values")
+    args = ap.parse_args(argv)
     os.makedirs(args.out_dir, exist_ok=True)
 
     lex = load_lexicon(args.pairs)
@@ -89,7 +89,7 @@ def main():
 
     accuracies = {}
     for spec in specs:
-        accuracies[spec.name] = evaluate_accuracy(spec, lex, ks=ks)
+        accuracies[spec.name] = evaluate_accuracy(spec, lex, ks=args.ks)
         line = "  ".join(f"acc@{k}={v:.2f}%" for k, v in accuracies[spec.name].items())
         print(f"{spec.name}: {line}")
 

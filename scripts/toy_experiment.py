@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from wordsim import contextenc, denoise
+from wordsim.cli import _ranks
 from wordsim.evalharness import MetricSpec, evaluate_accuracy
 from wordsim.lexicon import Corpus, build_lexicon
 from wordsim.neural import TrainConfig
@@ -45,14 +46,13 @@ def synth_corpus(lex, n_sentences, seed):
     return Corpus(sentences=tuple(sents))
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--epochs", type=int, default=200)
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--ks", default="1,5")
-    args = ap.parse_args()
-    ks = tuple(int(k) for k in args.ks.split(","))
+    ap.add_argument("--ks", type=_ranks, default="1,5", help="comma-separated k values")
+    args = ap.parse_args(argv)
 
     lex = build_lexicon([(v, w) for w in STANDARD for v in variants(w)])
     corpus = synth_corpus(lex, 500, args.seed)
@@ -84,12 +84,12 @@ def main():
         MetricSpec(name="Da", kind="learned-Da", params={"model": ae, "vec_metric": "cosine"}),
         MetricSpec(name="Dc", kind="learned-Dc", params={"model": emb, "vec_metric": "cosine"}),
     ]
-    header = "metric".ljust(24) + "".join(f"acc@{k}".rjust(10) for k in ks)
+    header = "metric".ljust(24) + "".join(f"acc@{k}".rjust(10) for k in args.ks)
     print(header)
     print("-" * len(header))
     for spec in specs:
-        acc = evaluate_accuracy(spec, lex, ks=ks)
-        print(spec.name.ljust(24) + "".join(f"{acc[k]:9.2f}%" for k in ks))
+        acc = evaluate_accuracy(spec, lex, ks=args.ks)
+        print(spec.name.ljust(24) + "".join(f"{acc[k]:9.2f}%" for k in args.ks))
     return 0
 
 

@@ -6,7 +6,6 @@ alternates context epochs with autoencoder epochs and blends embedding
 rows toward the autoencoder codes, yielding the mapping behind D_c.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,21 +226,19 @@ def save_embedding(emb: EmbeddingMatrix, path):
         "lexicon_fingerprint": emb.lexicon_fingerprint,
         "n_embed": emb.n_embed,
         "metadata": emb.metadata,
-        "rows": emb.U.tolist(),
+        "rows": neural.encode_array(emb.U),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(container, fh)
+    neural._write_json(path, container)
 
 
 def load_embedding(path) -> EmbeddingMatrix:
     data = neural._read_json(path)
     if data.get("kind") != "embedding":
         raise ConfigError(f"not an embedding file: {path}")
-    if data.get("format_version") != neural.FORMAT_VERSION:
-        raise ConfigError(f"unsupported embedding format version: {data.get('format_version')!r}")
+    neural.check_format_version(data, "embedding")
     try:
         return EmbeddingMatrix(
-            U=np.array(data["rows"], dtype=float),
+            U=neural.decode_array(data["rows"], "rows", 2),
             lexicon_fingerprint=data["lexicon_fingerprint"],
             metadata=data.get("metadata", {}),
         )

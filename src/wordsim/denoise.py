@@ -4,7 +4,6 @@ The network reconstructs the standard word from a non-standard spelling;
 its bottleneck activation is the learned code used by the distance D_a.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,8 +163,7 @@ def save_autoencoder(model: AutoencoderModel, path, extra_metadata=None):
         "metadata": extra_metadata or {},
         "network": neural.network_to_dict(model.net, seed=model.seed),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(container, fh)
+    neural._write_json(path, container)
 
 
 def load_autoencoder(path) -> AutoencoderModel:

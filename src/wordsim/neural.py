@@ -5,6 +5,7 @@ batch gradients are averaged over the batch. Softmax is only valid as a
 final layer trained with cross-entropy.
 """
 
+import base64
 import json
 import math
 from contextlib import contextmanager
@@ -30,11 +31,14 @@ __all__ = [
     "train_supervised",
     "network_to_dict",
     "network_from_dict",
-    "save_network",
-    "load_network",
+    "encode_array",
+    "decode_array",
+    "check_format_version",
 ]
 
-FORMAT_VERSION = 1
+# the version files are written in; loaders read every version in FORMAT_VERSIONS
+FORMAT_VERSION = 2
+FORMAT_VERSIONS = (1, 2)
 
 ACTIVATIONS = ("sigmoid", "identity", "softmax")
 LOSSES = ("cross-entropy", "squared-L2")
@@ -293,6 +297,56 @@ def train_supervised(net, X, Y, config: TrainConfig, loss_kind) -> list:
     return trace
 
 
+def encode_array(a) -> dict:
+    """JSON form of an array: its shape and its little-endian float64 bytes in base64."""
+    a = np.asarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "f8le": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def decode_array(value, field: str, ndim: int) -> np.ndarray:
+    """The ndim-dimensional float64 array an encode_array object holds.
+
+    A list is a format-1 array stored as nested numbers and is read as
+    such. Anything malformed raises ConfigError naming the field.
+    """
+    if isinstance(value, list):
+        try:
+            a = np.array(value, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{field} is not a nested list of numbers") from None
+    elif not isinstance(value, dict):
+        raise ConfigError(f"{field} is not an array object")
+    else:
+        shape = value.get("shape")
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise ConfigError(
+                f"{field}.shape must be a list of non-negative integers, got {shape!r}"
+            )
+        if "f8le" not in value:
+            raise ConfigError(f"{field} lacks the field 'f8le'")
+        try:
+            raw = base64.b64decode(value["f8le"], validate=True)
+        except (TypeError, ValueError):  # binascii.Error is a ValueError
+            raise ConfigError(f"{field}.f8le is not valid base64") from None
+        expected = 8 * math.prod(shape)
+        if len(raw) != expected:
+            raise ConfigError(
+                f"{field}.f8le holds {len(raw)} bytes; shape {shape} needs {expected}"
+            )
+        # astype copies out of the read-only bytes, so training can update the array in place
+        a = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+    if a.ndim != ndim:
+        raise ConfigError(f"{field} must have {ndim} dimensions, got shape {list(a.shape)}")
+    return a
+
+
+def check_format_version(data: dict, what: str):
+    """ConfigError unless data["format_version"] is one the loaders read."""
+    version = data.get("format_version")
+    if version not in FORMAT_VERSIONS:
+        raise ConfigError(f"unsupported {what} format version: {version!r}")
+
+
 def network_to_dict(net: Network, seed: Optional[int] = None) -> dict:
     """Versioned JSON-ready container; floats round-trip bit-exactly."""
     return {
@@ -302,8 +356,8 @@ def network_to_dict(net: Network, seed: Optional[int] = None) -> dict:
         "layers": [
             {
                 "activation": l.activation,
-                "weights": l.W.tolist(),
-                "biases": l.b.tolist(),
+                "weights": encode_array(l.W),
+                "biases": encode_array(l.b),
             }
             for l in net.layers
         ],
@@ -311,23 +365,22 @@ def network_to_dict(net: Network, seed: Optional[int] = None) -> dict:
 
 
 def network_from_dict(data: dict) -> Network:
-    if data.get("format_version") != FORMAT_VERSION:
-        raise ConfigError(
-            f"unsupported model format version: {data.get('format_version')!r}"
-        )
+    check_format_version(data, "model")
     try:
         layers = [
             DenseLayer(
-                W=np.array(l["weights"], dtype=float),
-                b=np.array(l["biases"], dtype=float),
+                W=decode_array(l["weights"], f"layers[{i}].weights", 2),
+                b=decode_array(l["biases"], f"layers[{i}].biases", 1),
                 activation=l["activation"],
             )
-            for l in data["layers"]
+            for i, l in enumerate(data["layers"])
         ]
         topology = list(data["topology"])
+        net = Network(layers)
     except KeyError as exc:
         raise ConfigError(f"network lacks the field {exc}") from None
-    net = Network(layers)
+    except ValueError as exc:  # layer shapes or activation that DenseLayer and Network reject
+        raise ConfigError(f"malformed network: {exc}") from None
     if net.topology != topology:
         raise ConfigError("topology signature does not match layer shapes")
     return net
@@ -345,10 +398,12 @@ def _read_json(path) -> dict:
     return data
 
 
-def save_network(net: Network, path, seed=None):
+def _write_json(path, data: dict):
+    """Write data to path as one JSON document.
+
+    json.dumps runs the C encoder; json.dump to a file handle would take
+    the pure-Python one, many times slower on a large model.
+    """
+    text = json.dumps(data)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(net, seed=seed), fh)
-
-
-def load_network(path) -> Network:
-    return network_from_dict(_read_json(path))
+        fh.write(text)

@@ -68,3 +68,29 @@ def small_lexicon():
     words = ["apple", "banana", "cherry", "grape", "lemon",
              "mango", "melon", "olive", "peach", "plum"]
     return build_lexicon([(w[1:], w) for w in words])
+
+
+def wide_lexicon():
+    """|A| = 300, above 256, so every saved array is long enough for line-wrapped base64 to show."""
+    return build_lexicon([(f"x{i:03d}", f"s{i:03d}") for i in range(150)])
+
+
+def _truncate(array):
+    array["f8le"] = array["f8le"][:-4]  # still valid base64, three bytes short
+
+
+_SHAPE_LIST = "shape must be a list of non-negative integers"
+
+# ways to break one saved array object, and what the ConfigError must say
+MALFORMED_ARRAYS = {
+    "f8le-not-base64": (
+        lambda a: a.update(f8le=a["f8le"][:-4] + "!!!!"), "f8le is not valid base64"
+    ),
+    "f8le-missing": (lambda a: a.pop("f8le"), "lacks the field 'f8le'"),
+    "byte-count": (_truncate, "bytes; shape"),
+    "shape-missing": (lambda a: a.pop("shape"), _SHAPE_LIST),
+    "shape-not-a-list": (lambda a: a.update(shape=3), _SHAPE_LIST),
+    "shape-negative": (lambda a: a.update(shape=[-1] * len(a["shape"])), _SHAPE_LIST),
+    "shape-not-integers": (lambda a: a.update(shape=[float(n) for n in a["shape"]]), _SHAPE_LIST),
+    "one-dimension-too-many": (lambda a: a.update(shape=a["shape"] + [1]), "dimensions, got shape"),
+}

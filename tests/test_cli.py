@@ -274,6 +274,31 @@ class TestTrainContext:
         )
         assert rc == 0
 
+    def test_train_combined_seeded_determinism(self, pairs_file, corpus_file, tmp_path):
+        outs = []
+        for name in ("a.json", "b.json"):
+            path = tmp_path / name
+            rc = main(
+                [
+                    "--seed", "5",
+                    "train-combined",
+                    "--lexicon", str(pairs_file),
+                    "--corpus", str(corpus_file),
+                    "--code-size", "6",
+                    "--depth", "3",
+                    "--window", "2",
+                    "--hidden", "8",
+                    "--rounds", "2",
+                    "--batch", "16",
+                    "--out", str(path),
+                ]
+            )
+            assert rc == 0
+            data = json.loads(path.read_text())
+            data["metadata"].pop("created")
+            outs.append(json.dumps(data))
+        assert outs[0] == outs[1]
+
 
 class TestEval:
     def test_classical_eval_csv(self, pairs_file, tmp_path, capsys):
@@ -397,6 +422,17 @@ class TestLearnedScoring:
         rc = main(["nearest", "--model", str(broken), "--lexicon", pairs, "--query", "thng"])
         assert rc == 3
         assert "bottleneck_index" in capsys.readouterr().err
+
+    def test_model_with_malformed_array_exit_3(self, trained, tmp_path, capsys):
+        pairs, models = trained
+        with open(models["Da"], encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["network"]["layers"][0]["weights"]["f8le"] = "not base64!"
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(data), encoding="utf-8")
+        rc = main(["nearest", "--model", str(broken), "--lexicon", pairs, "--query", "thng"])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: layers[0].weights.f8le is not valid base64\n"
 
     def test_model_not_json_exit_3(self, trained, tmp_path):
         pairs, _ = trained

@@ -22,6 +22,8 @@ from wordsim.errors import BindingError, ConfigError, NumericError
 from wordsim.lexicon import Corpus
 from wordsim.neural import TrainConfig
 
+from conftest import MALFORMED_ARRAYS, wide_lexicon
+
 
 def zeroed(model):
     for layer in model.predictor.layers:
@@ -246,6 +248,55 @@ class TestEmbeddingPersistence:
         assert np.array_equal(loaded.U, U)
         assert loaded.metadata["rounds"] == 2
         assert loaded.lexicon_fingerprint == emb.lexicon_fingerprint
+
+    @pytest.mark.parametrize("n_embed", [1, 2, 11])
+    def test_round_trip_bit_exact_above_256_words(self, n_embed, tmp_path):
+        lex = wide_lexicon()
+        U = np.random.default_rng(n_embed).normal(size=(len(lex), n_embed))
+        path = tmp_path / "emb.json"
+        save_embedding(EmbeddingMatrix(U=U, lexicon_fingerprint=lex.fingerprint()), path)
+        loaded = load_embedding(path)
+        assert loaded.U.shape == U.shape
+        assert loaded.U.tobytes() == U.tobytes()
+
+    def test_format_1_file_loads(self, tmp_path):
+        # the layout format 1 wrote: rows as nested JSON numbers
+        lex = wide_lexicon()
+        U = np.random.default_rng(5).normal(size=(len(lex), 11))
+        container = {
+            "kind": "embedding",
+            "format_version": 1,
+            "lexicon_fingerprint": lex.fingerprint(),
+            "n_embed": 11,
+            "metadata": {"rounds": 1},
+            "rows": U.tolist(),
+        }
+        path = tmp_path / "emb.json"
+        path.write_text(json.dumps(container), encoding="utf-8")
+        loaded = load_embedding(path)
+        assert loaded.U.tobytes() == U.tobytes()
+        assert loaded.metadata == {"rounds": 1}
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ARRAYS))
+    def test_malformed_rows_rejected(self, context_lexicon, tmp_path, case):
+        U = np.random.default_rng(6).normal(size=(len(context_lexicon), 3))
+        emb = EmbeddingMatrix(U=U, lexicon_fingerprint=context_lexicon.fingerprint())
+        path = tmp_path / "emb.json"
+        save_embedding(emb, path)
+        data = json.loads(path.read_text())
+        breaks, message = MALFORMED_ARRAYS[case]
+        breaks(data["rows"])
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="rows") as exc:
+            load_embedding(path)
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_not_a_json_object_rejected(self, tmp_path, text):
+        path = tmp_path / "emb.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_embedding(path)
 
     def test_version_check(self, context_lexicon, tmp_path):
         emb = EmbeddingMatrix(U=np.zeros((3, 2)), lexicon_fingerprint=context_lexicon.fingerprint())

@@ -20,6 +20,8 @@ from wordsim.errors import BindingError, ConfigError
 from wordsim.lexicon import build_lexicon
 from wordsim.neural import TrainConfig, forward
 
+from conftest import MALFORMED_ARRAYS, wide_lexicon
+
 
 def trained_model(lex, seed=0, epochs=100):
     model = build_autoencoder(lex, code_size=4, depth=5, seed=seed)
@@ -240,7 +242,92 @@ class TestNearestStandard:
             assert result == [(c, d) for d, c in expected[:4]]
 
 
+def assert_same_network(loaded, net):
+    assert loaded.topology == net.topology
+    for a, b in zip(net.layers, loaded.layers):
+        assert a.W.tobytes() == b.W.tobytes()
+        assert a.b.tobytes() == b.b.tobytes()
+        assert a.activation == b.activation
+
+
 class TestPersistence:
+    def test_round_trip_bit_exact(self, small_lexicon, tmp_path):
+        model, _ = trained_model(small_lexicon, seed=11, epochs=5)
+        path = tmp_path / "ae.json"
+        save_autoencoder(model, path)
+        loaded = load_autoencoder(path)
+        assert_same_network(loaded.net, model.net)
+        assert loaded.seed == 11
+
+    @pytest.mark.parametrize("code_size", [1, 2, 11])
+    def test_round_trip_bit_exact_above_256_words(self, code_size, tmp_path):
+        lex = wide_lexicon()
+        model = build_autoencoder(lex, code_size=code_size, depth=3, seed=code_size)
+        for layer in model.net.layers:
+            layer.b[:] = np.random.default_rng(code_size).normal(size=layer.b.shape)
+        path = tmp_path / "ae.json"
+        save_autoencoder(model, path)
+        assert_same_network(load_autoencoder(path).net, model.net)
+
+    def test_format_1_file_loads(self, tmp_path):
+        # the layout format 1 wrote: every array as nested JSON numbers
+        model = build_autoencoder(wide_lexicon(), code_size=11, depth=5, seed=4)
+        container = {
+            "kind": "autoencoder",
+            "lexicon_fingerprint": model.lexicon_fingerprint,
+            "code_size": model.code_size,
+            "depth": model.depth,
+            "bottleneck_index": model.bottleneck_index,
+            "metadata": {},
+            "network": {
+                "format_version": 1,
+                "topology": model.net.topology,
+                "seed": 4,
+                "layers": [
+                    {"activation": l.activation, "weights": l.W.tolist(), "biases": l.b.tolist()}
+                    for l in model.net.layers
+                ],
+            },
+        }
+        path = tmp_path / "ae.json"
+        path.write_text(json.dumps(container), encoding="utf-8")
+        loaded = load_autoencoder(path)
+        assert_same_network(loaded.net, model.net)
+        assert loaded.seed == 4
+
+    def test_unknown_version_rejected(self, small_lexicon, tmp_path):
+        path = tmp_path / "ae.json"
+        save_autoencoder(build_autoencoder(small_lexicon, code_size=4, depth=5), path)
+        data = json.loads(path.read_text())
+        data["network"]["format_version"] = 99
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="99"):
+            load_autoencoder(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ARRAYS))
+    @pytest.mark.parametrize("field", ["weights", "biases"])
+    def test_malformed_array_rejected(self, small_lexicon, tmp_path, case, field):
+        path = tmp_path / "ae.json"
+        save_autoencoder(build_autoencoder(small_lexicon, code_size=4, depth=5), path)
+        data = json.loads(path.read_text())
+        breaks, message = MALFORMED_ARRAYS[case]
+        breaks(data["network"]["layers"][1][field])
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=f"layers\\[1\\].{field}") as exc:
+            load_autoencoder(path)
+        assert message in str(exc.value)
+
+    def test_biases_of_the_wrong_length_rejected(self, small_lexicon, tmp_path):
+        path = tmp_path / "ae.json"
+        model = build_autoencoder(small_lexicon, code_size=4, depth=5)
+        save_autoencoder(model, path)
+        data = json.loads(path.read_text())
+        too_long = np.zeros(model.net.layers[0].out_dim + 1)
+        data["network"]["layers"][0]["biases"] = neural.encode_array(too_long)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="inconsistent layer dimensions"):
+            load_autoencoder(path)
+
     def test_round_trip_encode_bit_identical(self, small_lexicon, tmp_path):
         model, trace = trained_model(small_lexicon, epochs=20)
         path = tmp_path / "ae.json"
@@ -266,5 +353,12 @@ class TestPersistence:
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "ae.json"
         path.write_bytes(b"\xff not json")
+        with pytest.raises(ConfigError):
+            load_autoencoder(path)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_not_a_json_object_rejected(self, tmp_path, text):
+        path = tmp_path / "ae.json"
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError):
             load_autoencoder(path)

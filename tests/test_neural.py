@@ -9,14 +9,14 @@ from wordsim.neural import (
     Network,
     TrainConfig,
     backward,
+    decode_array,
+    encode_array,
     forward,
     gradient_check,
     init_network,
-    load_network,
     loss_value,
     network_from_dict,
     network_to_dict,
-    save_network,
     sgd_step,
     softmax,
     train_supervised,
@@ -211,17 +211,6 @@ class TestTraining:
 
 
 class TestPersistence:
-    def test_round_trip_bit_exact(self, tmp_path):
-        net = init_network([4, 3, 2], ["sigmoid", "softmax"], np.random.default_rng(11))
-        path = tmp_path / "net.json"
-        save_network(net, path, seed=11)
-        loaded = load_network(path)
-        for a, b in zip(net.layers, loaded.layers):
-            assert np.array_equal(a.W, b.W)
-            assert np.array_equal(a.b, b.b)
-            assert a.activation == b.activation
-        assert loaded.topology == net.topology
-
     def test_seed_recorded(self):
         net = init_network([2, 2], ["identity"], np.random.default_rng(0))
         assert network_to_dict(net, seed=42)["seed"] == 42
@@ -239,13 +228,18 @@ class TestPersistence:
         with pytest.raises(ConfigError, match="topology"):
             network_from_dict(data)
 
-    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
-    def test_not_a_json_object_rejected(self, tmp_path, text):
-        path = tmp_path / "net.json"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(ConfigError):
-            load_network(path)
-
     def test_json_serializable(self):
         net = init_network([2, 2], ["identity"], np.random.default_rng(0))
         json.dumps(network_to_dict(net))
+
+    @pytest.mark.parametrize("shape", [(0,), (3,), (2, 0), (4, 5)])
+    def test_array_round_trip(self, shape):
+        a = np.random.default_rng(1).normal(size=shape)
+        back = decode_array(json.loads(json.dumps(encode_array(a))), "a", len(shape))
+        assert back.shape == a.shape and back.tobytes() == a.tobytes()
+        back += 1.0  # loaded arrays are updated in place by further training
+
+    @pytest.mark.parametrize("value", [["a", "b"], [[1.0], [1.0, 2.0]], [1.0, 2.0], 5, "AAAA"])
+    def test_malformed_array_rejected(self, value):
+        with pytest.raises(ConfigError, match="^weights "):
+            decode_array(value, "weights", 2)
