@@ -53,7 +53,6 @@ def _parser():
     p = argparse.ArgumentParser(prog="wordsim")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
     # the options _learned_spec reads, shared by dist, nearest and eval
     learned = argparse.ArgumentParser(add_help=False)

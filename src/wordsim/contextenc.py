@@ -29,7 +29,6 @@ __all__ = [
     "distance_Dc",
     "save_embedding",
     "load_embedding",
-    "export_embedding_tsv",
 ]
 
 #: Boundary-padding pseudo-id used for positions before sentence start.
@@ -128,7 +127,7 @@ def train_context(model: ContextModel, corpus: Corpus, config: TrainConfig) -> l
     rng = np.random.default_rng(config.seed)
     trace = []
     for _ in range(config.epochs):
-        order = rng.permutation(len(targets)) if config.shuffle else np.arange(len(targets))
+        order = rng.permutation(len(targets))
         total_ll = 0.0
         for start in range(0, len(targets), config.batch_size):
             idx = order[start : start + config.batch_size]
@@ -181,14 +180,10 @@ def train_combined(
     lex.check_binding(ctx)
     if not 0.0 <= blend <= 1.0:
         raise ConfigError("blend must be in [0, 1]")
-    cfg = dict(
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        seed=config.seed,
-        shuffle=config.shuffle,
-    )
     for r in range(rounds):
-        round_cfg = dict(cfg, seed=config.seed + r)
+        round_cfg = dict(
+            batch_size=config.batch_size, learning_rate=config.learning_rate, seed=config.seed + r
+        )
         if context_epochs_per_round > 0:
             train_context(
                 ctx, corpus, TrainConfig(epochs=context_epochs_per_round, **round_cfg)
@@ -244,11 +239,3 @@ def load_embedding(path) -> EmbeddingMatrix:
         )
     except KeyError as exc:
         raise ConfigError(f"embedding file lacks the field {exc}: {path}") from None
-
-
-def export_embedding_tsv(emb: EmbeddingMatrix, lex: Lexicon, path):
-    """`word<TAB>v1..vn` text export for interoperability."""
-    lex.check_binding(emb)
-    with open(path, "w", encoding="utf-8") as fh:
-        for word, row in zip(lex.words, emb.U):
-            fh.write(word + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")

@@ -13,14 +13,10 @@ query of any length takes the same path.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
 __all__ = [
-    "CostTable",
-    "UNIT_COSTS",
     "INFINITE",
     "levenshtein",
     "normalized_levenshtein",
@@ -38,37 +34,6 @@ __all__ = [
     "metric_lcs_many",
 ]
 
-SubstituteCost = Union[float, Callable[[str, str], float]]
-
-
-@dataclass(frozen=True)
-class CostTable:
-    """Operation costs for the general edit distance.
-
-    ``substitute`` may be a flat cost or a callable ``(a, b) -> cost``;
-    substituting a character for itself always costs 0.
-    """
-
-    insert: float = 1.0
-    delete: float = 1.0
-    substitute: SubstituteCost = 1.0
-
-    def __post_init__(self):
-        if self.insert < 0 or self.delete < 0:
-            raise ValueError("operation costs must be non-negative")
-        if not callable(self.substitute) and self.substitute < 0:
-            raise ValueError("operation costs must be non-negative")
-
-    def sub_cost(self, a: str, b: str) -> float:
-        if a == b:
-            return 0.0
-        if callable(self.substitute):
-            return self.substitute(a, b)
-        return self.substitute
-
-
-UNIT_COSTS = CostTable()
-
 #: Marker for an unreachable episode-distance target.
 INFINITE = math.inf
 
@@ -78,18 +43,16 @@ LANE_BITS = 64
 _TOP_BIT = np.uint64(LANE_BITS - 1)
 
 
-def levenshtein(x: str, y: str, costs: CostTable = UNIT_COSTS) -> float:
-    """Minimal total cost of an insert/delete/substitute script from x to y."""
-    prev = [0.0] * (len(y) + 1)
-    for j in range(1, len(y) + 1):
-        prev[j] = prev[j - 1] + costs.insert
+def levenshtein(x: str, y: str) -> float:
+    """Fewest unit-cost inserts, deletes and substitutions turning x into y."""
+    prev = [float(j) for j in range(len(y) + 1)]
     for i in range(1, len(x) + 1):
-        cur = [prev[0] + costs.delete] + [0.0] * len(y)
+        cur = [prev[0] + 1.0] + [0.0] * len(y)
         for j in range(1, len(y) + 1):
             cur[j] = min(
-                prev[j] + costs.delete,
-                cur[j - 1] + costs.insert,
-                prev[j - 1] + costs.sub_cost(x[i - 1], y[j - 1]),
+                prev[j] + 1.0,
+                cur[j - 1] + 1.0,
+                prev[j - 1] + (0.0 if x[i - 1] == y[j - 1] else 1.0),
             )
         prev = cur
     return prev[len(y)]

@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from . import editfam, gramfam
+from . import editfam, gramfam, neural
 from .candidates import CandidateTable
 from .denoise import AutoencoderModel, encode_all
 from .contextenc import EmbeddingMatrix
@@ -28,7 +28,6 @@ __all__ = [
     "classical_distance",
     "scores",
     "evaluate_accuracy",
-    "neighbor_curve",
     "qualitative_neighbors",
     "export_report",
     "load_report",
@@ -75,8 +74,6 @@ class MetricSpec:
 @dataclass
 class EvalReport:
     accuracies: dict  # metric name -> {k: percent}
-    curves: dict = field(default_factory=dict)  # metric name -> [(k, percent)]
-    qualitative: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
 
@@ -129,10 +126,13 @@ def _learned_vectors(spec: MetricSpec, lex: Lexicon) -> np.ndarray:
         return encode_all(model, lex)  # checks the lexicon binding
     if isinstance(model, EmbeddingMatrix):
         lex.check_binding(model)
-        return model.U
-    rows = np.asarray(model, dtype=float)
+        rows = model.U
+    else:
+        rows = np.asarray(model, dtype=float)
     if rows.shape[0] != len(lex):
-        raise BindingError("embedding row count does not match the lexicon")
+        raise BindingError(
+            f"embedding has {rows.shape[0]} rows, but the lexicon has {len(lex)} words"
+        )
     return rows
 
 
@@ -180,14 +180,6 @@ def evaluate_accuracy(spec: MetricSpec, lex: Lexicon, ks=(1, 5)) -> dict:
     return {k: 100.0 * hits[k] / len(queries) for k in ks}
 
 
-def neighbor_curve(spec: MetricSpec, lex: Lexicon, K: int):
-    """[(k, accuracy@k)] for k = 1..K; non-decreasing in k."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    acc = evaluate_accuracy(spec, lex, ks=tuple(range(1, K + 1)))
-    return [(k, acc[k]) for k in range(1, K + 1)]
-
-
 def qualitative_neighbors(spec: MetricSpec, lex: Lexicon, queries, k=5):
     """Per-query top-k neighbor listings.
 
@@ -226,8 +218,9 @@ def export_report(report: EvalReport, path, format: str = "json"):
                 name: {str(k): v for k, v in accs.items()}
                 for name, accs in report.accuracies.items()
             },
-            "curves": report.curves,
-            "qualitative": report.qualitative,
+            # keys of report version 1 that no run fills
+            "curves": {},
+            "qualitative": {},
             "metadata": report.metadata,
         }
         with open(path, "w", encoding="utf-8") as fh:
@@ -244,19 +237,17 @@ def export_report(report: EvalReport, path, format: str = "json"):
 
 
 def load_report(path) -> EvalReport:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    """Read a JSON report written by export_report; ConfigError if it is not one."""
+    data = neural._read_json(path)
     if data.get("report_version") != REPORT_VERSION:
         raise ConfigError("unsupported report version")
+    try:
+        accuracies = data["accuracies"]
+    except KeyError as exc:
+        raise ConfigError(f"report lacks the field {exc}: {path}") from None
     return EvalReport(
         accuracies={
-            name: {int(k): v for k, v in accs.items()}
-            for name, accs in data["accuracies"].items()
+            name: {int(k): v for k, v in accs.items()} for name, accs in accuracies.items()
         },
-        curves={
-            name: [tuple(point) for point in curve]
-            for name, curve in data.get("curves", {}).items()
-        },
-        qualitative=data.get("qualitative", {}),
         metadata=data.get("metadata", {}),
     )

@@ -180,33 +180,24 @@ def load_lexicon(pairs_path) -> Lexicon:
     return build_lexicon(pairs)
 
 
-def load_corpus(corpus_path, lex: Lexicon, oov_policy: str = "skip-token") -> Corpus:
+def load_corpus(corpus_path, lex: Lexicon) -> Corpus:
     """Load a corpus of whitespace-tokenized sentences, one per line.
 
-    Out-of-vocabulary tokens are dropped (`skip-token`, default) or cause
-    the whole sentence to be dropped (`skip-sentence`). Empty sentences
-    are filtered out either way. A line that is not UTF-8 raises
-    ParseError with its line number.
+    Out-of-vocabulary tokens are dropped and counted in oov_count;
+    sentences left empty are filtered out. A line that is not UTF-8
+    raises ParseError with its line number.
     """
-    if oov_policy not in ("skip-token", "skip-sentence"):
-        raise ValueError(f"unknown OOV policy: {oov_policy!r}")
     sentences = []
     oov = 0
     for _, line in _numbered_lines(corpus_path):
-        tokens = [_normalize(t) for t in line.split()]
-        if not tokens:
-            continue
         ids = []
-        skip = False
-        for t in tokens:
+        for t in line.split():
+            t = _normalize(t)
             if t in lex:
                 ids.append(lex.id_of(t))
             else:
                 oov += 1
-                if oov_policy == "skip-sentence":
-                    skip = True
-                    break
-        if ids and not skip:
+        if ids:
             sentences.append(tuple(ids))
     if not sentences:
         raise WordsimError(f"no usable sentences in {corpus_path}")

@@ -126,7 +126,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     epochs: int = 10
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -283,7 +282,7 @@ def train_supervised(net, X, Y, config: TrainConfig, loss_kind) -> list:
     n = X.shape[0]
     trace = []
     for _ in range(config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from wordsim import cli, contextenc, denoise
@@ -398,6 +399,20 @@ class TestLearnedScoring:
         assert rc == 3
         assert "lexicon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra_rows", [-1, 1])
+    def test_nearest_embedding_of_the_wrong_row_count_exit_3(
+        self, trained, tmp_path, extra_rows, capsys
+    ):
+        pairs, models = trained
+        emb = contextenc.load_embedding(models["Dc"])
+        rows = len(emb.U) + extra_rows
+        emb.U = np.resize(emb.U, (rows, emb.n_embed))
+        broken = tmp_path / "emb.json"
+        contextenc.save_embedding(emb, broken)
+        rc = main(["nearest", "--embedding", str(broken), "--lexicon", pairs, "--query", "thng"])
+        assert rc == 3
+        assert f"embedding has {rows} rows" in capsys.readouterr().err
+
     def test_k_below_one_exit_2(self, trained, capsys):
         pairs, models = trained
         source = ["--model", models["Da"], "--lexicon", pairs]
@@ -454,3 +469,8 @@ class TestLearnedScoring:
 def test_threads_option_removed():
     with pytest.raises(SystemExit):
         main(["--threads", "2", "dist", "--metric", "levenshtein", "a", "b"])
+
+
+def test_verbose_option_removed():
+    with pytest.raises(SystemExit):
+        main(["--verbose", "dist", "--metric", "levenshtein", "a", "b"])

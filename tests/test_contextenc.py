@@ -11,7 +11,6 @@ from wordsim.contextenc import (
     context_prob,
     context_windows,
     distance_Dc,
-    export_embedding_tsv,
     load_embedding,
     save_embedding,
     train_combined,
@@ -317,20 +316,3 @@ class TestEmbeddingPersistence:
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match="rows"):
             load_embedding(path)
-
-    def test_tsv_export(self, context_lexicon, tmp_path):
-        U = np.random.default_rng(4).normal(size=(len(context_lexicon), 3))
-        emb = EmbeddingMatrix(U=U, lexicon_fingerprint=context_lexicon.fingerprint())
-        path = tmp_path / "emb.tsv"
-        export_embedding_tsv(emb, context_lexicon, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == len(context_lexicon)
-        first = lines[0].split("\t")
-        assert first[0] == context_lexicon.word_of(0)
-        assert [float(v) for v in first[1:]] == U[0].tolist()
-
-    def test_tsv_binding_checked(self, context_lexicon, small_lexicon, tmp_path):
-        U = np.zeros((len(context_lexicon), 3))
-        emb = EmbeddingMatrix(U=U, lexicon_fingerprint=context_lexicon.fingerprint())
-        with pytest.raises(BindingError):
-            export_embedding_tsv(emb, small_lexicon, tmp_path / "x.tsv")

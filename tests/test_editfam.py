@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from wordsim.editfam import (
     INFINITE,
-    UNIT_COSTS,
-    CostTable,
     damerau_levenshtein,
     episode_distance,
     hamming,
@@ -38,20 +36,6 @@ class TestLevenshtein:
         assert levenshtein("", "") == 0
         assert levenshtein("", "abc") == 3
         assert levenshtein("abc", "") == 3
-
-    def test_general_costs(self):
-        costs = CostTable(insert=2.0, delete=2.0, substitute=3.0)
-        # cheaper to delete+insert than substitute at these weights? 3 < 4
-        assert levenshtein("a", "b", costs) == 3.0
-        assert levenshtein("", "ab", costs) == 4.0
-
-    def test_substitute_callable(self):
-        costs = CostTable(substitute=lambda a, b: 0.5)
-        assert levenshtein("ab", "cd", costs) == 1.0
-
-    def test_negative_cost_rejected(self):
-        with pytest.raises(ValueError):
-            CostTable(insert=-1.0)
 
 
 class TestNormalizedLevenshtein:

@@ -11,7 +11,6 @@ from wordsim.evalharness import (
     evaluate_accuracy,
     export_report,
     load_report,
-    neighbor_curve,
     qualitative_neighbors,
     scores,
 )
@@ -97,26 +96,6 @@ class TestRanking:
     def test_ties_break_by_word_id(self):
         std = [7, 3, 5]
         assert ranked([1.0, 1.0, 0.5], std) == [5, 3, 7]
-
-
-class TestNeighborCurve:
-    def test_full_curve_hits_100(self, toy_lexicon):
-        spec = MetricSpec(name="levenshtein")
-        K = len(toy_lexicon.standard_ids)
-        curve = neighbor_curve(spec, toy_lexicon, K)
-        assert curve[-1] == (K, 100.0)
-        accs = [a for _, a in curve]
-        assert accs == sorted(accs)
-
-    def test_first_point_matches_evaluate(self, toy_lexicon):
-        spec = MetricSpec(name="jaccard", params={"n": 2})
-        curve = neighbor_curve(spec, toy_lexicon, 3)
-        acc = evaluate_accuracy(spec, toy_lexicon, ks=(1,))
-        assert curve[0] == (1, acc[1])
-
-    def test_k_validation(self, toy_lexicon):
-        with pytest.raises(ValueError):
-            neighbor_curve(MetricSpec(name="levenshtein"), toy_lexicon, 0)
 
 
 class TestScores:
@@ -216,3 +195,17 @@ class TestExportReport:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             export_report(self.report(), tmp_path / "x", format="xml")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[1, 2]", "not a JSON object"),
+            ('{"report_version": 1}', "lacks the field 'accuracies'"),
+            ("{not json", "not a JSON file"),
+        ],
+    )
+    def test_malformed_report_rejected(self, tmp_path, text, message):
+        path = tmp_path / "report.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            load_report(path)

@@ -133,14 +133,9 @@ class TestLoadCorpus:
 
     def test_skip_token(self, tmp_path, toy_lexicon):
         path = write(tmp_path, "c.txt", "thing zebra water\n")
-        corpus = load_corpus(path, toy_lexicon, oov_policy="skip-token")
+        corpus = load_corpus(path, toy_lexicon)
         assert corpus.sentences == ((toy_lexicon.id_of("thing"), toy_lexicon.id_of("water")),)
         assert corpus.oov_count == 1
-
-    def test_skip_sentence(self, tmp_path, toy_lexicon):
-        path = write(tmp_path, "c.txt", "thing zebra\nwater house\n")
-        corpus = load_corpus(path, toy_lexicon, oov_policy="skip-sentence")
-        assert len(corpus) == 1
 
     def test_not_utf8(self, tmp_path, toy_lexicon):
         path = tmp_path / "c.txt"
@@ -152,8 +147,3 @@ class TestLoadCorpus:
         path = write(tmp_path, "c.txt", "zebra\n\n")
         with pytest.raises(WordsimError):
             load_corpus(path, toy_lexicon)
-
-    def test_unknown_policy(self, tmp_path, toy_lexicon):
-        path = write(tmp_path, "c.txt", "thing\n")
-        with pytest.raises(ValueError):
-            load_corpus(path, toy_lexicon, oov_policy="explode")

@@ -1,31 +1,71 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+import wordsim
+from wordsim import cli
+
+from conftest import TOY_STANDARD, toy_variants
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load_file(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-# the options each script requires besides --ks; argparse checks --ks before running anything
-REQUIRED = {
-    "toy_experiment": [],
-    "full_pipeline": ["--pairs", "p.tsv", "--corpus", "c.txt", "--out-dir", "out"],
-}
-
-
-@pytest.mark.parametrize("script", sorted(REQUIRED))
-@pytest.mark.parametrize("ks,message", [("x", "must be an integer"), ("0", "must be >= 1")])
-def test_bad_ks_exit_2(script, ks, message, capsys):
-    main = load_script(script).main
+def test_full_pipeline_without_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
-        main([*REQUIRED[script], "--ks", ks])
+        load_file(ROOT / "scripts" / "full_pipeline.py").main([])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert "--pairs" in capsys.readouterr().err
+
+
+def test_full_pipeline_runs_the_cli_commands(tmp_path):
+    pairs, corpus, out = tmp_path / "pairs.tsv", tmp_path / "corpus.txt", tmp_path / "run"
+    pairs.write_text("".join(f"{v}\t{w}\n" for w in TOY_STANDARD for v in toy_variants(w)))
+    corpus.write_text("".join(" ".join(TOY_STANDARD[i : i + 4]) + "\n" for i in range(0, 20, 2)))
+    main = load_file(ROOT / "scripts" / "full_pipeline.py").main
+    assert main(["--pairs", str(pairs), "--corpus", str(corpus), "--out-dir", str(out)]) == 0
+    written = sorted(p.name for p in out.iterdir())
+    assert written == [
+        "autoencoder.json", "embedding.json", "report-L1.json", "report-L2.json", "report.json"
+    ]
+    for name, metrics in [("report.json", 12), ("report-L1.json", 2), ("report-L2.json", 2)]:
+        assert len(json.loads((out / name).read_text())["accuracies"]) == metrics
+
+    direct = tmp_path / "ae.json"
+    assert cli.main(["--seed", "0", "train-ae", "--lexicon", str(pairs), "--out", str(direct)]) == 0
+    models = []
+    for path in (out / "autoencoder.json", direct):
+        data = json.loads(path.read_text())
+        data["metadata"].pop("created")
+        models.append(data)
+    assert models[0] == models[1]
+
+
+# the names bench/layers.py wraps in a traced run, per wordsim module
+BENCH_LAYERS = load_file(ROOT / "bench" / "layers.py")
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [
+        (module, name)
+        for module, names in [
+            ("editfam", BENCH_LAYERS.EDITFAM),
+            ("gramfam", BENCH_LAYERS.GRAMFAM),
+            ("neural", BENCH_LAYERS.NEURAL),
+            ("denoise", BENCH_LAYERS.DENOISE),
+            ("contextenc", BENCH_LAYERS.CONTEXTENC),
+        ]
+        for name in names
+    ],
+)
+def test_bench_traced_names_exist(module, name):
+    assert callable(getattr(getattr(wordsim, module), name, None))
