@@ -122,8 +122,6 @@ def train_context(model: ContextModel, corpus: Corpus, config: TrainConfig) -> l
     contexts, targets = context_windows(corpus, model.window)
     if len(targets) == 0:
         raise WordsimError("corpus yields no training windows")
-    vocab = model.U.shape[0]
-    eye = np.eye(vocab)
     rng = np.random.default_rng(config.seed)
     trace = []
     for _ in range(config.epochs):
@@ -133,11 +131,10 @@ def train_context(model: ContextModel, corpus: Corpus, config: TrainConfig) -> l
             idx = order[start : start + config.batch_size]
             ctx_b, tgt_b = contexts[idx], targets[idx]
             x = _gather(model, ctx_b)
-            y = eye[tgt_b]
             grads, outs, dx = neural._backward_full(
-                model.predictor, x, y, "cross-entropy"
+                model.predictor, x, tgt_b, "cross-entropy"
             )
-            total_ll -= neural.loss_value(outs[-1], y, "cross-entropy") * len(idx)
+            total_ll -= neural.loss_value(outs[-1], tgt_b, "cross-entropy") * len(idx)
             neural.sgd_step(model.predictor, grads, config.learning_rate)
             # scatter the input gradient back onto the embedding rows
             dslices = dx.reshape(len(idx), model.window, model.n_embed)

@@ -1,4 +1,4 @@
-"""Denoising autoencoder over one-hot word encodings.
+"""Denoising autoencoder over one-hot word encodings, trained on their word ids.
 
 The network reconstructs the standard word from a non-standard spelling;
 its bottleneck activation is the learned code used by the distance D_a.
@@ -101,11 +101,9 @@ def encode(model: AutoencoderModel, lex: Lexicon, word_id: int) -> np.ndarray:
 def encode_all(model: AutoencoderModel, lex: Lexicon) -> np.ndarray:
     """Codes for every lexicon word, one row per word id."""
     lex.check_binding(model)
-    first, *rest = model.net.layers[: model.bottleneck_index + 1]
-    # eye(|A|) @ W.T is W.T; C order as that product has, so later products round alike
-    a = neural._apply(first.activation, np.ascontiguousarray(first.W.T) + first.b)
-    for layer in rest:
-        a = neural._apply(layer.activation, a @ layer.W.T + layer.b)
+    a = np.arange(len(lex))  # the id form of eye(|A|)
+    for layer in model.net.layers[: model.bottleneck_index + 1]:
+        a = neural._apply(layer.activation, neural._affine(layer, a))
     return a
 
 
@@ -118,12 +116,9 @@ def train_autoencoder(model: AutoencoderModel, lex: Lexicon, config: TrainConfig
     lex.check_binding(model)
     if not lex.standard_of:
         raise ConfigError("lexicon has no (non-standard, standard) pairs")
-    inputs = list(lex.standard_of.keys()) + list(lex.standard_ids)
-    targets = list(lex.standard_of.values()) + list(lex.standard_ids)
-    eye = np.eye(len(lex))
-    X = eye[inputs]
-    Y = eye[targets]
-    return neural.train_supervised(model.net, X, Y, config, "cross-entropy")
+    inputs = np.array(list(lex.standard_of.keys()) + list(lex.standard_ids))
+    targets = np.array(list(lex.standard_of.values()) + list(lex.standard_ids))
+    return neural.train_supervised(model.net, inputs, targets, config, "cross-entropy")
 
 
 def distance_Da(model, lex, a_i: int, a_j: int, vec_metric: str = "cosine") -> float:

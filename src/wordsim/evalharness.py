@@ -245,9 +245,16 @@ def load_report(path) -> EvalReport:
         accuracies = data["accuracies"]
     except KeyError as exc:
         raise ConfigError(f"report lacks the field {exc}: {path}") from None
-    return EvalReport(
-        accuracies={
-            name: {int(k): v for k, v in accs.items()} for name, accs in accuracies.items()
-        },
-        metadata=data.get("metadata", {}),
-    )
+    if not isinstance(accuracies, dict):
+        raise ConfigError(f"report field 'accuracies' is not an object: {path}")
+    parsed = {}
+    for name, accs in accuracies.items():
+        if not isinstance(accs, dict):
+            raise ConfigError(f"report field 'accuracies.{name}' is not an object: {path}")
+        try:
+            parsed[name] = {int(k): v for k, v in accs.items()}
+        except ValueError:
+            raise ConfigError(
+                f"report field 'accuracies.{name}' has a key that is not an integer k: {path}"
+            ) from None
+    return EvalReport(accuracies=parsed, metadata=data.get("metadata", {}))

@@ -3,6 +3,15 @@
 Inputs may be single vectors (shape (d,)) or batches (shape (B, d));
 batch gradients are averaged over the batch. Softmax is only valid as a
 final layer trained with cross-entropy.
+
+A 1-D integer array is the id form of a batch of one-hot rows: ids
+stands for eye(d)[ids]. As an input, the first layer gathers the columns
+W[:, ids] and backward adds the batch's deltas into those columns of dW;
+no input gradient is formed. As a cross-entropy target, the loss reads
+out[i, ids[i]] and the output delta subtracts 1 there. Both give the
+one-hot results bit for bit, since a one-hot product adds only exact
+zeros; repeated input ids sum their deltas in another order. An id
+outside [0, d) raises IndexError.
 """
 
 import base64
@@ -15,6 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfigError, NumericError
+from .lexicon import word_ids
 
 __all__ = [
     "DenseLayer",
@@ -148,26 +158,54 @@ def init_network(widths, activations, rng) -> Network:
     return Network(layers)
 
 
+def _is_ids(a) -> bool:
+    """Whether a is the id form of one-hot rows: a 1-D integer array."""
+    return isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"
+
+
+def _affine(layer: DenseLayer, a) -> np.ndarray:
+    """a @ W.T + b, for float rows or for the one-hot rows that word ids stand for."""
+    if _is_ids(a):
+        # a C-ordered gather, as the product eye[ids] @ W.T is
+        return layer.W.T[word_ids(a, layer.in_dim)] + layer.b
+    return a @ layer.W.T + layer.b
+
+
 def forward(net: Network, x) -> list:
     """Activations of every layer; the last entry is the network output."""
-    a = np.asarray(x, dtype=float)
-    if a.shape[-1] != net.layers[0].in_dim:
-        raise ValueError(
-            f"input width {a.shape[-1]} != expected {net.layers[0].in_dim}"
-        )
+    if _is_ids(x):
+        a = x
+    else:
+        a = np.asarray(x, dtype=float)
+        if a.shape[-1] != net.layers[0].in_dim:
+            raise ValueError(
+                f"input width {a.shape[-1]} != expected {net.layers[0].in_dim}"
+            )
     outs = []
     for layer in net.layers:
-        z = a @ layer.W.T + layer.b
-        a = _apply(layer.activation, z)
+        a = _apply(layer.activation, _affine(layer, a))
         outs.append(a)
     if not np.all(np.isfinite(outs[-1])):
         raise NumericError("non-finite network output")
     return outs
 
 
+def _target_ids(target, out, loss_kind) -> np.ndarray:
+    """Cross-entropy target ids checked against the (B, d) output."""
+    if loss_kind != "cross-entropy":
+        raise ValueError(f"word-id targets need the cross-entropy loss, not {loss_kind!r}")
+    t = word_ids(target, out.shape[-1])
+    if t.shape != out.shape[:1]:
+        raise ValueError(f"{t.shape[0]} target ids for {out.shape[0]} outputs")
+    return t
+
+
 def loss_value(output, target, loss_kind: str) -> float:
     """Mean per-example loss for a batch (or single) output."""
     output = np.atleast_2d(output)
+    if _is_ids(target):
+        t = _target_ids(target, output, loss_kind)
+        return float(np.mean(-np.log(np.clip(output[np.arange(len(t)), t], 1e-300, None))))
     target = np.atleast_2d(target)
     if loss_kind == "cross-entropy":
         per = -np.sum(target * np.log(np.clip(output, 1e-300, None)), axis=-1)
@@ -189,19 +227,28 @@ def backward(net: Network, x, target, loss_kind: str = "squared-L2"):
 
 
 def _backward_full(net: Network, x, target, loss_kind):
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    t2 = np.atleast_2d(np.asarray(target, dtype=float))
-    outs = forward(net, x2)
+    """backward's gradients and outputs, plus the input gradient (None for id inputs)."""
+    ids = _is_ids(x)
+    x2 = x if ids else np.atleast_2d(np.asarray(x, dtype=float))
+    outs = forward(net, x2)  # checks the range of input ids before the scatter below reads them
     out = outs[-1]
-    if t2.shape != out.shape:
-        raise ValueError(f"target shape {t2.shape} != output shape {out.shape}")
-    batch = x2.shape[0]
+    batch = out.shape[0]
+    if _is_ids(target):
+        t2 = _target_ids(target, out, loss_kind)
+    else:
+        t2 = np.atleast_2d(np.asarray(target, dtype=float))
+        if t2.shape != out.shape:
+            raise ValueError(f"target shape {t2.shape} != output shape {out.shape}")
 
     last = net.layers[-1]
     if loss_kind == "cross-entropy":
         if last.activation != "softmax":
             raise ValueError("cross-entropy requires a softmax output layer")
-        delta = out - t2
+        if t2.ndim == 1:
+            delta = out.copy()
+            delta[np.arange(batch), t2] -= 1.0
+        else:
+            delta = out - t2
     elif loss_kind == "squared-L2":
         if last.activation == "softmax":
             raise ValueError("squared-L2 with softmax output is unsupported")
@@ -213,8 +260,13 @@ def _backward_full(net: Network, x, target, loss_kind):
 
     grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
-        inputs = outs[i - 1] if i > 0 else x2
-        dW = delta.T @ inputs / batch
+        if i == 0 and ids:
+            # the columns eye[ids] selects; add.at sums the deltas of a repeated id
+            dW = np.zeros_like(net.layers[0].W)
+            np.add.at(dW.T, x2, delta / batch)
+        else:
+            inputs = outs[i - 1] if i > 0 else x2
+            dW = delta.T @ inputs / batch
         db = np.mean(delta, axis=0)
         grads[i] = (dW, db)
         if i > 0:
@@ -225,7 +277,7 @@ def _backward_full(net: Network, x, target, loss_kind):
             elif net.layers[i - 1].activation == "softmax":
                 raise ValueError("softmax is only supported as the final layer")
     # gradient w.r.t. the input itself, needed by embedding training
-    dx = delta @ net.layers[0].W
+    dx = None if ids else delta @ net.layers[0].W
     return grads, outs, dx
 
 
@@ -273,9 +325,9 @@ def _numeric_guard():
 
 @_numeric_guard()
 def train_supervised(net, X, Y, config: TrainConfig, loss_kind) -> list:
-    """Minibatch SGD over (X, Y) rows; returns the per-epoch mean loss trace."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    """Minibatch SGD over (X, Y) rows or word ids; returns the per-epoch mean loss trace."""
+    X = word_ids(X, net.layers[0].in_dim) if _is_ids(X) else np.asarray(X, dtype=float)
+    Y = word_ids(Y, net.layers[-1].out_dim) if _is_ids(Y) else np.asarray(Y, dtype=float)
     if X.shape[0] != Y.shape[0]:
         raise ValueError("X and Y row counts differ")
     rng = np.random.default_rng(config.seed)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,34 @@ class TestTrain:
             _, trace = trained_model(small_lexicon, seed=seed, epochs=30)
             improved += trace[-1] < trace[0]
         assert improved >= 9  # >= 95% of 10 seeds, allowing one failure
+
+    def test_ids_train_as_the_one_hot_rows(self, toy_lexicon):
+        config = TrainConfig(batch_size=16, learning_rate=0.1, epochs=3, seed=4)
+        model = build_autoencoder(toy_lexicon, code_size=6, depth=7, seed=3)
+        trace = train_autoencoder(model, toy_lexicon, config)
+        dense = build_autoencoder(toy_lexicon, code_size=6, depth=7, seed=3)
+        eye = np.eye(len(toy_lexicon))
+        inputs = list(toy_lexicon.standard_of) + list(toy_lexicon.standard_ids)
+        targets = list(toy_lexicon.standard_of.values()) + list(toy_lexicon.standard_ids)
+        dense_trace = neural.train_supervised(
+            dense.net, eye[inputs], eye[targets], config, "cross-entropy"
+        )
+        assert trace == dense_trace
+        for layer, dense_layer in zip(model.net.layers, dense.net.layers):
+            assert layer.W.tobytes() == dense_layer.W.tobytes()
+            assert layer.b.tobytes() == dense_layer.b.tobytes()
+
+    def test_peak_memory_below_one_dense_one_hot_matrix(self):
+        # |A| = 2000: one |A| x |A| float64 matrix is 32 MB, which training on ids never builds
+        lex = build_lexicon([(f"v{i:04d}", f"s{i:04d}") for i in range(1000)])
+        model = build_autoencoder(lex, code_size=11, depth=3, seed=0)
+        tracemalloc.start()
+        try:
+            train_autoencoder(model, lex, TrainConfig(epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(lex) ** 2 * 8
 
     def test_empty_pair_set_rejected(self):
         from wordsim.lexicon import Lexicon

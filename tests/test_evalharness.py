@@ -202,6 +202,15 @@ class TestExportReport:
             ("[1, 2]", "not a JSON object"),
             ('{"report_version": 1}', "lacks the field 'accuracies'"),
             ("{not json", "not a JSON file"),
+            ('{"report_version": 1, "accuracies": [1]}', "'accuracies' is not an object"),
+            (
+                '{"report_version": 1, "accuracies": {"levenshtein": [50.0]}}',
+                "'accuracies.levenshtein' is not an object",
+            ),
+            (
+                '{"report_version": 1, "accuracies": {"lev": {"x": 1}}}',
+                "'accuracies.lev' has a key that is not an integer",
+            ),
         ],
     )
     def test_malformed_report_rejected(self, tmp_path, text, message):

@@ -210,6 +210,86 @@ class TestTraining:
             TrainConfig(learning_rate=0.0)
 
 
+def id_net(n=9, seed=11):
+    """An |A|-in, softmax-out network like the autoencoder's, with a sigmoid between."""
+    return init_network([n, 5, 4, n], ["identity", "sigmoid", "softmax"], np.random.default_rng(seed))
+
+
+def assert_same_bytes(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestWordIds:
+    """A 1-D integer array is the id form of one-hot rows: the results must not differ."""
+
+    def test_unique_ids_equal_one_hot_rows_bit_for_bit(self):
+        net, eye = id_net(), np.eye(9)
+        ids, tids = np.array([4, 0, 7, 2]), np.array([1, 1, 8, 0])
+        grads, outs = backward(net, ids, tids, "cross-entropy")
+        dense_grads, dense_outs = backward(net, eye[ids], eye[tids], "cross-entropy")
+        for (dW, db), (dense_dW, dense_db) in zip(grads, dense_grads):
+            assert_same_bytes(dW, dense_dW)
+            assert_same_bytes(db, dense_db)
+        for out, dense_out in zip(outs, dense_outs):
+            assert_same_bytes(out, dense_out)
+        assert_same_bytes(forward(net, ids)[-1], forward(net, eye[ids])[-1])
+        assert loss_value(outs[-1], tids, "cross-entropy") == loss_value(
+            dense_outs[-1], eye[tids], "cross-entropy"
+        )
+
+    def test_repeated_input_ids_sum_their_columns(self):
+        net, eye = id_net(), np.eye(9)
+        ids, tids = np.array([3, 5, 3, 3, 0, 5]), np.array([2, 2, 6, 1, 0, 4])
+        grads, _ = backward(net, ids, tids, "cross-entropy")
+        dense_grads, _ = backward(net, eye[ids], eye[tids], "cross-entropy")
+        for (dW, db), (dense_dW, dense_db) in zip(grads, dense_grads):
+            np.testing.assert_allclose(dW, dense_dW, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(db, dense_db, rtol=1e-12, atol=0)
+        assert np.count_nonzero(grads[0][0].any(axis=0)) == 3  # columns 0, 3 and 5
+
+    def test_gradient_check_with_ids(self):
+        for seed in range(3):
+            r = np.random.default_rng(seed)
+            net = id_net(seed=seed)
+            ids, tids = r.integers(0, 9, size=4), r.integers(0, 9, size=4)
+            assert gradient_check(net, ids, tids, "cross-entropy") < 1e-4
+
+    def test_id_targets_need_cross_entropy(self):
+        net = init_network([3, 3], ["identity"], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="cross-entropy"):
+            backward(net, np.eye(3), np.array([0, 1, 2]), "squared-L2")
+
+    def test_id_target_count_must_match_the_batch(self):
+        with pytest.raises(ValueError, match="3 target ids for 2 outputs"):
+            backward(id_net(), np.array([0, 1]), np.array([0, 1, 2]), "cross-entropy")
+
+    @pytest.mark.parametrize("bad", [-1, 9])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda net, bad: forward(net, np.array([0, bad])),
+            lambda net, bad: backward(net, np.array([0, bad]), np.array([0, 1]), "cross-entropy"),
+            lambda net, bad: backward(net, np.array([0, 1]), np.array([0, bad]), "cross-entropy"),
+            lambda net, bad: loss_value(forward(net, np.array([0, 1]))[-1], np.array([bad, 1]), "cross-entropy"),
+            lambda net, bad: train_supervised(
+                net, np.array([bad, 1, 2]), np.array([0, 1, 2]), TrainConfig(batch_size=1, epochs=1), "cross-entropy"
+            ),
+            lambda net, bad: train_supervised(
+                net, np.array([0, 1, 2]), np.array([bad, 1, 2]), TrainConfig(batch_size=1, epochs=1), "cross-entropy"
+            ),
+        ],
+        ids=["forward", "backward-input", "backward-target", "loss-target", "train-input", "train-target"],
+    )
+    def test_out_of_range_id_raises_and_never_wraps(self, call, bad):
+        net = id_net()
+        before = [layer.W.copy() for layer in net.layers]
+        with pytest.raises(IndexError, match=rf"word id {bad} out of range for \|A\|=9"):
+            call(net, bad)
+        # the seed-0 order visits row 0 second, so a per-batch check alone would update first
+        for layer, W in zip(net.layers, before):
+            assert np.array_equal(layer.W, W)
+
+
 class TestPersistence:
     def test_seed_recorded(self):
         net = init_network([2, 2], ["identity"], np.random.default_rng(0))
