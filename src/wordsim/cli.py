@@ -42,6 +42,7 @@ def _at_least_one(what):
 _gram_length = _at_least_one("gram length")
 # a k of accuracy@k (eval --ks) or of a top-k listing (nearest --k)
 _rank = _at_least_one("k")
+_hidden = _at_least_one("hidden size")
 
 
 def _ranks(text):
@@ -52,7 +53,6 @@ def _ranks(text):
 def _parser():
     p = argparse.ArgumentParser(prog="wordsim")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     sub = p.add_subparsers(dest="command", required=True)
     # the options _learned_spec reads, shared by dist, nearest and eval
     learned = argparse.ArgumentParser(add_help=False)
@@ -88,9 +88,9 @@ def _parser():
     tc = sub.add_parser("train-ctx", help="train the context encoder")
     tc.add_argument("--lexicon", required=True)
     tc.add_argument("--corpus", required=True)
-    tc.add_argument("--embed-size", type=int, default=11)
+    tc.add_argument("--embed-size", type=_at_least_one("embedding size"), default=11)
     tc.add_argument("--window", type=int, default=4)
-    tc.add_argument("--hidden", type=int, default=32)
+    tc.add_argument("--hidden", type=_hidden, default=32)
     tc.add_argument("--batch", type=int, default=100)
     tc.add_argument("--lr", type=float, default=0.01)
     tc.add_argument("--epochs", type=int, default=5)
@@ -102,8 +102,8 @@ def _parser():
     tb.add_argument("--code-size", type=int, default=11)
     tb.add_argument("--depth", type=int, default=7)
     tb.add_argument("--window", type=int, default=4)
-    tb.add_argument("--hidden", type=int, default=32)
-    tb.add_argument("--rounds", type=int, default=5)
+    tb.add_argument("--hidden", type=_hidden, default=32)
+    tb.add_argument("--rounds", type=_at_least_one("rounds"), default=5)
     tb.add_argument("--blend", type=float, default=0.5)
     tb.add_argument("--batch", type=int, default=100)
     tb.add_argument("--lr", type=float, default=0.01)
@@ -117,7 +117,7 @@ def _parser():
         help="comma-separated metric names, or all-classical",
     )
     e.add_argument("--ks", type=_ranks, default="1,5", help="comma-separated k values")
-    e.add_argument("--out")
+    e.add_argument("--out", help="report file: CSV for a .csv suffix, JSON otherwise")
     return p
 
 
@@ -307,6 +307,9 @@ def _cmd_eval(args):
         names = sorted(CLASSICAL_METRICS)
     else:
         names = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not names:
+        print("--metrics names no metric", file=sys.stderr)
+        return EXIT_USAGE
     for name in names:
         if name not in CLASSICAL_METRICS and name not in ("Da", "Dc"):
             return _unknown_metric(name)
@@ -333,7 +336,7 @@ def _cmd_eval(args):
                 "created": _timestamp(),
             },
         )
-        fmt = "csv" if args.out.endswith(".csv") else args.format
+        fmt = "csv" if args.out.endswith(".csv") else "json"
         _write_out(args.out, lambda path: evalharness.export_report(report, path, format=fmt))
         print(f"report written to {args.out}")
     return EXIT_OK

@@ -131,10 +131,8 @@ def train_context(model: ContextModel, corpus: Corpus, config: TrainConfig) -> l
             idx = order[start : start + config.batch_size]
             ctx_b, tgt_b = contexts[idx], targets[idx]
             x = _gather(model, ctx_b)
-            grads, outs, dx = neural._backward_full(
-                model.predictor, x, tgt_b, "cross-entropy"
-            )
-            total_ll -= neural.loss_value(outs[-1], tgt_b, "cross-entropy") * len(idx)
+            grads, outs, dx = neural._backward_full(model.predictor, x, tgt_b)
+            total_ll -= neural.loss_value(outs[-1], tgt_b) * len(idx)
             neural.sgd_step(model.predictor, grads, config.learning_rate)
             # scatter the input gradient back onto the embedding rows
             dslices = dx.reshape(len(idx), model.window, model.n_embed)
@@ -177,6 +175,8 @@ def train_combined(
     lex.check_binding(ctx)
     if not 0.0 <= blend <= 1.0:
         raise ConfigError("blend must be in [0, 1]")
+    if rounds < 1:
+        raise ConfigError("rounds must be >= 1")
     for r in range(rounds):
         round_cfg = dict(
             batch_size=config.batch_size, learning_rate=config.learning_rate, seed=config.seed + r

@@ -62,21 +62,18 @@ def hourglass_widths(n_input: int, code_size: int, depth: int) -> list:
     return encoder + [code_size] + encoder[::-1]
 
 
-def build_autoencoder(
-    lex: Lexicon, code_size=11, depth=7, seed=0, hidden_activation="identity"
-) -> AutoencoderModel:
+def build_autoencoder(lex: Lexicon, code_size=11, depth=7, seed=0) -> AutoencoderModel:
     """Untrained hourglass autoencoder bound to the given lexicon.
 
     The reconstruction layer is a softmax over the vocabulary. Hidden
-    layers (bottleneck included) default to identity: with one-hot inputs
-    and Glorot init, sigmoid stacks start with near-constant activations
-    and need far more updates to differentiate the inputs, while the
-    linear encoder trains quickly and its low-rank bottleneck still forces
-    a compressed code. Pass hidden_activation="sigmoid" for the
-    non-linear variant.
+    layers (bottleneck included) are identity: with one-hot inputs and
+    Glorot init, sigmoid stacks start with near-constant activations and
+    need far more updates to differentiate the inputs, while the linear
+    encoder trains quickly and its low-rank bottleneck still forces a
+    compressed code.
     """
     widths = hourglass_widths(len(lex), code_size, depth)
-    activations = [hidden_activation] * (len(widths) - 2) + ["softmax"]
+    activations = ["identity"] * (len(widths) - 2) + ["softmax"]
     rng = np.random.default_rng(seed)
     net = neural.init_network(widths, activations, rng)
     return AutoencoderModel(
@@ -90,7 +87,12 @@ def build_autoencoder(
 
 
 def encode(model: AutoencoderModel, lex: Lexicon, word_id: int) -> np.ndarray:
-    """Bottleneck activation for one_hot(word_id); the reference for one row of encode_all."""
+    """Bottleneck activation for one_hot(word_id).
+
+    The reference for one row of encode_all: equal up to rounding; bitwise
+    at depth 3 (past the first layer, a one-row product rounds apart from
+    the |A|-row one).
+    """
     lex.check_binding(model)
     a = one_hot(lex, word_id)
     for layer in model.net.layers[: model.bottleneck_index + 1]:
@@ -118,7 +120,7 @@ def train_autoencoder(model: AutoencoderModel, lex: Lexicon, config: TrainConfig
         raise ConfigError("lexicon has no (non-standard, standard) pairs")
     inputs = np.array(list(lex.standard_of.keys()) + list(lex.standard_ids))
     targets = np.array(list(lex.standard_of.values()) + list(lex.standard_ids))
-    return neural.train_supervised(model.net, inputs, targets, config, "cross-entropy")
+    return neural.train_supervised(model.net, inputs, targets, config)
 
 
 def distance_Da(model, lex, a_i: int, a_j: int, vec_metric: str = "cosine") -> float:

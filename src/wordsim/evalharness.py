@@ -24,7 +24,6 @@ __all__ = [
     "MetricSpec",
     "EvalReport",
     "CLASSICAL_METRICS",
-    "BATCHED_METRICS",
     "classical_distance",
     "scores",
     "evaluate_accuracy",
@@ -35,18 +34,20 @@ __all__ = [
 
 REPORT_VERSION = 1
 
-# name -> distance(x, y, **params); Dice similarity is flipped to a distance
+# name -> the batched kernel of that distance: one query against a
+# CandidateTable, +inf wherever the scalar editfam/gramfam function raises
+# ValueError; Dice similarity is flipped to a distance
 CLASSICAL_METRICS = {
-    "levenshtein": lambda x, y: float(editfam.levenshtein(x, y)),
-    "normalized-levenshtein": editfam.normalized_levenshtein,
-    "damerau-levenshtein": lambda x, y: float(editfam.damerau_levenshtein(x, y)),
-    "lcs": lambda x, y: float(editfam.lcs_distance(x, y)),
-    "metric-lcs": editfam.metric_lcs,
-    "qgram": lambda x, y, q=2: float(gramfam.qgram_distance(x, y, q)),
-    "ngram": lambda x, y, n=2: gramfam.kondrak_ngram_distance(x, y, n),
-    "dice": lambda x, y, n=2: 1.0 - gramfam.dice_coefficient(x, y, n),
-    "jaccard": lambda x, y, n=2: gramfam.jaccard_distance(x, y, n),
-    "cosine": gramfam.char_cosine_distance,
+    "levenshtein": editfam.levenshtein_many,
+    "normalized-levenshtein": editfam.normalized_levenshtein_many,
+    "damerau-levenshtein": editfam.damerau_levenshtein_many,
+    "lcs": editfam.lcs_distance_many,
+    "metric-lcs": editfam.metric_lcs_many,
+    "qgram": gramfam.qgram_distance_many,
+    "ngram": gramfam.kondrak_ngram_distance_many,
+    "dice": gramfam.dice_distance_many,
+    "jaccard": gramfam.jaccard_distance_many,
+    "cosine": gramfam.char_cosine_distance_many,
 }
 
 
@@ -79,7 +80,7 @@ class EvalReport:
 
 def classical_distance(name: str, x: str, y: str, **params) -> float:
     """What eval ranks y by for query x (+inf if undefined); params may hold n and q."""
-    return float(BATCHED_METRICS[name](x, CandidateTable([y]), **_metric_params(name, params))[0])
+    return float(CLASSICAL_METRICS[name](x, CandidateTable([y]), **_metric_params(name, params))[0])
 
 
 _METRIC_PARAMS = {"qgram": ("q",), "ngram": ("n",), "dice": ("n",), "jaccard": ("n",)}
@@ -88,22 +89,6 @@ _METRIC_PARAMS = {"qgram": ("q",), "ngram": ("n",), "dice": ("n",), "jaccard": (
 def _metric_params(name, params):
     allowed = _METRIC_PARAMS.get(name, ())
     return {k: v for k, v in params.items() if k in allowed}
-
-
-# name -> the batched kernel of the same distance: one query against a
-# CandidateTable, +inf wherever the scalar function raises ValueError
-BATCHED_METRICS = {
-    "levenshtein": editfam.levenshtein_many,
-    "normalized-levenshtein": editfam.normalized_levenshtein_many,
-    "damerau-levenshtein": editfam.damerau_levenshtein_many,
-    "lcs": editfam.lcs_distance_many,
-    "metric-lcs": editfam.metric_lcs_many,
-    "qgram": gramfam.qgram_distance_many,
-    "ngram": gramfam.kondrak_ngram_distance_many,
-    "dice": gramfam.dice_distance_many,
-    "jaccard": gramfam.jaccard_distance_many,
-    "cosine": gramfam.char_cosine_distance_many,
-}
 
 
 def _candidate_table(lex: Lexicon, candidate_ids) -> CandidateTable:
@@ -146,7 +131,7 @@ def scores(spec: MetricSpec, lex: Lexicon, query_ids, candidate_ids) -> np.ndarr
     """
     query_ids, candidate_ids = word_ids(query_ids, len(lex)), word_ids(candidate_ids, len(lex))
     if spec.kind == "classical":
-        d = partial(BATCHED_METRICS[spec.name], **_metric_params(spec.name, spec.params))
+        d = partial(CLASSICAL_METRICS[spec.name], **_metric_params(spec.name, spec.params))
         queries = [lex.word_of(q) for q in query_ids]
         rows = _candidate_table(lex, candidate_ids.tolist())
     else:

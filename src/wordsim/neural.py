@@ -1,8 +1,8 @@
 """Minimal dense feedforward engine: forward, backprop, SGD, checking.
 
 Inputs may be single vectors (shape (d,)) or batches (shape (B, d));
-batch gradients are averaged over the batch. Softmax is only valid as a
-final layer trained with cross-entropy.
+batch gradients are averaged over the batch. The loss is softmax
+cross-entropy, so the last layer must be a softmax and only there.
 
 A 1-D integer array is the id form of a batch of one-hot rows: ids
 stands for eye(d)[ids]. As an input, the first layer gathers the columns
@@ -51,7 +51,6 @@ FORMAT_VERSION = 2
 FORMAT_VERSIONS = (1, 2)
 
 ACTIVATIONS = ("sigmoid", "identity", "softmax")
-LOSSES = ("cross-entropy", "squared-L2")
 
 
 def sigmoid(z):
@@ -190,43 +189,35 @@ def forward(net: Network, x) -> list:
     return outs
 
 
-def _target_ids(target, out, loss_kind) -> np.ndarray:
-    """Cross-entropy target ids checked against the (B, d) output."""
-    if loss_kind != "cross-entropy":
-        raise ValueError(f"word-id targets need the cross-entropy loss, not {loss_kind!r}")
+def _target_ids(target, out) -> np.ndarray:
+    """Target ids checked against the (B, d) output."""
     t = word_ids(target, out.shape[-1])
     if t.shape != out.shape[:1]:
         raise ValueError(f"{t.shape[0]} target ids for {out.shape[0]} outputs")
     return t
 
 
-def loss_value(output, target, loss_kind: str) -> float:
-    """Mean per-example loss for a batch (or single) output."""
+def loss_value(output, target) -> float:
+    """Mean per-example cross-entropy for a batch (or single) softmax output."""
     output = np.atleast_2d(output)
     if _is_ids(target):
-        t = _target_ids(target, output, loss_kind)
+        t = _target_ids(target, output)
         return float(np.mean(-np.log(np.clip(output[np.arange(len(t)), t], 1e-300, None))))
     target = np.atleast_2d(target)
-    if loss_kind == "cross-entropy":
-        per = -np.sum(target * np.log(np.clip(output, 1e-300, None)), axis=-1)
-    elif loss_kind == "squared-L2":
-        per = np.sum((output - target) ** 2, axis=-1)
-    else:
-        raise ValueError(f"unknown loss: {loss_kind!r}")
-    return float(np.mean(per))
+    return float(np.mean(-np.sum(target * np.log(np.clip(output, 1e-300, None)), axis=-1)))
 
 
-def backward(net: Network, x, target, loss_kind: str = "squared-L2"):
-    """Analytic gradients of the mean batch loss for every (W, b).
+def backward(net: Network, x, target):
+    """Analytic gradients of the mean batch cross-entropy for every (W, b).
 
     Returns ``(grads, outputs)`` where grads is a list of (dW, db) pairs
     aligned with net.layers.
     """
-    grads, outs, _ = _backward_full(net, x, target, loss_kind)
+    grads, outs, _ = _backward_full(net, x, target)
     return grads, outs
 
 
-def _backward_full(net: Network, x, target, loss_kind):
+def _backward_full(net: Network, x, target):
     """backward's gradients and outputs, plus the input gradient (None for id inputs)."""
     ids = _is_ids(x)
     x2 = x if ids else np.atleast_2d(np.asarray(x, dtype=float))
@@ -234,29 +225,19 @@ def _backward_full(net: Network, x, target, loss_kind):
     out = outs[-1]
     batch = out.shape[0]
     if _is_ids(target):
-        t2 = _target_ids(target, out, loss_kind)
+        t2 = _target_ids(target, out)
     else:
         t2 = np.atleast_2d(np.asarray(target, dtype=float))
         if t2.shape != out.shape:
             raise ValueError(f"target shape {t2.shape} != output shape {out.shape}")
 
-    last = net.layers[-1]
-    if loss_kind == "cross-entropy":
-        if last.activation != "softmax":
-            raise ValueError("cross-entropy requires a softmax output layer")
-        if t2.ndim == 1:
-            delta = out.copy()
-            delta[np.arange(batch), t2] -= 1.0
-        else:
-            delta = out - t2
-    elif loss_kind == "squared-L2":
-        if last.activation == "softmax":
-            raise ValueError("squared-L2 with softmax output is unsupported")
-        delta = 2.0 * (out - t2)
-        if last.activation == "sigmoid":
-            delta = delta * out * (1.0 - out)
+    if net.layers[-1].activation != "softmax":
+        raise ValueError("cross-entropy requires a softmax output layer")
+    if t2.ndim == 1:
+        delta = out.copy()
+        delta[np.arange(batch), t2] -= 1.0
     else:
-        raise ValueError(f"unknown loss: {loss_kind!r}")
+        delta = out - t2
 
     grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
@@ -290,11 +271,11 @@ def sgd_step(net: Network, grads, lr: float) -> Network:
     return net
 
 
-def gradient_check(net, x, target, loss_kind="squared-L2", epsilon=1e-5) -> float:
+def gradient_check(net, x, target, epsilon=1e-5) -> float:
     """Max relative error between analytic and central-difference gradients."""
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    grads, _ = backward(net, x, target, loss_kind)
+    grads, _ = backward(net, x, target)
     worst = 0.0
     for layer, (dW, db) in zip(net.layers, grads):
         for param, grad in ((layer.W, dW), (layer.b, db)):
@@ -303,9 +284,9 @@ def gradient_check(net, x, target, loss_kind="squared-L2", epsilon=1e-5) -> floa
             for k in range(flat.size):
                 orig = flat[k]
                 flat[k] = orig + epsilon
-                hi = loss_value(forward(net, x)[-1], target, loss_kind)
+                hi = loss_value(forward(net, x)[-1], target)
                 flat[k] = orig - epsilon
-                lo = loss_value(forward(net, x)[-1], target, loss_kind)
+                lo = loss_value(forward(net, x)[-1], target)
                 flat[k] = orig
                 numeric = (hi - lo) / (2 * epsilon)
                 denom = max(abs(gflat[k]), abs(numeric), 1e-12)
@@ -324,7 +305,7 @@ def _numeric_guard():
 
 
 @_numeric_guard()
-def train_supervised(net, X, Y, config: TrainConfig, loss_kind) -> list:
+def train_supervised(net, X, Y, config: TrainConfig) -> list:
     """Minibatch SGD over (X, Y) rows or word ids; returns the per-epoch mean loss trace."""
     X = word_ids(X, net.layers[0].in_dim) if _is_ids(X) else np.asarray(X, dtype=float)
     Y = word_ids(Y, net.layers[-1].out_dim) if _is_ids(Y) else np.asarray(Y, dtype=float)
@@ -338,8 +319,8 @@ def train_supervised(net, X, Y, config: TrainConfig, loss_kind) -> list:
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            grads, outs = backward(net, X[idx], Y[idx], loss_kind)
-            total += loss_value(outs[-1], Y[idx], loss_kind) * len(idx)
+            grads, outs = backward(net, X[idx], Y[idx])
+            total += loss_value(outs[-1], Y[idx]) * len(idx)
             sgd_step(net, grads, config.learning_rate)
         loss = total / n
         if not math.isfinite(loss):

@@ -110,14 +110,14 @@ def test_criterion_4_gradient_checks():
         ae = denoise.build_autoencoder(lex, code_size=8, depth=7, seed=seed)
         x = np.eye(len(lex))[int(rng.integers(len(lex)))]
         t = np.eye(len(lex))[int(rng.integers(len(lex)))]
-        worst = max(worst, gradient_check(ae.net, x, t, loss_kind="cross-entropy"))
+        worst = max(worst, gradient_check(ae.net, x, t))
 
         ctx = contextenc.build_context_model(
             lex, n_embed=8, window=4, hidden_size=16, seed=seed
         )
         cx = rng.normal(size=ctx.predictor.topology[0])
         ct = np.eye(len(lex))[int(rng.integers(len(lex)))]
-        worst = max(worst, gradient_check(ctx.predictor, cx, ct, loss_kind="cross-entropy"))
+        worst = max(worst, gradient_check(ctx.predictor, cx, ct))
     elapsed = time.monotonic() - start
     verdict(
         4,

@@ -14,13 +14,27 @@ from hypothesis import strategies as st
 from wordsim import editfam, gramfam
 from wordsim.candidates import CandidateTable
 from wordsim.evalharness import (
-    BATCHED_METRICS,
     CLASSICAL_METRICS,
     MetricSpec,
     evaluate_accuracy,
     qualitative_neighbors,
 )
 from wordsim.gramfam import BOUNDARY
+
+# name -> the scalar reference distance(x, y, **params) of each kernel in
+# CLASSICAL_METRICS; Dice similarity is flipped to a distance
+SCALAR_METRICS = {
+    "levenshtein": lambda x, y: float(editfam.levenshtein(x, y)),
+    "normalized-levenshtein": editfam.normalized_levenshtein,
+    "damerau-levenshtein": lambda x, y: float(editfam.damerau_levenshtein(x, y)),
+    "lcs": lambda x, y: float(editfam.lcs_distance(x, y)),
+    "metric-lcs": editfam.metric_lcs,
+    "qgram": lambda x, y, q=2: float(gramfam.qgram_distance(x, y, q)),
+    "ngram": lambda x, y, n=2: gramfam.kondrak_ngram_distance(x, y, n),
+    "dice": lambda x, y, n=2: 1.0 - gramfam.dice_coefficient(x, y, n),
+    "jaccard": lambda x, y, n=2: gramfam.jaccard_distance(x, y, n),
+    "cosine": gramfam.char_cosine_distance,
+}
 
 # a few ASCII letters and non-ASCII letters, one of them outside the BMP
 ALPHABET = "abcéß中\U0001f600"
@@ -38,21 +52,21 @@ def scalar_row(name, x, words, **params):
     out = []
     for y in words:
         try:
-            out.append(CLASSICAL_METRICS[name](x, y, **params))
+            out.append(SCALAR_METRICS[name](x, y, **params))
         except ValueError:
             out.append(float("inf"))
     return np.array(out, dtype=np.float64)
 
 
 def assert_kernel_matches(name, x, words, **params):
-    got = BATCHED_METRICS[name](x, CandidateTable(words), **params)
+    got = CLASSICAL_METRICS[name](x, CandidateTable(words), **params)
     want = scalar_row(name, x, words, **params)
     assert got.dtype == np.float64
     # equal as float64 bits, so that -0.0/0.0 and every last ulp count
     assert got.tobytes() == want.tobytes(), (name, x, params)
 
 
-@pytest.mark.parametrize("name", sorted(BATCHED_METRICS))
+@pytest.mark.parametrize("name", sorted(CLASSICAL_METRICS))
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(x=strings, words=st.lists(strings, max_size=6), n=st.integers(1, 3))
 def test_kernel_equals_scalar(name, x, words, n):
@@ -60,7 +74,7 @@ def test_kernel_equals_scalar(name, x, words, n):
     assert_kernel_matches(name, x, words, **params)
 
 
-@pytest.mark.parametrize("name", sorted(BATCHED_METRICS))
+@pytest.mark.parametrize("name", sorted(CLASSICAL_METRICS))
 def test_edge_cases(name):
     lane = "ab" * 32  # exactly one 64-bit lane
     words = ["", "a", "ab", lane, lane + "a", "a" + BOUNDARY + "b", "é" * 3]
@@ -113,7 +127,7 @@ def test_long_queries_take_the_batched_path(monkeypatch):
     for n in (65, 128, 129, 200):
         x = "ab" * (n // 2) + "a" * (n % 2)
         for name in EDIT_METRICS:
-            BATCHED_METRICS[name](x, table)
+            CLASSICAL_METRICS[name](x, table)
     table = CandidateTable(["abc", "b" * 70])
     assert list(editfam.levenshtein_many("a" * 65, table)) == [64.0, 70.0]
 

@@ -229,6 +229,30 @@ class TestOutputFiles:
 
 
 class TestTrainContext:
+    @pytest.mark.parametrize(
+        "command,option,message",
+        [
+            ("train-combined", "--rounds", "rounds"),
+            ("train-combined", "--hidden", "hidden size"),
+            ("train-ctx", "--hidden", "hidden size"),
+            ("train-ctx", "--embed-size", "embedding size"),
+        ],
+    )
+    def test_size_below_one_exit_2(
+        self, pairs_file, corpus_file, tmp_path, capsys, command, option, message
+    ):
+        out = tmp_path / "emb.json"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    command, "--lexicon", str(pairs_file), "--corpus", str(corpus_file),
+                    option, "0", "--out", str(out),
+                ]
+            )
+        assert exc.value.code == 2
+        assert f"{message} must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_ctx_writes_embedding(self, pairs_file, corpus_file, tmp_path, capsys):
         out = tmp_path / "emb.json"
         rc = main(
@@ -339,6 +363,16 @@ class TestEval:
         assert rc == 2
         captured = capsys.readouterr()
         assert "unknown metric 'soundex'" in captured.err and captured.out == ""
+
+    def test_empty_metrics_exit_2(self, pairs_file, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        rc = main(
+            ["eval", "--lexicon", str(pairs_file), "--metrics", ",", "--out", str(report)]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "no metric" in captured.err and captured.out == ""
+        assert not report.exists()
 
 
 class TestInputErrors:
@@ -474,3 +508,8 @@ def test_threads_option_removed():
 def test_verbose_option_removed():
     with pytest.raises(SystemExit):
         main(["--verbose", "dist", "--metric", "levenshtein", "a", "b"])
+
+
+def test_format_option_removed():
+    with pytest.raises(SystemExit):
+        main(["--format", "csv", "dist", "--metric", "levenshtein", "a", "b"])

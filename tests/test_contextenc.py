@@ -108,7 +108,7 @@ class TestTrainContext:
 
         x = _gather(model, contexts)
         y = eye[targets]
-        _, _, dx = neural._backward_full(model.predictor, x, y, "cross-entropy")
+        _, _, dx = neural._backward_full(model.predictor, x, y)
         dU = np.zeros_like(model.U)
         dslices = dx.reshape(len(targets), 2, 3) / len(targets)
         for pos in range(2):
@@ -136,12 +136,13 @@ class TestTrainCombined:
     def cfg(self, seed=0):
         return TrainConfig(batch_size=16, learning_rate=0.05, epochs=1, seed=seed)
 
-    def test_rounds_zero_leaves_embeddings(self, context_lexicon, context_corpus):
+    def test_rounds_below_one_rejected(self, context_lexicon, context_corpus):
         ctx = build_context_model(context_lexicon, n_embed=4, window=3, seed=0)
         ae = build_autoencoder(context_lexicon, code_size=4, depth=3, seed=0)
         before = ctx.U.copy()
-        emb = train_combined(ctx, ae, context_lexicon, context_corpus, self.cfg(), rounds=0)
-        assert np.array_equal(emb.U, before)
+        with pytest.raises(ConfigError, match="rounds must be >= 1"):
+            train_combined(ctx, ae, context_lexicon, context_corpus, self.cfg(), rounds=0)
+        assert np.array_equal(ctx.U, before)
 
     def test_blend_zero_is_pure_context(self, context_lexicon, context_corpus):
         ctx_a = build_context_model(context_lexicon, n_embed=4, window=3, seed=5)

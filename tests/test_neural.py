@@ -29,6 +29,12 @@ def identity_layer(n):
     return DenseLayer(W=np.eye(n), b=np.zeros(n), activation="identity")
 
 
+def distribution(r, n):
+    """A random cross-entropy target: n positive weights that sum to 1."""
+    t = r.uniform(size=n)
+    return t / t.sum()
+
+
 class TestForward:
     def test_identity_layer(self):
         net = Network([identity_layer(3)])
@@ -83,85 +89,81 @@ class TestSoftmax:
 
 
 class TestBackward:
-    def test_zero_loss_zero_gradients(self):
-        net = Network([identity_layer(3)])
-        x = np.array([1.0, 2.0, 3.0])
-        grads, _ = backward(net, x, x, "squared-L2")
-        for dW, db in grads:
-            assert np.allclose(dW, 0) and np.allclose(db, 0)
-
     def test_matches_finite_differences(self):
-        net = init_network([5, 4, 3], ["sigmoid", "identity"], np.random.default_rng(1))
+        net = init_network(
+            [5, 4, 3, 3], ["sigmoid", "identity", "softmax"], np.random.default_rng(1)
+        )
         x = np.random.default_rng(2).normal(size=5)
-        t = np.random.default_rng(3).normal(size=3)
-        assert gradient_check(net, x, t, "squared-L2") < 1e-4
+        t = distribution(np.random.default_rng(3), 3)
+        assert gradient_check(net, x, t) < 1e-4
 
     def test_softmax_cross_entropy_delta(self):
         net = init_network([4, 3], ["softmax"], np.random.default_rng(4))
         x = np.array([0.3, -0.1, 0.7, 0.2])
         t = np.array([0.0, 1.0, 0.0])
-        grads, outs = backward(net, x, t, "cross-entropy")
+        grads, outs = backward(net, x, t)
         expected = np.outer(outs[-1] - t, x)
         assert np.allclose(grads[0][0], expected)
-        assert gradient_check(net, x, t, "cross-entropy") < 1e-4
+        assert gradient_check(net, x, t) < 1e-4
 
     def test_cross_entropy_needs_softmax(self):
         net = Network([identity_layer(2)])
         with pytest.raises(ValueError):
-            backward(net, np.zeros(2), np.zeros(2), "cross-entropy")
+            backward(net, np.zeros(2), np.zeros(2))
 
     def test_shape_mismatch(self):
-        net = Network([identity_layer(2)])
-        with pytest.raises(ValueError):
-            backward(net, np.zeros(2), np.zeros(3), "squared-L2")
+        net = init_network([2, 2], ["softmax"], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="target shape"):
+            backward(net, np.zeros(2), np.array([0.0, 1.0, 0.0]))
 
 
 class TestSgdStep:
     def test_zero_lr_no_change(self):
-        net = init_network([3, 2], ["sigmoid"], np.random.default_rng(5))
+        net = init_network([3, 2], ["softmax"], np.random.default_rng(5))
         before = [l.W.copy() for l in net.layers]
-        grads, _ = backward(net, np.ones(3), np.zeros(2), "squared-L2")
+        grads, _ = backward(net, np.ones(3), np.array([1.0, 0.0]))
         sgd_step(net, grads, 0.0)
         for layer, W in zip(net.layers, before):
             assert np.array_equal(layer.W, W)
 
     def test_quadratic_single_weight(self):
-        # output = p * x with x=1, target 0: loss = p^2, gradient 2p
-        net = Network([DenseLayer(W=np.array([[1.0]]), b=np.zeros(1), activation="identity")])
-        grads, _ = backward(net, np.ones(1), np.zeros(1), "squared-L2")
+        # logits (w, 0) for x=1, target class 1: dL/dw = softmax(w, 0)[0] = sigmoid(w)
+        net = Network([DenseLayer(W=np.array([[1.0], [0.0]]), b=np.zeros(2), activation="softmax")])
+        grads, _ = backward(net, np.ones(1), np.array([0.0, 1.0]))
         sgd_step(net, grads, 0.1)
-        assert net.layers[0].W[0, 0] == pytest.approx(0.8)
+        assert net.layers[0].W[0, 0] == pytest.approx(1.0 - 0.1 / (1.0 + np.exp(-1.0)))
 
     def test_monotone_descent_on_quadratic(self):
-        net = Network([DenseLayer(W=np.array([[2.0, 0.5], [0.1, -1.0]]), b=np.zeros(2), activation="identity")])
+        # cross-entropy of one softmax layer is convex, with a gradient Lipschitz in ||x||^2 = 2
+        net = Network([DenseLayer(W=np.array([[2.0, 0.5], [0.1, -1.0]]), b=np.zeros(2), activation="softmax")])
         x = np.array([1.0, -1.0])
         t = np.array([0.3, 0.7])
         losses = []
         for _ in range(50):
-            grads, outs = backward(net, x, t, "squared-L2")
-            losses.append(loss_value(outs[-1], t, "squared-L2"))
+            grads, outs = backward(net, x, t)
+            losses.append(loss_value(outs[-1], t))
             sgd_step(net, grads, 0.05)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
 class TestGradientCheck:
     def test_linear_net_near_exact(self):
-        net = init_network([4, 3], ["identity"], np.random.default_rng(6))
+        net = init_network([4, 3, 3], ["identity", "softmax"], np.random.default_rng(6))
         x = rng.normal(size=4)
-        t = rng.normal(size=3)
-        assert gradient_check(net, x, t, "squared-L2") < 1e-7
+        t = distribution(rng, 3)
+        assert gradient_check(net, x, t) < 1e-7
 
     def test_deep_sigmoid_net(self):
-        net = init_network([6, 5, 4], ["sigmoid", "sigmoid"], np.random.default_rng(8))
+        net = init_network([6, 5, 4, 4], ["sigmoid", "sigmoid", "softmax"], np.random.default_rng(8))
         x = rng.normal(size=6)
-        t = rng.uniform(size=4)
-        assert gradient_check(net, x, t, "squared-L2") < 1e-4
+        t = distribution(rng, 4)
+        assert gradient_check(net, x, t) < 1e-4
 
     def test_detects_corrupted_gradient(self):
-        net = init_network([4, 3], ["sigmoid"], np.random.default_rng(9))
+        net = init_network([4, 3, 3], ["sigmoid", "softmax"], np.random.default_rng(9))
         x = rng.normal(size=4)
-        t = rng.uniform(size=3)
-        grads, _ = backward(net, x, t, "squared-L2")
+        t = distribution(rng, 3)
+        grads, _ = backward(net, x, t)
         dW, db = grads[0]
         dW = dW * 2.0  # injected fault
         eps = 1e-5
@@ -170,9 +172,9 @@ class TestGradientCheck:
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + eps
-            hi = loss_value(forward(net, x)[-1], t, "squared-L2")
+            hi = loss_value(forward(net, x)[-1], t)
             flat[k] = orig - eps
-            lo = loss_value(forward(net, x)[-1], t, "squared-L2")
+            lo = loss_value(forward(net, x)[-1], t)
             flat[k] = orig
             numeric = (hi - lo) / (2 * eps)
             denom = max(abs(gflat[k]), abs(numeric), 1e-12)
@@ -188,7 +190,7 @@ class TestTraining:
         Y[:30, 0] = 1
         Y[30:, 1] = 1
         net = init_network([2, 2], ["softmax"], r)
-        train_supervised(net, X, Y, TrainConfig(batch_size=10, learning_rate=0.5, epochs=500, seed=0), "cross-entropy")
+        train_supervised(net, X, Y, TrainConfig(batch_size=10, learning_rate=0.5, epochs=500, seed=0))
         pred = np.argmax(forward(net, X)[-1], axis=1)
         assert np.array_equal(pred, np.argmax(Y, axis=1))
 
@@ -201,7 +203,7 @@ class TestTraining:
         net = init_network([3, 8, 8, 2], ["identity", "sigmoid", "softmax"], r)
         config = TrainConfig(batch_size=5, learning_rate=1e300, epochs=3, seed=0)
         with pytest.raises(NumericError, match="overflow"):
-            train_supervised(net, X, Y, config, "cross-entropy")
+            train_supervised(net, X, Y, config)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -225,23 +227,23 @@ class TestWordIds:
     def test_unique_ids_equal_one_hot_rows_bit_for_bit(self):
         net, eye = id_net(), np.eye(9)
         ids, tids = np.array([4, 0, 7, 2]), np.array([1, 1, 8, 0])
-        grads, outs = backward(net, ids, tids, "cross-entropy")
-        dense_grads, dense_outs = backward(net, eye[ids], eye[tids], "cross-entropy")
+        grads, outs = backward(net, ids, tids)
+        dense_grads, dense_outs = backward(net, eye[ids], eye[tids])
         for (dW, db), (dense_dW, dense_db) in zip(grads, dense_grads):
             assert_same_bytes(dW, dense_dW)
             assert_same_bytes(db, dense_db)
         for out, dense_out in zip(outs, dense_outs):
             assert_same_bytes(out, dense_out)
         assert_same_bytes(forward(net, ids)[-1], forward(net, eye[ids])[-1])
-        assert loss_value(outs[-1], tids, "cross-entropy") == loss_value(
-            dense_outs[-1], eye[tids], "cross-entropy"
+        assert loss_value(outs[-1], tids) == loss_value(
+            dense_outs[-1], eye[tids], 
         )
 
     def test_repeated_input_ids_sum_their_columns(self):
         net, eye = id_net(), np.eye(9)
         ids, tids = np.array([3, 5, 3, 3, 0, 5]), np.array([2, 2, 6, 1, 0, 4])
-        grads, _ = backward(net, ids, tids, "cross-entropy")
-        dense_grads, _ = backward(net, eye[ids], eye[tids], "cross-entropy")
+        grads, _ = backward(net, ids, tids)
+        dense_grads, _ = backward(net, eye[ids], eye[tids])
         for (dW, db), (dense_dW, dense_db) in zip(grads, dense_grads):
             np.testing.assert_allclose(dW, dense_dW, rtol=1e-12, atol=0)
             np.testing.assert_allclose(db, dense_db, rtol=1e-12, atol=0)
@@ -252,30 +254,25 @@ class TestWordIds:
             r = np.random.default_rng(seed)
             net = id_net(seed=seed)
             ids, tids = r.integers(0, 9, size=4), r.integers(0, 9, size=4)
-            assert gradient_check(net, ids, tids, "cross-entropy") < 1e-4
-
-    def test_id_targets_need_cross_entropy(self):
-        net = init_network([3, 3], ["identity"], np.random.default_rng(0))
-        with pytest.raises(ValueError, match="cross-entropy"):
-            backward(net, np.eye(3), np.array([0, 1, 2]), "squared-L2")
+            assert gradient_check(net, ids, tids) < 1e-4
 
     def test_id_target_count_must_match_the_batch(self):
         with pytest.raises(ValueError, match="3 target ids for 2 outputs"):
-            backward(id_net(), np.array([0, 1]), np.array([0, 1, 2]), "cross-entropy")
+            backward(id_net(), np.array([0, 1]), np.array([0, 1, 2]))
 
     @pytest.mark.parametrize("bad", [-1, 9])
     @pytest.mark.parametrize(
         "call",
         [
             lambda net, bad: forward(net, np.array([0, bad])),
-            lambda net, bad: backward(net, np.array([0, bad]), np.array([0, 1]), "cross-entropy"),
-            lambda net, bad: backward(net, np.array([0, 1]), np.array([0, bad]), "cross-entropy"),
-            lambda net, bad: loss_value(forward(net, np.array([0, 1]))[-1], np.array([bad, 1]), "cross-entropy"),
+            lambda net, bad: backward(net, np.array([0, bad]), np.array([0, 1])),
+            lambda net, bad: backward(net, np.array([0, 1]), np.array([0, bad])),
+            lambda net, bad: loss_value(forward(net, np.array([0, 1]))[-1], np.array([bad, 1])),
             lambda net, bad: train_supervised(
-                net, np.array([bad, 1, 2]), np.array([0, 1, 2]), TrainConfig(batch_size=1, epochs=1), "cross-entropy"
+                net, np.array([bad, 1, 2]), np.array([0, 1, 2]), TrainConfig(batch_size=1, epochs=1)
             ),
             lambda net, bad: train_supervised(
-                net, np.array([0, 1, 2]), np.array([bad, 1, 2]), TrainConfig(batch_size=1, epochs=1), "cross-entropy"
+                net, np.array([0, 1, 2]), np.array([bad, 1, 2]), TrainConfig(batch_size=1, epochs=1)
             ),
         ],
         ids=["forward", "backward-input", "backward-target", "loss-target", "train-input", "train-target"],

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -69,3 +70,33 @@ BENCH_LAYERS = load_file(ROOT / "bench" / "layers.py")
 )
 def test_bench_traced_names_exist(module, name):
     assert callable(getattr(getattr(wordsim, module), name, None))
+
+
+@pytest.mark.parametrize(
+    "owner,name",
+    [
+        ("evalharness", "encode_all"),
+        ("contextenc", "encode_all"),
+        ("contextenc", "train_autoencoder"),
+        ("evalharness", "evaluate_accuracy"),
+        ("evalharness", "qualitative_neighbors"),
+        ("evalharness", "export_report"),
+        ("cli", "main"),
+        ("cli", "load_lexicon"),
+        ("cli", "load_corpus"),
+        ("lexicon.Lexicon", "fingerprint"),
+    ],
+)
+def test_bench_wrapped_bindings_exist(owner, name):
+    """The bindings bench/layers.py wraps by name beside its five name tuples."""
+    obj = wordsim
+    for part in owner.split("."):
+        obj = getattr(obj, part)
+    assert callable(getattr(obj, name, None))
+
+
+def test_classical_metrics_are_traced_kernels():
+    """bench/layers.py traces the CLASSICAL_METRICS entries that are editfam or gramfam functions."""
+    for name, fn in wordsim.evalharness.CLASSICAL_METRICS.items():
+        assert inspect.isfunction(fn), name
+        assert fn.__module__ in ("wordsim.editfam", "wordsim.gramfam"), name
