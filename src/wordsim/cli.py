@@ -2,15 +2,14 @@
 
 Subcommands: dist, nearest, train-ae, train-ctx, train-combined, eval.
 Exit codes: 0 success, 2 usage error, 3 data/binding error, 4 numeric
-abort.
+abort. A command trains or evaluates, then saves through the library,
+which keeps an existing file until the new one is complete.
 """
 
 import argparse
 import datetime
 import os
-import shutil
 import sys
-import tempfile
 
 from . import contextenc, denoise, evalharness
 from .errors import NumericError, WordsimError
@@ -42,7 +41,7 @@ def _at_least_one(what):
 _gram_length = _at_least_one("gram length")
 # a k of accuracy@k (eval --ks) or of a top-k listing (nearest --k)
 _rank = _at_least_one("k")
-_hidden = _at_least_one("hidden size")
+_epochs = _at_least_one("epochs")
 
 
 def _ranks(text):
@@ -76,38 +75,38 @@ def _parser():
     n.add_argument("--query", required=True)
     n.add_argument("--k", type=_rank, default=5)
 
-    ta = sub.add_parser("train-ae", help="train the denoising autoencoder")
-    ta.add_argument("--lexicon", required=True)
-    ta.add_argument("--code-size", type=int, default=11)
-    ta.add_argument("--depth", type=int, default=7)
-    ta.add_argument("--batch", type=int, default=100)
-    ta.add_argument("--lr", type=float, default=0.01)
-    ta.add_argument("--epochs", type=int, default=50)
-    ta.add_argument("--out", required=True)
+    # the options of every training command
+    train = argparse.ArgumentParser(add_help=False)
+    train.add_argument("--lexicon", required=True)
+    train.add_argument("--batch", type=_at_least_one("batch size"), default=100)
+    train.add_argument("--lr", type=float, default=0.01)
+    train.add_argument("--out", required=True)
+    # the autoencoder's shape, shared by train-ae and train-combined
+    hourglass = argparse.ArgumentParser(add_help=False)
+    hourglass.add_argument("--code-size", type=_at_least_one("code size"), default=11)
+    hourglass.add_argument("--depth", type=int, default=7)
+    # the context predictor's input and width, shared by train-ctx and train-combined
+    context = argparse.ArgumentParser(add_help=False)
+    context.add_argument("--corpus", required=True)
+    context.add_argument("--window", type=_at_least_one("window"), default=4)
+    context.add_argument("--hidden", type=_at_least_one("hidden size"), default=32)
 
-    tc = sub.add_parser("train-ctx", help="train the context encoder")
-    tc.add_argument("--lexicon", required=True)
-    tc.add_argument("--corpus", required=True)
+    ta = sub.add_parser(
+        "train-ae", parents=[train, hourglass], help="train the denoising autoencoder"
+    )
+    ta.add_argument("--epochs", type=_epochs, default=50)
+
+    tc = sub.add_parser("train-ctx", parents=[train, context], help="train the context encoder")
     tc.add_argument("--embed-size", type=_at_least_one("embedding size"), default=11)
-    tc.add_argument("--window", type=int, default=4)
-    tc.add_argument("--hidden", type=_hidden, default=32)
-    tc.add_argument("--batch", type=int, default=100)
-    tc.add_argument("--lr", type=float, default=0.01)
-    tc.add_argument("--epochs", type=int, default=5)
-    tc.add_argument("--out", required=True)
+    tc.add_argument("--epochs", type=_epochs, default=5)
 
-    tb = sub.add_parser("train-combined", help="combined autoencoder + context training")
-    tb.add_argument("--lexicon", required=True)
-    tb.add_argument("--corpus", required=True)
-    tb.add_argument("--code-size", type=int, default=11)
-    tb.add_argument("--depth", type=int, default=7)
-    tb.add_argument("--window", type=int, default=4)
-    tb.add_argument("--hidden", type=_hidden, default=32)
+    tb = sub.add_parser(
+        "train-combined",
+        parents=[train, hourglass, context],
+        help="combined autoencoder + context training",
+    )
     tb.add_argument("--rounds", type=_at_least_one("rounds"), default=5)
     tb.add_argument("--blend", type=float, default=0.5)
-    tb.add_argument("--batch", type=int, default=100)
-    tb.add_argument("--lr", type=float, default=0.01)
-    tb.add_argument("--out", required=True)
 
     e = sub.add_parser("eval", parents=[learned, grams], help="accuracy@k evaluation")
     e.add_argument("--lexicon", required=True)
@@ -173,33 +172,9 @@ def _cmd_nearest(args):
     return EXIT_OK
 
 
-def _write_out(out_path, write):
-    """Run write(path), which creates the output file at path, without losing a file at out_path.
-
-    A file already at out_path stays untouched until write has filled a
-    temp file beside it, which then replaces it; if write fails, only the
-    temp file is removed. A new out_path is written in place and removed
-    if write fails.
-    """
-    if not os.path.exists(out_path):
-        try:
-            return write(out_path)
-        except BaseException:
-            if os.path.exists(out_path):
-                os.unlink(out_path)
-            raise
-    directory, name = os.path.split(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
-    os.close(fd)
-    try:
-        result = write(tmp)
-        shutil.copymode(out_path, tmp)
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return result
+def _train_config(args, **kwargs):
+    """TrainConfig of the options every training command takes, plus kwargs."""
+    return TrainConfig(batch_size=args.batch, learning_rate=args.lr, seed=args.seed, **kwargs)
 
 
 def _cmd_train_ae(args):
@@ -207,30 +182,20 @@ def _cmd_train_ae(args):
     model = denoise.build_autoencoder(
         lex, code_size=args.code_size, depth=args.depth, seed=args.seed
     )
-    config = TrainConfig(
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
+    config = _train_config(args, epochs=args.epochs)
+    trace = denoise.train_autoencoder(model, lex, config)
+    denoise.save_autoencoder(
+        model,
+        args.out,
+        extra_metadata={
+            "created": _timestamp(),
+            "batch_size": config.batch_size,
+            "learning_rate": config.learning_rate,
+            "epochs": config.epochs,
+            "seed": config.seed,
+            "final_loss": trace[-1],
+        },
     )
-
-    def run(path):
-        trace = denoise.train_autoencoder(model, lex, config)
-        denoise.save_autoencoder(
-            model,
-            path,
-            extra_metadata={
-                "created": _timestamp(),
-                "batch_size": config.batch_size,
-                "learning_rate": config.learning_rate,
-                "epochs": config.epochs,
-                "seed": config.seed,
-                "final_loss": trace[-1],
-            },
-        )
-        return trace
-
-    trace = _write_out(args.out, run)
     print(f"trained autoencoder: final loss {trace[-1]:.6f} -> {args.out}")
     return EXIT_OK
 
@@ -245,29 +210,19 @@ def _cmd_train_ctx(args):
         hidden_size=args.hidden,
         seed=args.seed,
     )
-    config = TrainConfig(
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
+    config = _train_config(args, epochs=args.epochs)
+    trace = contextenc.train_context(model, corpus, config)
+    emb = contextenc.EmbeddingMatrix(
+        U=model.U.copy(),
+        lexicon_fingerprint=model.lexicon_fingerprint,
+        metadata={
+            "created": _timestamp(),
+            "window": model.window,
+            "seed": config.seed,
+            "final_log_likelihood": trace[-1],
+        },
     )
-
-    def run(path):
-        trace = contextenc.train_context(model, corpus, config)
-        emb = contextenc.EmbeddingMatrix(
-            U=model.U.copy(),
-            lexicon_fingerprint=model.lexicon_fingerprint,
-            metadata={
-                "created": _timestamp(),
-                "window": model.window,
-                "seed": config.seed,
-                "final_log_likelihood": trace[-1],
-            },
-        )
-        contextenc.save_embedding(emb, path)
-        return trace
-
-    trace = _write_out(args.out, run)
+    contextenc.save_embedding(emb, args.out)
     print(
         f"trained context encoder: final mean log-likelihood "
         f"{trace[-1]:.6f} -> {args.out}"
@@ -288,16 +243,12 @@ def _cmd_train_combined(args):
         hidden_size=args.hidden,
         seed=args.seed,
     )
-    config = TrainConfig(batch_size=args.batch, learning_rate=args.lr, seed=args.seed)
-
-    def run(path):
-        emb = contextenc.train_combined(
-            ctx, ae, lex, corpus, config, rounds=args.rounds, blend=args.blend
-        )
-        emb.metadata["created"] = _timestamp()
-        contextenc.save_embedding(emb, path)
-
-    _write_out(args.out, run)
+    config = _train_config(args)
+    emb = contextenc.train_combined(
+        ctx, ae, lex, corpus, config, rounds=args.rounds, blend=args.blend
+    )
+    emb.metadata["created"] = _timestamp()
+    contextenc.save_embedding(emb, args.out)
     print(f"combined training done: {args.rounds} rounds -> {args.out}")
     return EXIT_OK
 
@@ -337,7 +288,7 @@ def _cmd_eval(args):
             },
         )
         fmt = "csv" if args.out.endswith(".csv") else "json"
-        _write_out(args.out, lambda path: evalharness.export_report(report, path, format=fmt))
+        evalharness.export_report(report, args.out, format=fmt)
         print(f"report written to {args.out}")
     return EXIT_OK
 

@@ -6,6 +6,7 @@ alternates context epochs with autoencoder epochs and blends embedding
 rows toward the autoencoder codes, yielding the mapping behind D_c.
 """
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,13 +41,16 @@ class ContextModel:
     U: np.ndarray  # (|A|, n_embed)
     pad_vec: np.ndarray  # embedding of the boundary-padding token
     predictor: Network  # window*n_embed -> hidden -> softmax over |A|
-    window: int
     lexicon_fingerprint: str
     seed: int = 0
 
     @property
     def n_embed(self):
         return self.U.shape[1]
+
+    @property
+    def window(self):
+        return self.predictor.layers[0].in_dim // self.n_embed
 
 
 @dataclass
@@ -65,8 +69,7 @@ class EmbeddingMatrix:
 def build_context_model(
     lex: Lexicon, n_embed=11, window=4, hidden_size=32, seed=0
 ) -> ContextModel:
-    if window < 1:
-        raise ConfigError("window must be >= 1")
+    """Untrained context model; init_network rejects a width below 1."""
     rng = np.random.default_rng(seed)
     U = rng.normal(0.0, 0.1, size=(len(lex), n_embed))
     pad_vec = np.zeros(n_embed)
@@ -77,7 +80,6 @@ def build_context_model(
         U=U,
         pad_vec=pad_vec,
         predictor=predictor,
-        window=window,
         lexicon_fingerprint=lex.fingerprint(),
         seed=seed,
     )
@@ -212,6 +214,7 @@ def distance_Dc(U, a_i: int, a_j: int, vec_metric: str = "cosine") -> float:
 
 
 def save_embedding(emb: EmbeddingMatrix, path):
+    """Persist the embedding rows with their lexicon binding; an existing file survives a failure."""
     container = {
         "kind": "embedding",
         "format_version": neural.FORMAT_VERSION,
@@ -220,19 +223,26 @@ def save_embedding(emb: EmbeddingMatrix, path):
         "metadata": emb.metadata,
         "rows": neural.encode_array(emb.U),
     }
-    neural._write_json(path, container)
+    neural._write_text(path, json.dumps(container))
 
 
 def load_embedding(path) -> EmbeddingMatrix:
+    """The embedding saved at path; ConfigError if its stored n_embed disagrees with the rows."""
     data = neural._read_json(path)
     if data.get("kind") != "embedding":
         raise ConfigError(f"not an embedding file: {path}")
     neural.check_format_version(data, "embedding")
     try:
-        return EmbeddingMatrix(
+        emb = EmbeddingMatrix(
             U=neural.decode_array(data["rows"], "rows", 2),
             lexicon_fingerprint=data["lexicon_fingerprint"],
             metadata=data.get("metadata", {}),
         )
+        n_embed = data["n_embed"]
     except KeyError as exc:
         raise ConfigError(f"embedding file lacks the field {exc}: {path}") from None
+    if n_embed != emb.n_embed:
+        raise ConfigError(
+            f"embedding file field n_embed is {n_embed!r}, its rows are {emb.n_embed} wide: {path}"
+        )
+    return emb

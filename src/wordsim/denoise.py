@@ -4,6 +4,7 @@ The network reconstructs the standard word from a non-standard spelling;
 its bottleneck activation is the learned code used by the distance D_a.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,16 +30,30 @@ __all__ = [
 
 @dataclass
 class AutoencoderModel:
+    """An hourglass network bound to a lexicon; its shape is read from its layers."""
+
     net: Network
-    bottleneck_index: int  # index into forward() outputs
     lexicon_fingerprint: str
-    code_size: int
-    depth: int
     seed: int = 0
 
+    def __post_init__(self):
+        n = len(self.net.layers)
+        if n < 2 or n % 2:
+            raise ConfigError(f"an autoencoder needs an even number of layers, got {n}")
+
     @property
-    def vocab_size(self):
-        return self.net.layers[0].in_dim
+    def depth(self):
+        """Node layers: input, hiddens and output."""
+        return len(self.net.layers) + 1
+
+    @property
+    def bottleneck_index(self):
+        """Index of the code layer into net.layers and forward() outputs."""
+        return len(self.net.layers) // 2 - 1
+
+    @property
+    def code_size(self):
+        return self.net.layers[self.bottleneck_index].out_dim
 
 
 def hourglass_widths(n_input: int, code_size: int, depth: int) -> list:
@@ -76,14 +91,7 @@ def build_autoencoder(lex: Lexicon, code_size=11, depth=7, seed=0) -> Autoencode
     activations = ["identity"] * (len(widths) - 2) + ["softmax"]
     rng = np.random.default_rng(seed)
     net = neural.init_network(widths, activations, rng)
-    return AutoencoderModel(
-        net=net,
-        bottleneck_index=depth // 2 - 1,
-        lexicon_fingerprint=lex.fingerprint(),
-        code_size=code_size,
-        depth=depth,
-        seed=seed,
-    )
+    return AutoencoderModel(net=net, lexicon_fingerprint=lex.fingerprint(), seed=seed)
 
 
 def encode(model: AutoencoderModel, lex: Lexicon, word_id: int) -> np.ndarray:
@@ -149,32 +157,39 @@ def nearest_standard(source, lex, query_id: int, k: int = 5, vec_metric: str = "
     return [(int(candidates[i]), float(row[i])) for i in _top_k(row, candidates, k)]
 
 
+# the shape a model file stores beside its layers; load_autoencoder checks it
+_SHAPE_KEYS = ("code_size", "depth", "bottleneck_index")
+
+
 def save_autoencoder(model: AutoencoderModel, path, extra_metadata=None):
-    """Persist the model with its lexicon binding and configuration."""
+    """Persist the model with its lexicon binding and shape; an existing file survives a failure."""
     container = {
         "kind": "autoencoder",
         "lexicon_fingerprint": model.lexicon_fingerprint,
-        "code_size": model.code_size,
-        "depth": model.depth,
-        "bottleneck_index": model.bottleneck_index,
+        **{key: getattr(model, key) for key in _SHAPE_KEYS},
         "metadata": extra_metadata or {},
         "network": neural.network_to_dict(model.net, seed=model.seed),
     }
-    neural._write_json(path, container)
+    neural._write_text(path, json.dumps(container))
 
 
 def load_autoencoder(path) -> AutoencoderModel:
+    """The model saved at path; ConfigError if a stored shape key disagrees with the layers."""
     data = neural._read_json(path)
     if data.get("kind") != "autoencoder":
         raise ConfigError(f"not an autoencoder model file: {path}")
     try:
-        return AutoencoderModel(
+        model = AutoencoderModel(
             net=neural.network_from_dict(data["network"]),
-            bottleneck_index=data["bottleneck_index"],
             lexicon_fingerprint=data["lexicon_fingerprint"],
-            code_size=data["code_size"],
-            depth=data["depth"],
             seed=data["network"].get("seed") or 0,
         )
+        for key in _SHAPE_KEYS:
+            if data[key] != getattr(model, key):
+                raise ConfigError(
+                    f"model file field {key} is {data[key]!r}, its layers give "
+                    f"{getattr(model, key)}: {path}"
+                )
     except KeyError as exc:
         raise ConfigError(f"model file lacks the field {exc}: {path}") from None
+    return model

@@ -6,6 +6,7 @@ non-standard words whose true standard form appears in the top k.
 """
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from functools import partial
@@ -195,7 +196,7 @@ def qualitative_neighbors(spec: MetricSpec, lex: Lexicon, queries, k=5):
 
 
 def export_report(report: EvalReport, path, format: str = "json"):
-    """Write the report as versioned JSON or flat CSV (metric,k,accuracy)."""
+    """Write the report as versioned JSON or flat CSV (metric,k,accuracy), rendered in full first."""
     if format == "json":
         payload = {
             "report_version": REPORT_VERSION,
@@ -208,17 +209,18 @@ def export_report(report: EvalReport, path, format: str = "json"):
             "qualitative": {},
             "metadata": report.metadata,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        text = json.dumps(payload, indent=2, sort_keys=True)
     elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "k", "accuracy_percent"])
-            for name, accs in report.accuracies.items():
-                for k in sorted(accs):
-                    writer.writerow([name, k, accs[k]])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["metric", "k", "accuracy_percent"])
+        for name, accs in report.accuracies.items():
+            for k in sorted(accs):
+                writer.writerow([name, k, accs[k]])
+        text = buf.getvalue()
     else:
         raise ValueError(f"unknown report format: {format!r}")
+    neural._write_text(path, text)
 
 
 def load_report(path) -> EvalReport:

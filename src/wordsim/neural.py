@@ -17,6 +17,9 @@ outside [0, d) raises IndexError.
 import base64
 import json
 import math
+import os
+import shutil
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import List, Optional
@@ -149,6 +152,8 @@ def init_network(widths, activations, rng) -> Network:
     """Glorot-uniform initialized network for the given layer widths."""
     if len(activations) != len(widths) - 1:
         raise ValueError("need one activation per parameterized layer")
+    if min(widths) < 1:
+        raise ConfigError(f"layer widths must be >= 1, got {list(widths)}")
     layers = []
     for fan_in, fan_out, act in zip(widths, widths[1:], activations):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -430,12 +435,27 @@ def _read_json(path) -> dict:
     return data
 
 
-def _write_json(path, data: dict):
-    """Write data to path as one JSON document.
+def _write_text(path, text: str):
+    """Write text to path as UTF-8; the one writer of model, embedding and report files.
 
-    json.dumps runs the C encoder; json.dump to a file handle would take
-    the pure-Python one, many times slower on a large model.
+    An existing file stays until a temp file beside it holds all of text
+    and then replaces it with the old mode; a new path is written in
+    place. On any failure the file being written is removed.
     """
-    text = json.dumps(data)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    data = text.encode("utf-8")
+    replace = os.path.exists(path)
+    target = path
+    if replace:
+        directory, name = os.path.split(os.path.abspath(path))
+        fd, target = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+        os.close(fd)
+    try:
+        with open(target, "wb") as fh:
+            fh.write(data)
+        if replace:
+            shutil.copymode(path, target)
+            os.replace(target, path)
+    except BaseException:
+        if os.path.exists(target):
+            os.unlink(target)
+        raise

@@ -1,8 +1,10 @@
+import errno
 import itertools
 
 import numpy as np
 import pytest
 
+from wordsim import neural
 from wordsim.lexicon import Corpus, build_lexicon
 
 # 20 standard words with three deterministic synthetic variants each:
@@ -94,3 +96,31 @@ MALFORMED_ARRAYS = {
     "shape-not-integers": (lambda a: a.update(shape=[float(n) for n in a["shape"]]), _SHAPE_LIST),
     "one-dimension-too-many": (lambda a: a.update(shape=a["shape"] + [1]), "dimensions, got shape"),
 }
+
+
+class _FullDisk:
+    """A file whose write stores half the data, then fails as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _open_on_full_disk(file, mode="r", *args, **kwargs):
+    fh = open(file, mode, *args, **kwargs)
+    return _FullDisk(fh) if "w" in mode else fh
+
+
+@pytest.fixture()
+def full_disk(monkeypatch):
+    """Every file wordsim.neural opens for writing fails halfway through the write."""
+    monkeypatch.setattr(neural, "open", _open_on_full_disk, raising=False)

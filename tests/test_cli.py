@@ -236,16 +236,26 @@ class TestTrainContext:
             ("train-combined", "--hidden", "hidden size"),
             ("train-ctx", "--hidden", "hidden size"),
             ("train-ctx", "--embed-size", "embedding size"),
+            ("train-ae", "--batch", "batch size"),
+            ("train-ctx", "--batch", "batch size"),
+            ("train-combined", "--batch", "batch size"),
+            ("train-ae", "--epochs", "epochs"),
+            ("train-ctx", "--epochs", "epochs"),
+            ("train-ctx", "--window", "window"),
+            ("train-combined", "--window", "window"),
+            ("train-ae", "--code-size", "code size"),
+            ("train-combined", "--code-size", "code size"),
         ],
     )
     def test_size_below_one_exit_2(
         self, pairs_file, corpus_file, tmp_path, capsys, command, option, message
     ):
         out = tmp_path / "emb.json"
+        corpus = [] if command == "train-ae" else ["--corpus", str(corpus_file)]
         with pytest.raises(SystemExit) as exc:
             main(
                 [
-                    command, "--lexicon", str(pairs_file), "--corpus", str(corpus_file),
+                    command, "--lexicon", str(pairs_file), *corpus,
                     option, "0", "--out", str(out),
                 ]
             )
@@ -471,6 +481,28 @@ class TestLearnedScoring:
         rc = main(["nearest", "--model", str(broken), "--lexicon", pairs, "--query", "thng"])
         assert rc == 3
         assert "bottleneck_index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "metric,flag,field",
+        [
+            ("Da", "--model", "code_size"),
+            ("Da", "--model", "depth"),
+            ("Da", "--model", "bottleneck_index"),
+            ("Dc", "--embedding", "n_embed"),
+        ],
+    )
+    def test_model_with_a_wrong_shape_field_exit_3(
+        self, trained, tmp_path, metric, flag, field, capsys
+    ):
+        pairs, models = trained
+        with open(models[metric], encoding="utf-8") as fh:
+            data = json.load(fh)
+        data[field] -= 1
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(data), encoding="utf-8")
+        rc = main(["nearest", flag, str(broken), "--lexicon", pairs, "--query", "thng"])
+        assert rc == 3
+        assert f"field {field} is {data[field]}," in capsys.readouterr().err
 
     def test_model_with_malformed_array_exit_3(self, trained, tmp_path, capsys):
         pairs, models = trained

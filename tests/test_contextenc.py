@@ -31,6 +31,23 @@ def zeroed(model):
     return model
 
 
+class TestBuild:
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"n_embed": 0, "hidden_size": 0},
+            {"n_embed": 0},
+            {"hidden_size": 0},
+            {"window": 0},
+            {"window": -1},
+        ],
+        ids=["n_embed-and-hidden", "n_embed", "hidden", "window", "negative-window"],
+    )
+    def test_size_below_one_rejected(self, context_lexicon, sizes):
+        with pytest.raises(ConfigError, match="layer widths must be >= 1"):
+            build_context_model(context_lexicon, **sizes)
+
+
 class TestContextWindows:
     def test_padding_and_targets(self):
         corpus = Corpus(sentences=((5, 6, 7),))
@@ -317,3 +334,33 @@ class TestEmbeddingPersistence:
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match="rows"):
             load_embedding(path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda data: data.update(n_embed=3), "field n_embed is 3, its rows are 2 wide"),
+            (lambda data: data.pop("n_embed"), "lacks the field 'n_embed'"),
+        ],
+        ids=["wrong", "missing"],
+    )
+    def test_n_embed_must_agree_with_the_rows(self, context_lexicon, tmp_path, edit, message):
+        emb = EmbeddingMatrix(U=np.zeros((3, 2)), lexicon_fingerprint=context_lexicon.fingerprint())
+        path = tmp_path / "emb.json"
+        save_embedding(emb, path)
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=message):
+            load_embedding(path)
+
+    @pytest.mark.parametrize("old", [b"an earlier embedding\n", None])
+    def test_failed_save_leaves_the_path_as_it_was(self, context_lexicon, tmp_path, full_disk, old):
+        path = tmp_path / "emb.json"
+        if old is not None:
+            path.write_bytes(old)
+        emb = EmbeddingMatrix(U=np.ones((3, 2)), lexicon_fingerprint=context_lexicon.fingerprint())
+        with pytest.raises(OSError, match="No space left"):
+            save_embedding(emb, path)
+        assert list(tmp_path.iterdir()) == ([] if old is None else [path])
+        if old is not None:
+            assert path.read_bytes() == old

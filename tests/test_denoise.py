@@ -387,6 +387,37 @@ class TestPersistence:
         with pytest.raises(ConfigError, match="layers"):
             load_autoencoder(path)
 
+    @pytest.mark.parametrize("key", ["code_size", "depth", "bottleneck_index"])
+    def test_shape_key_disagreeing_with_the_layers_rejected(self, small_lexicon, tmp_path, key):
+        path = tmp_path / "ae.json"
+        save_autoencoder(build_autoencoder(small_lexicon, code_size=4, depth=5), path)
+        data = json.loads(path.read_text())
+        data[key] -= 1
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=f"field {key} is {data[key]}, its layers give"):
+            load_autoencoder(path)
+
+    def test_layers_without_a_middle_one_rejected(self, small_lexicon, tmp_path):
+        path = tmp_path / "ae.json"
+        save_autoencoder(build_autoencoder(small_lexicon, code_size=4, depth=5), path)
+        data = json.loads(path.read_text())
+        # three of the four layers still chain, but leave no middle layer for the code
+        del data["network"]["layers"][-1], data["network"]["topology"][-1]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="even number of layers, got 3"):
+            load_autoencoder(path)
+
+    @pytest.mark.parametrize("old", [b"an earlier model\n", None])
+    def test_failed_save_leaves_the_path_as_it_was(self, small_lexicon, tmp_path, full_disk, old):
+        path = tmp_path / "ae.json"
+        if old is not None:
+            path.write_bytes(old)
+        with pytest.raises(OSError, match="No space left"):
+            save_autoencoder(build_autoencoder(small_lexicon, code_size=4, depth=5), path)
+        assert list(tmp_path.iterdir()) == ([] if old is None else [path])
+        if old is not None:
+            assert path.read_bytes() == old
+
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "ae.json"
         path.write_bytes(b"\xff not json")

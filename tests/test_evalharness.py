@@ -192,6 +192,23 @@ class TestExportReport:
         export_report(self.report(), b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "fmt,report",
+        [
+            # json cannot encode the metadata; the csv rows hold a name UTF-8 cannot encode
+            ("json", EvalReport(accuracies={"lcs": {1: 50.0}}, metadata={"created": object()})),
+            ("csv", EvalReport(accuracies={"lcs": {1: 50.0}, "\udc80": {1: 40.0}})),
+        ],
+        ids=["json", "csv"],
+    )
+    def test_report_that_cannot_be_encoded_keeps_the_existing_file(self, tmp_path, fmt, report):
+        path = tmp_path / f"report.{fmt}"
+        path.write_bytes(b"an earlier report\n")
+        with pytest.raises((TypeError, UnicodeEncodeError)):
+            export_report(report, path, format=fmt)
+        assert path.read_bytes() == b"an earlier report\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             export_report(self.report(), tmp_path / "x", format="xml")

@@ -35,6 +35,14 @@ def distribution(r, n):
     return t / t.sum()
 
 
+class TestInitNetwork:
+    @pytest.mark.parametrize("widths", [[0, 2], [3, 0, 2], [3, -1, 2], [3, 2, 0]])
+    def test_width_below_one_rejected(self, widths):
+        activations = ["sigmoid"] * (len(widths) - 2) + ["softmax"]
+        with pytest.raises(ConfigError, match="layer widths must be >= 1"):
+            init_network(widths, activations, np.random.default_rng(0))
+
+
 class TestForward:
     def test_identity_layer(self):
         net = Network([identity_layer(3)])

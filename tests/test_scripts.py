@@ -1,12 +1,14 @@
 import importlib.util
 import inspect
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wordsim
-from wordsim import cli
+from wordsim import cli, denoise
 
 from conftest import TOY_STANDARD, toy_variants
 
@@ -100,3 +102,18 @@ def test_classical_metrics_are_traced_kernels():
     for name, fn in wordsim.evalharness.CLASSICAL_METRICS.items():
         assert inspect.isfunction(fn), name
         assert fn.__module__ in ("wordsim.editfam", "wordsim.gramfam"), name
+
+
+def test_bench_reads_of_model_objects(toy_lexicon, monkeypatch):
+    """The autoencoder attributes bench/workloads.py and bench/checks.py read."""
+    for name in ("checks", "gen"):  # the modules bench/workloads.py imports from bench/
+        monkeypatch.setitem(sys.modules, name, load_file(ROOT / "bench" / f"{name}.py"))
+    workloads = load_file(ROOT / "bench" / "workloads.py")
+    model = denoise.build_autoencoder(toy_lexicon, code_size=4, depth=5, seed=0)
+    arrays = workloads.model_arrays(model)
+    assert [a.shape for a in arrays] == [
+        shape for l in model.net.layers for shape in (l.W.shape, l.b.shape)
+    ]
+    codes = workloads.checks.reference_codes(model)
+    assert codes.shape == (len(toy_lexicon), model.code_size)
+    assert np.allclose(codes, denoise.encode_all(model, toy_lexicon), rtol=1e-12, atol=0)
