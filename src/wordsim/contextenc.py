@@ -69,7 +69,12 @@ class EmbeddingMatrix:
 def build_context_model(
     lex: Lexicon, n_embed=11, window=4, hidden_size=32, seed=0
 ) -> ContextModel:
-    """Untrained context model; init_network rejects a width below 1."""
+    """Untrained context model; ConfigError for a width below 1."""
+    if min(n_embed, window, hidden_size) < 1:  # before the draws, which a negative width breaks
+        raise ConfigError(
+            f"layer widths must be >= 1, got n_embed={n_embed}, window={window}, "
+            f"hidden_size={hidden_size}"
+        )
     rng = np.random.default_rng(seed)
     U = rng.normal(0.0, 0.1, size=(len(lex), n_embed))
     pad_vec = np.zeros(n_embed)
@@ -124,6 +129,10 @@ def train_context(model: ContextModel, corpus: Corpus, config: TrainConfig) -> l
     contexts, targets = context_windows(corpus, model.window)
     if len(targets) == 0:
         raise WordsimError("corpus yields no training windows")
+    # checked once: under the guard, no later step can make a finite value non-finite silently
+    model.predictor.check_finite()
+    if not (np.all(np.isfinite(model.U)) and np.all(np.isfinite(model.pad_vec))):
+        raise neural.NumericError("non-finite embedding rows")
     rng = np.random.default_rng(config.seed)
     trace = []
     for _ in range(config.epochs):

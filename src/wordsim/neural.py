@@ -6,8 +6,11 @@ cross-entropy, so the last layer must be a softmax and only there.
 
 A 1-D integer array is the id form of a batch of one-hot rows: ids
 stands for eye(d)[ids]. As an input, the first layer gathers the columns
-W[:, ids] and backward adds the batch's deltas into those columns of dW;
-no input gradient is formed. As a cross-entropy target, the loss reads
+W[:, ids], and backward returns that layer's weight gradient as a
+ColumnGrad: the batch's distinct ids and one summed delta row for each,
+the only columns where the one-hot dW is not zero. sgd_step moves only
+those columns, since the others would move by exactly 0. No input
+gradient is formed. As a cross-entropy target, the loss reads
 out[i, ids[i]] and the output delta subtracts 1 there. Both give the
 one-hot results bit for bit, since a one-hot product adds only exact
 zeros; repeated input ids sum their deltas in another order. An id
@@ -32,6 +35,7 @@ from .lexicon import word_ids
 __all__ = [
     "DenseLayer",
     "Network",
+    "ColumnGrad",
     "TrainConfig",
     "init_network",
     "forward",
@@ -70,9 +74,10 @@ def softmax(z):
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise NumericError("softmax input contains NaN/Inf")
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = z - np.max(z, axis=-1, keepdims=True)  # a new array, so z itself is never written
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def _apply(activation, z):
@@ -133,6 +138,20 @@ class Network:
 
 
 @dataclass
+class ColumnGrad:
+    """A weight gradient that is zero outside some columns: column cols[k] is rows[k]."""
+
+    cols: np.ndarray  # (k,) distinct column indices, ascending
+    rows: np.ndarray  # (k, out_dim)
+
+    def dense(self, in_dim) -> np.ndarray:
+        """The full (out_dim, in_dim) gradient."""
+        full = np.zeros((in_dim, self.rows.shape[1]))
+        full[self.cols] = self.rows
+        return full.T
+
+
+@dataclass
 class TrainConfig:
     batch_size: int = 100
     learning_rate: float = 0.01
@@ -171,8 +190,11 @@ def _affine(layer: DenseLayer, a) -> np.ndarray:
     """a @ W.T + b, for float rows or for the one-hot rows that word ids stand for."""
     if _is_ids(a):
         # a C-ordered gather, as the product eye[ids] @ W.T is
-        return layer.W.T[word_ids(a, layer.in_dim)] + layer.b
-    return a @ layer.W.T + layer.b
+        z = layer.W.T[word_ids(a, layer.in_dim)]
+    else:
+        z = a @ layer.W.T
+    z += layer.b
+    return z
 
 
 def forward(net: Network, x) -> list:
@@ -216,7 +238,8 @@ def backward(net: Network, x, target):
     """Analytic gradients of the mean batch cross-entropy for every (W, b).
 
     Returns ``(grads, outputs)`` where grads is a list of (dW, db) pairs
-    aligned with net.layers.
+    aligned with net.layers. For word-id inputs the first dW is a
+    ColumnGrad.
     """
     grads, outs, _ = _backward_full(net, x, target)
     return grads, outs
@@ -247,12 +270,15 @@ def _backward_full(net: Network, x, target):
     grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         if i == 0 and ids:
-            # the columns eye[ids] selects; add.at sums the deltas of a repeated id
-            dW = np.zeros_like(net.layers[0].W)
-            np.add.at(dW.T, x2, delta / batch)
+            # the columns eye[ids] selects; add.at sums the deltas of a repeated id in batch order
+            cols, where = np.unique(x2, return_inverse=True)
+            rows = np.zeros((len(cols), delta.shape[1]))
+            np.add.at(rows, where, delta / batch)
+            dW = ColumnGrad(cols, rows)
         else:
             inputs = outs[i - 1] if i > 0 else x2
-            dW = delta.T @ inputs / batch
+            dW = delta.T @ inputs
+            dW /= batch
         db = np.mean(delta, axis=0)
         grads[i] = (dW, db)
         if i > 0:
@@ -268,11 +294,26 @@ def _backward_full(net: Network, x, target):
 
 
 def sgd_step(net: Network, grads, lr: float) -> Network:
-    """In-place parameter update p <- p - lr * grad; returns the network."""
+    """In-place parameter update p <- p - lr * grad; returns the network.
+
+    The gradients are scaled by lr in place. A ColumnGrad moves only its
+    columns. The parameters are then scanned for NaN/Inf, unless numpy
+    already raises on overflow and invalid operations, as it does in the
+    trainers: there a step from finite values raises before it can write
+    one.
+    """
     for layer, (dW, db) in zip(net.layers, grads):
-        layer.W -= lr * dW
-        layer.b -= lr * db
-    net.check_finite()
+        if isinstance(dW, ColumnGrad):
+            dW.rows *= lr
+            layer.W[:, dW.cols] -= dW.rows.T
+        else:
+            dW *= lr
+            layer.W -= dW
+        db *= lr
+        layer.b -= db
+    err = np.geterr()
+    if not (err["over"] == "raise" and err["invalid"] == "raise"):
+        net.check_finite()
     return net
 
 
@@ -283,6 +324,8 @@ def gradient_check(net, x, target, epsilon=1e-5) -> float:
     grads, _ = backward(net, x, target)
     worst = 0.0
     for layer, (dW, db) in zip(net.layers, grads):
+        if isinstance(dW, ColumnGrad):
+            dW = dW.dense(layer.in_dim)
         for param, grad in ((layer.W, dW), (layer.b, db)):
             flat = param.reshape(-1)
             gflat = grad.reshape(-1)
@@ -316,6 +359,11 @@ def train_supervised(net, X, Y, config: TrainConfig) -> list:
     Y = word_ids(Y, net.layers[-1].out_dim) if _is_ids(Y) else np.asarray(Y, dtype=float)
     if X.shape[0] != Y.shape[0]:
         raise ValueError("X and Y row counts differ")
+    # checked once: under the guard, no later step can make a finite value non-finite silently
+    net.check_finite()
+    for name, a in (("inputs", X), ("targets", Y)):
+        if not _is_ids(a) and not np.all(np.isfinite(a)):
+            raise NumericError(f"non-finite training {name}")
     rng = np.random.default_rng(config.seed)
     n = X.shape[0]
     trace = []

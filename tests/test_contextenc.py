@@ -19,7 +19,7 @@ from wordsim.contextenc import (
 from wordsim.denoise import build_autoencoder, encode_all
 from wordsim.errors import BindingError, ConfigError, NumericError
 from wordsim.lexicon import Corpus
-from wordsim.neural import TrainConfig
+from wordsim.neural import TrainConfig, init_network
 
 from conftest import MALFORMED_ARRAYS, wide_lexicon
 
@@ -40,12 +40,25 @@ class TestBuild:
             {"hidden_size": 0},
             {"window": 0},
             {"window": -1},
+            {"n_embed": -2},
+            {"n_embed": -2, "window": -2},
         ],
-        ids=["n_embed-and-hidden", "n_embed", "hidden", "window", "negative-window"],
+        ids=["n_embed-and-hidden", "n_embed", "hidden", "window", "negative-window",
+             "negative-n_embed", "negative-n_embed-and-window"],
     )
     def test_size_below_one_rejected(self, context_lexicon, sizes):
         with pytest.raises(ConfigError, match="layer widths must be >= 1"):
             build_context_model(context_lexicon, **sizes)
+
+    def test_draws_follow_the_seeded_stream(self, context_lexicon):
+        """The rows are the seed's first draw and the predictor's weights the next ones."""
+        model = build_context_model(context_lexicon, n_embed=4, window=3, hidden_size=6, seed=9)
+        rng = np.random.default_rng(9)
+        U = rng.normal(0.0, 0.1, size=(len(context_lexicon), 4))
+        predictor = init_network([12, 6, len(context_lexicon)], ["sigmoid", "softmax"], rng)
+        assert model.U.tobytes() == U.tobytes()
+        for layer, expected in zip(model.predictor.layers, predictor.layers):
+            assert layer.W.tobytes() == expected.W.tobytes()
 
 
 class TestContextWindows:
@@ -93,6 +106,23 @@ class TestTrainContext:
         config = TrainConfig(batch_size=32, learning_rate=1e300, epochs=2, seed=0)
         with pytest.raises(NumericError):
             train_context(model, context_corpus, config)
+
+    @pytest.mark.parametrize("case", ["sigmoid-bias", "unused-row"])
+    def test_non_finite_parameter_rejected_before_any_step(self, context_lexicon, context_corpus, case):
+        model = build_context_model(context_lexicon, n_embed=4, window=3, seed=0)
+        if case == "sigmoid-bias":
+            model.predictor.layers[0].b[1] = np.inf  # the sigmoid squashes it to 1
+            match = "non-finite parameters in layer 0"
+        else:
+            model.U[context_lexicon.id_of("catt")] = np.nan  # a word the corpus never uses
+            match = "non-finite embedding rows"
+        snapshot = lambda: [model.U.tobytes(), model.pad_vec.tobytes()] + [  # noqa: E731
+            a.tobytes() for l in model.predictor.layers for a in (l.W, l.b)
+        ]
+        before = snapshot()
+        with pytest.raises(NumericError, match=match):
+            train_context(model, context_corpus, TrainConfig(batch_size=32, epochs=1))
+        assert snapshot() == before
 
     def test_repeated_sentence_memorized(self, context_lexicon):
         sent = tuple(context_lexicon.id_of(w) for w in ["the", "dog", "is", "very", "happy"])

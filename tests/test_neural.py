@@ -5,6 +5,7 @@ import pytest
 
 from wordsim.errors import ConfigError, NumericError
 from wordsim.neural import (
+    ColumnGrad,
     DenseLayer,
     Network,
     TrainConfig,
@@ -229,6 +230,14 @@ def assert_same_bytes(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def dense_grads(net, grads):
+    """grads with a first-layer ColumnGrad written out as the full one-hot dW."""
+    return [
+        (dW.dense(layer.in_dim) if isinstance(dW, ColumnGrad) else dW, db)
+        for layer, (dW, db) in zip(net.layers, grads)
+    ]
+
+
 class TestWordIds:
     """A 1-D integer array is the id form of one-hot rows: the results must not differ."""
 
@@ -236,8 +245,8 @@ class TestWordIds:
         net, eye = id_net(), np.eye(9)
         ids, tids = np.array([4, 0, 7, 2]), np.array([1, 1, 8, 0])
         grads, outs = backward(net, ids, tids)
-        dense_grads, dense_outs = backward(net, eye[ids], eye[tids])
-        for (dW, db), (dense_dW, dense_db) in zip(grads, dense_grads):
+        one_hot_grads, dense_outs = backward(net, eye[ids], eye[tids])
+        for (dW, db), (dense_dW, dense_db) in zip(dense_grads(net, grads), one_hot_grads):
             assert_same_bytes(dW, dense_dW)
             assert_same_bytes(db, dense_db)
         for out, dense_out in zip(outs, dense_outs):
@@ -251,11 +260,11 @@ class TestWordIds:
         net, eye = id_net(), np.eye(9)
         ids, tids = np.array([3, 5, 3, 3, 0, 5]), np.array([2, 2, 6, 1, 0, 4])
         grads, _ = backward(net, ids, tids)
-        dense_grads, _ = backward(net, eye[ids], eye[tids])
-        for (dW, db), (dense_dW, dense_db) in zip(grads, dense_grads):
+        one_hot_grads, _ = backward(net, eye[ids], eye[tids])
+        for (dW, db), (dense_dW, dense_db) in zip(dense_grads(net, grads), one_hot_grads):
             np.testing.assert_allclose(dW, dense_dW, rtol=1e-12, atol=0)
             np.testing.assert_allclose(db, dense_db, rtol=1e-12, atol=0)
-        assert np.count_nonzero(grads[0][0].any(axis=0)) == 3  # columns 0, 3 and 5
+        assert grads[0][0].cols.tolist() == [0, 3, 5]
 
     def test_gradient_check_with_ids(self):
         for seed in range(3):
@@ -293,6 +302,107 @@ class TestWordIds:
         # the seed-0 order visits row 0 second, so a per-batch check alone would update first
         for layer, W in zip(net.layers, before):
             assert np.array_equal(layer.W, W)
+
+
+class TestColumnStep:
+    """The first layer's id gradient is its touched columns, and the step moves only those."""
+
+    @pytest.mark.parametrize(
+        "ids", [[4, 0, 7, 2, 8, 1, 6, 3], [3, 5, 3, 0, 5, 7, 1, 2]], ids=["distinct", "repeated"]
+    )
+    def test_column_step_equals_the_one_hot_step(self, ids):
+        # a batch of 8 divides exactly, and two addends sum alike in any order,
+        # so the one-hot product must agree with the scatter to the byte
+        ids, tids = np.array(ids), np.array([1, 1, 8, 0, 2, 2, 5, 7])
+        net, reference, eye, lr = id_net(), id_net(), np.eye(9), 0.3
+        before = net.layers[0].W.copy()
+        grads, _ = backward(net, ids, tids)
+        assert grads[0][0].cols.tolist() == sorted(set(ids.tolist()))
+        sgd_step(net, grads, lr)
+        one_hot_grads, _ = backward(reference, eye[ids], eye[tids])
+        for layer, (dW, db) in zip(reference.layers, one_hot_grads):
+            layer.W -= lr * dW
+            layer.b -= lr * db
+        for layer, ref in zip(net.layers, reference.layers):
+            assert_same_bytes(layer.W, ref.W)
+            assert_same_bytes(layer.b, ref.b)
+        untouched = np.setdiff1d(np.arange(9), ids)
+        assert_same_bytes(net.layers[0].W[:, untouched], before[:, untouched])
+
+    def test_repeated_ids_sum_in_batch_order(self):
+        # one softmax layer: its output delta is known, so the reference is the dense
+        # scatter of delta / batch into a zero dW, in batch order
+        net = init_network([7, 7], ["softmax"], np.random.default_rng(12))
+        ids, tids, lr = np.array([2, 6, 2, 2, 0, 6, 2]), np.array([1, 3, 3, 0, 6, 5, 2]), 0.7
+        delta = forward(net, ids)[-1]
+        delta[np.arange(len(ids)), tids] -= 1.0
+        dW = np.zeros_like(net.layers[0].W)
+        np.add.at(dW.T, ids, delta / len(ids))
+        expected = net.layers[0].W - lr * dW
+        grads, _ = backward(net, ids, tids)
+        assert_same_bytes(grads[0][0].dense(7), dW)
+        sgd_step(net, grads, lr)
+        assert_same_bytes(net.layers[0].W, expected)
+
+
+class TestNumericAborts:
+    """Training checks its parameters once; inside it, numpy raises at the first overflow."""
+
+    def test_id_training_whose_step_overflows(self):
+        net = init_network([9, 4, 9], ["identity", "softmax"], np.random.default_rng(11))
+        net.layers[1].W *= 1e3  # first-layer deltas near 1e3: lr times them overflows in the step
+        r = np.random.default_rng(3)
+        X, Y = r.integers(0, 9, size=20), r.integers(0, 9, size=20)
+        config = TrainConfig(batch_size=5, learning_rate=1e306, epochs=1, seed=0)
+        with pytest.raises(NumericError, match="overflow"):
+            train_supervised(net, X, Y, config)
+
+    @pytest.mark.parametrize("case", ["sigmoid-bias", "unread-id-column"])
+    def test_non_finite_parameter_rejected_before_any_step(self, case):
+        r = np.random.default_rng(4)
+        if case == "sigmoid-bias":
+            # the sigmoid squashes +inf to 1, so no output shows it
+            net = init_network([3, 8, 2], ["sigmoid", "softmax"], r)
+            net.layers[0].b[2] = np.inf
+            X, Y = r.normal(size=(20, 3)), np.eye(2)[r.integers(0, 2, size=20)]
+        else:
+            # no batch gathers column 8
+            net = id_net()
+            net.layers[0].W[1, 8] = np.nan
+            X, Y = r.integers(0, 8, size=20), r.integers(0, 9, size=20)
+        before = [(l.W.tobytes(), l.b.tobytes()) for l in net.layers]
+        with pytest.raises(NumericError, match="non-finite parameters in layer 0"):
+            train_supervised(net, X, Y, TrainConfig(batch_size=5, epochs=2))
+        assert [(l.W.tobytes(), l.b.tobytes()) for l in net.layers] == before
+
+    @pytest.mark.parametrize("which", ["inputs", "targets"])
+    def test_non_finite_training_data_rejected(self, which):
+        r = np.random.default_rng(5)
+        net = init_network([3, 8, 2], ["sigmoid", "softmax"], r)
+        data = {"inputs": r.normal(size=(10, 3)), "targets": np.eye(2)[r.integers(0, 2, size=10)]}
+        data[which][4, 1] = np.inf
+        with pytest.raises(NumericError, match=f"non-finite training {which}"):
+            train_supervised(net, data["inputs"], data["targets"], TrainConfig(batch_size=5))
+
+    @pytest.mark.parametrize("first_input", ["rows", "ids"])
+    def test_direct_step_writing_inf_raises(self, first_input):
+        net = id_net()
+        x = np.array([2, 5]) if first_input == "ids" else np.eye(9)[[2, 5]]
+        grads, _ = backward(net, x, np.array([1, 3]))
+        if first_input == "ids":
+            grads[0][0].rows[1, 0] = np.inf
+        else:
+            grads[0][0][0, 5] = np.inf
+        with pytest.raises(NumericError, match="non-finite parameters in layer 0"):
+            sgd_step(net, grads, 0.1)
+
+    def test_parameters_scanned_once_per_training_run(self, monkeypatch):
+        scans = []
+        monkeypatch.setattr(Network, "check_finite", lambda self: scans.append(self))
+        r = np.random.default_rng(6)
+        net = id_net()
+        train_supervised(net, r.integers(0, 9, 30), r.integers(0, 9, 30), TrainConfig(batch_size=4, epochs=3))
+        assert scans == [net]
 
 
 class TestPersistence:

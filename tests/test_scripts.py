@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wordsim
-from wordsim import cli, denoise
+from wordsim import cli, denoise, neural
 
 from conftest import TOY_STANDARD, toy_variants
 
@@ -95,6 +95,23 @@ def test_bench_wrapped_bindings_exist(owner, name):
     for part in owner.split("."):
         obj = getattr(obj, part)
     assert callable(getattr(obj, name, None))
+
+
+def test_training_reaches_the_traced_backward_and_step(toy_lexicon, monkeypatch):
+    """bench/layers.py wraps neural.backward and neural.sgd_step to time each training batch."""
+    calls = {"backward": 0, "sgd_step": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(neural, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(neural, name, counting)
+    model = denoise.build_autoencoder(toy_lexicon, code_size=4, depth=5, seed=0)
+    config = neural.TrainConfig(batch_size=7, epochs=3, seed=0)
+    denoise.train_autoencoder(model, toy_lexicon, config)
+    examples = len(toy_lexicon.standard_of) + len(toy_lexicon.standard_ids)
+    batches = config.epochs * -(-examples // config.batch_size)
+    assert calls == {"backward": batches, "sgd_step": batches}
 
 
 def test_classical_metrics_are_traced_kernels():
