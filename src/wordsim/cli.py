@@ -14,7 +14,7 @@ import sys
 from . import contextenc, denoise, evalharness
 from .errors import NumericError, WordsimError
 from .evalharness import CLASSICAL_METRICS, EvalReport, MetricSpec
-from .lexicon import load_corpus, load_lexicon
+from .lexicon import _normalize, load_corpus, load_lexicon
 from .neural import TrainConfig
 
 EXIT_OK = 0
@@ -137,6 +137,11 @@ def _learned_spec(name, args):
     return MetricSpec(name, f"learned-{name}", {"model": model, "vec_metric": args.vec_metric})
 
 
+def _word_id(lex, word):
+    """Id of a word given on the command line, normalised as the lexicon file's words are."""
+    return lex.id_of(_normalize(word))
+
+
 def _unknown_metric(name):
     known = sorted(CLASSICAL_METRICS) + ["Da", "Dc"]
     print(f"unknown metric {name!r}; choose from {known}", file=sys.stderr)
@@ -151,7 +156,7 @@ def _cmd_dist(args):
         if not args.lexicon:
             raise WordsimError("--lexicon is required for learned metrics")
         lex = load_lexicon(args.lexicon)
-        i, j = lex.id_of(args.x), lex.id_of(args.y)
+        i, j = _word_id(lex, args.x), _word_id(lex, args.y)
         value = float(evalharness.scores(_learned_spec(name, args), lex, [i], [j])[0, 0])
     else:
         return _unknown_metric(name)
@@ -160,11 +165,14 @@ def _cmd_dist(args):
 
 
 def _cmd_nearest(args):
+    if args.model and args.embedding:
+        print("nearest takes one of --model and --embedding, not both", file=sys.stderr)
+        return EXIT_USAGE
     lex = load_lexicon(args.lexicon)
     if not (args.model or args.embedding):
         raise WordsimError("nearest needs --model or --embedding")
     spec = _learned_spec("Da" if args.model else "Dc", args)
-    qid = lex.id_of(args.query.casefold())
+    qid = _word_id(lex, args.query)
     for word_id, dist in denoise.nearest_standard(
         spec.params["model"], lex, qid, k=args.k, vec_metric=args.vec_metric
     ):

@@ -109,12 +109,22 @@ def encode(model: AutoencoderModel, lex: Lexicon, word_id: int) -> np.ndarray:
 
 
 def encode_all(model: AutoencoderModel, lex: Lexicon) -> np.ndarray:
-    """Codes for every lexicon word, one row per word id."""
-    lex.check_binding(model)
-    a = np.arange(len(lex))  # the id form of eye(|A|)
-    for layer in model.net.layers[: model.bottleneck_index + 1]:
-        a = neural._apply(layer.activation, neural._affine(layer, a))
-    return a
+    """Codes for every lexicon word, one row per word id, as a read-only array.
+
+    The codes are computed once per weight state and kept on model.net
+    until neural.sgd_step changes the weights, so a repeated call returns
+    the very array the first one computed. Edit a layer's W, b or
+    activation by hand only before the first call, or on a fresh or
+    reloaded model.
+    """
+    lex.check_binding(model)  # the bound lexicon fixes the rows, so the codes follow the weights
+    if model.net._codes is None:
+        a = np.arange(len(lex))  # the id form of eye(|A|)
+        for layer in model.net.layers[: model.bottleneck_index + 1]:
+            a = neural._apply(layer.activation, neural._affine(layer, a))
+        a.flags.writeable = False
+        model.net._codes = a
+    return model.net._codes
 
 
 def train_autoencoder(model: AutoencoderModel, lex: Lexicon, config: TrainConfig) -> list:

@@ -24,7 +24,7 @@ import os
 import shutil
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -115,7 +115,19 @@ class DenseLayer:
 
 @dataclass
 class Network:
+    """Dense layers from input to output.
+
+    A network also keeps the bottleneck codes that denoise.encode_all
+    last computed from its weights. sgd_step, the one function that
+    writes weights in place, empties that memo, and a network that is
+    built or loaded starts without one. Edit a layer's W, b or activation
+    by hand only before the first encode_all, or on a fresh or reloaded
+    network: a hand edit leaves stale codes in place.
+    """
+
     layers: List[DenseLayer]
+    # read-only codes of denoise.encode_all for the current weights; None until computed
+    _codes: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -300,8 +312,9 @@ def sgd_step(net: Network, grads, lr: float) -> Network:
     columns. The parameters are then scanned for NaN/Inf, unless numpy
     already raises on overflow and invalid operations, as it does in the
     trainers: there a step from finite values raises before it can write
-    one.
+    one. The network's memo of encode_all codes is emptied first.
     """
+    net._codes = None
     for layer, (dW, db) in zip(net.layers, grads):
         if isinstance(dW, ColumnGrad):
             dW.rows *= lr

@@ -77,6 +77,14 @@ def wide_lexicon():
     return build_lexicon([(f"x{i:03d}", f"s{i:03d}") for i in range(150)])
 
 
+def identity_codes(model, lex):
+    """The codes of every word as the product of eye(|A|) through the encoder: no memo, no ids."""
+    a = np.eye(len(lex))
+    for layer in model.net.layers[: model.bottleneck_index + 1]:
+        a = neural._apply(layer.activation, a @ layer.W.T + layer.b)
+    return a
+
+
 def _truncate(array):
     array["f8le"] = array["f8le"][:-4]  # still valid base64, three bytes short
 

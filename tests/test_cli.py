@@ -433,6 +433,30 @@ class TestLearnedScoring:
             assert capsys.readouterr().out == f"{metric}: {distance}\n"
             assert str(reference(lex.id_of("thng"), lex.id_of(word))) == distance
 
+    @pytest.mark.parametrize("metric,flag", [("Da", "--model"), ("Dc", "--embedding")])
+    def test_words_are_looked_up_as_the_lexicon_file_normalises_them(
+        self, trained, metric, flag, capsys
+    ):
+        pairs, models = trained
+        source = [flag, models[metric], "--lexicon", pairs]
+        assert main(["nearest", *source, "--query", "thng"]) == 0
+        listing = capsys.readouterr().out
+        assert main(["nearest", *source, "--query", " THNG "]) == 0
+        assert capsys.readouterr().out == listing
+        assert main(["dist", "--metric", metric, *source, "thng", "water"]) == 0
+        distance = capsys.readouterr().out
+        assert main(["dist", "--metric", metric, *source, "THNG", " Water "]) == 0
+        assert capsys.readouterr().out == distance
+
+    def test_nearest_with_two_model_sources_exit_2(self, trained, capsys):
+        pairs, models = trained
+        both = ["--model", models["Da"], "--embedding", models["Dc"], "--lexicon", pairs]
+        assert main(["nearest", *both, "--query", "thng"]) == 2
+        err = capsys.readouterr().err
+        assert "--model" in err and "--embedding" in err
+        # eval scores Da and Dc in one run, so it takes both
+        assert main(["eval", *both, "--metrics", "Da,Dc"]) == 0
+
     def test_nearest_embedding_of_another_lexicon_exit_3(self, trained, tmp_path, capsys):
         _, models = trained
         other = tmp_path / "other.tsv"

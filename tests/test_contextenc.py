@@ -16,12 +16,12 @@ from wordsim.contextenc import (
     train_combined,
     train_context,
 )
-from wordsim.denoise import build_autoencoder, encode_all
+from wordsim.denoise import build_autoencoder, encode_all, train_autoencoder
 from wordsim.errors import BindingError, ConfigError, NumericError
 from wordsim.lexicon import Corpus
 from wordsim.neural import TrainConfig, init_network
 
-from conftest import MALFORMED_ARRAYS, wide_lexicon
+from conftest import MALFORMED_ARRAYS, identity_codes, wide_lexicon
 
 
 def zeroed(model):
@@ -220,6 +220,28 @@ class TestTrainCombined:
             context_epochs_per_round=0,
         )
         assert np.allclose(emb.U, encode_all(ae, context_lexicon))
+
+    @pytest.mark.parametrize("ae_epochs", [1, 0])
+    def test_rounds_blend_the_codes_of_the_current_weights(
+        self, context_lexicon, context_corpus, ae_epochs
+    ):
+        # with ae_epochs 0 the weights never change, and every round may reuse the first codes
+        def build():
+            ctx = build_context_model(context_lexicon, n_embed=4, window=3, seed=3)
+            return ctx, build_autoencoder(context_lexicon, code_size=4, depth=5, seed=3)
+
+        ctx, ae = build()
+        emb = train_combined(
+            ctx, ae, context_lexicon, context_corpus, self.cfg(), rounds=2,
+            ae_epochs_per_round=ae_epochs,
+        )
+        ctx, ae = build()
+        for r in range(2):
+            train_context(ctx, context_corpus, self.cfg(seed=r))
+            if ae_epochs:
+                train_autoencoder(ae, context_lexicon, self.cfg(seed=r))
+            ctx.U = 0.5 * ctx.U + 0.5 * identity_codes(ae, context_lexicon)
+        assert emb.U.tobytes() == ctx.U.tobytes()
 
     def test_width_mismatch(self, context_lexicon, context_corpus):
         ctx = build_context_model(context_lexicon, n_embed=4, window=3)

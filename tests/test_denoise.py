@@ -21,7 +21,7 @@ from wordsim.errors import BindingError, ConfigError
 from wordsim.lexicon import build_lexicon
 from wordsim.neural import TrainConfig, forward
 
-from conftest import MALFORMED_ARRAYS, wide_lexicon
+from conftest import MALFORMED_ARRAYS, identity_codes, wide_lexicon
 
 
 def trained_model(lex, seed=0, epochs=100):
@@ -99,11 +99,52 @@ class TestEncode:
         model = build_autoencoder(toy_lexicon, code_size=6, depth=7, seed=2)
         for layer in model.net.layers[:-1]:
             layer.activation = activation
+        before = encode_all(model, toy_lexicon)  # training must not leave these codes behind
+        assert np.array_equal(before, identity_codes(model, toy_lexicon))
         train_autoencoder(model, toy_lexicon, TrainConfig(batch_size=16, learning_rate=0.1))
-        a = np.eye(len(toy_lexicon))
-        for layer in model.net.layers[: model.bottleneck_index + 1]:
-            a = neural._apply(layer.activation, a @ layer.W.T + layer.b)
-        assert np.array_equal(encode_all(model, toy_lexicon), a)
+        after = encode_all(model, toy_lexicon)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, identity_codes(model, toy_lexicon))
+
+    def test_encode_all_after_a_direct_sgd_step(self, toy_lexicon):
+        model = build_autoencoder(toy_lexicon, code_size=6, depth=5, seed=2)
+        before = encode_all(model, toy_lexicon)
+        grads, _ = neural.backward(model.net, np.array([0, 1]), np.array([1, 0]))
+        neural.sgd_step(model.net, grads, 0.1)
+        after = encode_all(model, toy_lexicon)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, identity_codes(model, toy_lexicon))
+
+    def test_encode_all_returns_one_read_only_array(self, small_lexicon):
+        model = build_autoencoder(small_lexicon, code_size=4, depth=5, seed=1)
+        codes = encode_all(model, small_lexicon)
+        assert encode_all(model, small_lexicon) is codes
+        with pytest.raises(ValueError):
+            codes[0, 0] = 1.0
+
+    def test_encode_all_hit_runs_no_layer_product(self, small_lexicon, monkeypatch):
+        model = build_autoencoder(small_lexicon, code_size=4, depth=5, seed=1)
+        calls = []
+        affine = neural._affine
+
+        def counted(layer, a):
+            calls.append(layer)
+            return affine(layer, a)
+
+        monkeypatch.setattr(neural, "_affine", counted)
+        codes = encode_all(model, small_lexicon)
+        assert len(calls) == model.bottleneck_index + 1
+        calls.clear()
+        assert encode_all(model, small_lexicon) is codes
+        assert calls == []
+
+    def test_a_loaded_model_encodes_afresh(self, small_lexicon, tmp_path):
+        model = build_autoencoder(small_lexicon, code_size=4, depth=5, seed=1)
+        codes = encode_all(model, small_lexicon)
+        save_autoencoder(model, tmp_path / "ae.json")
+        loaded = load_autoencoder(tmp_path / "ae.json")
+        assert loaded.net._codes is None
+        assert np.array_equal(encode_all(loaded, small_lexicon), codes)
 
 
 class TestTrain:
