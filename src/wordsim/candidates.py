@@ -3,19 +3,92 @@
 A CandidateTable holds one candidate set in the shapes the batched
 kernels of ``editfam`` and ``gramfam`` read: the characters as a matrix
 of alphabet indices sorted by length (longest first, so the candidates
-still active at any column form a prefix) and, built on first use, an
-inverted index of integer gram counts per gram length. Kernels return
-one value per candidate in the caller's order.
+still active at any column form a prefix) and, built on first use, the
+candidates as bit-parallel patterns and an inverted index of integer
+gram counts per gram length. Kernels return one value per candidate in
+the caller's order.
 """
 
 import numpy as np
 
-__all__ = ["CandidateTable", "GramIndex", "PAD", "MISSING"]
+__all__ = ["CandidateTable", "GramIndex", "PatternIndex", "LANE_BITS", "PAD", "MISSING"]
 
 #: Symbol beyond a candidate's length.
 PAD = -1
 #: Symbol of a query character that no candidate contains.
 MISSING = -2
+
+#: Width of one word of the bit-parallel patterns: a candidate of n
+#: characters takes ceil(n / LANE_BITS) uint64 words.
+LANE_BITS = 64
+
+
+class PatternIndex:
+    """A table's candidates as the patterns of the bit-parallel kernels.
+
+    Bit i of word w of a candidate stands for its character
+    ``LANE_BITS * w + i``; a candidate of n characters owns ceil(n /
+    LANE_BITS) words. The words lie in one flat vector of ``size``
+    uint64, a block per word position: block w runs from ``starts[w]``
+    over the ``reach[w]`` (length-sorted) candidates longer than
+    ``LANE_BITS * w``, in sorted order, so each block's candidates are a
+    prefix of the block before. ``length_bits`` has the bits of each
+    candidate's own characters set. For alphabet symbol s,
+    ``slots[indptr[s]:indptr[s + 1]]`` are the flat words holding s and
+    ``bits[...]`` the positions of s in them, so the index takes memory
+    in proportion to the table's total characters.
+    """
+
+    def __init__(self, table):
+        self.candidates = len(table)
+        self.reach = table.active[::LANE_BITS].tolist() or [0]
+        self.starts = [sum(self.reach[:w]) for w in range(len(self.reach))]
+        # (word w - 1, word w) of every candidate that reaches word w >= 1
+        self.carries = [
+            (slice(below, below + n), slice(start, start + n))
+            for below, start, n in zip(self.starts, self.starts[1:], self.reach[1:])
+        ]
+        self.size = sum(self.reach)
+        j, lane = np.nonzero(table.symbols_t >= 0)
+        word = j // LANE_BITS
+        flat = np.array(self.starts, dtype=np.int64)[word] + lane
+        bit = np.left_shift(np.uint64(1), (j % LANE_BITS).astype(np.uint64))
+        # one entry per (symbol, flat word), its bits OR-ed together
+        key = table.symbols_t[j, lane].astype(np.int64) * self.size + flat
+        order = np.argsort(key, kind="stable")
+        key, first = np.unique(key[order], return_index=True)
+        self.bits = np.bitwise_or.reduceat(bit[order], first)
+        symbol, self.slots = np.divmod(key, max(self.size, 1))
+        self.indptr = np.searchsorted(symbol, np.arange(len(table.alphabet) + 1)).tolist()
+        # per flat word, how many of its candidate's characters it holds (1..LANE_BITS)
+        held = np.concatenate([table.lengths[:n] - LANE_BITS * w for w, n in enumerate(self.reach)])
+        spare = (LANE_BITS - np.minimum(held, LANE_BITS)).astype(np.uint64)
+        self.length_bits = ~np.uint64(0) >> spare
+
+    def masks(self, symbols):
+        """(masks, rows): the match masks of a query's distinct symbols.
+
+        ``symbols`` are the query's alphabet indices (see
+        CandidateTable.symbols). ``masks[rows[i]]`` is the flat vector
+        with the bits set where each candidate holds query character i;
+        all zero for a character no candidate holds.
+        """
+        distinct = {}
+        rows = [distinct.setdefault(s, len(distinct)) for s in symbols.tolist()]
+        masks = np.zeros((len(distinct), self.size), dtype=np.uint64)
+        for s, row in distinct.items():
+            if s >= 0:
+                lo, hi = self.indptr[s], self.indptr[s + 1]
+                masks[row, self.slots[lo:hi]] = self.bits[lo:hi]
+        return masks, rows
+
+    def count(self, v):
+        """Per sorted candidate, the set bits of the flat vector v among its characters."""
+        ones = np.bitwise_count(v & self.length_bits)
+        out = np.zeros(self.candidates, dtype=np.int64)
+        for start, n in zip(self.starts, self.reach):
+            out[:n] += ones[start : start + n]
+        return out
 
 
 class GramIndex:
@@ -94,6 +167,9 @@ class CandidateTable:
     character j of sorted candidate c as an index into ``alphabet``, the
     sorted code points of all candidates, or PAD beyond its length.
     ``active[j]`` is the number of sorted candidates longer than j.
+    Built on first use, ``patterns()`` holds the candidates as the
+    bit-parallel patterns of the edit and LCS kernels, which step once per
+    query character over all of them, and ``grams(n)`` the gram counts.
     """
 
     def __init__(self, words):
@@ -110,6 +186,7 @@ class CandidateTable:
         self.symbols_t = np.full((width, len(ranked)), PAD, dtype=np.int32)
         for j, a in enumerate(self.active):
             self.symbols_t[j, :a] = [index[w[j]] for w in ranked[:a]]
+        self._patterns = None
         self._grams = {}
 
     def __len__(self):
@@ -122,6 +199,12 @@ class CandidateTable:
         found = pos < len(self.alphabet)
         found[found] = self.alphabet[pos[found]] == codes[found]
         return np.where(found, pos, MISSING).astype(np.int32)
+
+    def patterns(self) -> PatternIndex:
+        """The candidates as bit-parallel patterns, built on first use."""
+        if self._patterns is None:
+            self._patterns = PatternIndex(self)
+        return self._patterns
 
     def grams(self, n) -> GramIndex:
         """The n-gram index over the candidates, built on first use."""

@@ -165,12 +165,10 @@ def _cmd_dist(args):
 
 
 def _cmd_nearest(args):
-    if args.model and args.embedding:
-        print("nearest takes one of --model and --embedding, not both", file=sys.stderr)
+    if bool(args.model) == bool(args.embedding):
+        print("nearest takes exactly one of --model and --embedding", file=sys.stderr)
         return EXIT_USAGE
     lex = load_lexicon(args.lexicon)
-    if not (args.model or args.embedding):
-        raise WordsimError("nearest needs --model or --embedding")
     spec = _learned_spec("Da" if args.model else "Dc", args)
     qid = _word_id(lex, args.query)
     for word_id, dist in denoise.nearest_standard(

@@ -6,15 +6,19 @@ pure; empty strings are legal inputs unless stated otherwise.
 The scalar functions are the reference. Each ``*_many`` kernel scores one
 query against every candidate of a CandidateTable and returns exactly
 what the scalar function returns for each pair, as float64 in the
-table's caller order. The edit and LCS kernels are bit-parallel with the
-query as the pattern: each candidate holds ceil(|x| / LANE_BITS) uint64
-words, and additions and shifts carry from one word into the next, so a
-query of any length takes the same path.
+table's caller order. The edit and LCS kernels are bit-parallel with
+every candidate as its own pattern (``CandidateTable.patterns``): a
+candidate y holds ceil(|y| / LANE_BITS) uint64 words, additions and
+shifts carry from one word into the next, and the kernel takes one step
+per query character over all candidates at once, so a query of m
+characters costs m steps whatever the longest candidate.
 """
 
 import math
 
 import numpy as np
+
+from .candidates import LANE_BITS
 
 __all__ = [
     "INFINITE",
@@ -37,9 +41,7 @@ __all__ = [
 #: Marker for an unreachable episode-distance target.
 INFINITE = math.inf
 
-#: Width of one word of the bit-parallel kernels: a query of m characters
-#: takes ceil(m / LANE_BITS) uint64 words per candidate.
-LANE_BITS = 64
+_ONE = np.uint64(1)
 _TOP_BIT = np.uint64(LANE_BITS - 1)
 
 
@@ -58,44 +60,23 @@ def levenshtein(x: str, y: str) -> float:
     return prev[len(y)]
 
 
-def _match_masks(x: str, table) -> np.ndarray:
-    """The positions of each character in x, as words of LANE_BITS bits.
-
-    Bit i of masks[c, w] is set where x[LANE_BITS * w + i] is alphabet
-    character c of the table. Shape (alphabet + 1, ceil(|x| / LANE_BITS));
-    the last row, which PAD indexes, stays 0.
-    """
-    masks = np.zeros((len(table.alphabet) + 1, -(-len(x) // LANE_BITS)), dtype=np.uint64)
-    for i, symbol in enumerate(table.symbols(x)):
-        if symbol >= 0:
-            masks[symbol, i // LANE_BITS] |= np.uint64(1 << (i % LANE_BITS))
-    return masks
-
-
-def _pattern_bits(m: int) -> np.ndarray:
-    """Per word, the bits that hold pattern positions 0..m-1."""
-    words = -(-m // LANE_BITS)
-    bits = np.full(words, ~np.uint64(0))
-    bits[-1] >>= np.uint64(words * LANE_BITS - m)
-    return bits
-
-
-def _add_carries(total, low, high):
+def _add_carries(total, low, high, patterns):
     """Carry the word-wise sum total = low + high from each word into the next, in place.
 
-    Axis 1 holds the words, lowest first; low's bits are a subset of high's.
+    The flat vectors are laid out as ``patterns`` (a PatternIndex) says;
+    low's bits are a subset of high's.
     """
-    for w in range(1, total.shape[1]):
-        total[:, w] += (low[:, w - 1] | (high[:, w - 1] & ~total[:, w - 1])) >> _TOP_BIT
+    for below, word in patterns.carries:
+        total[word] += (low[below] | (high[below] & ~total[below])) >> _TOP_BIT
 
 
-def _shift_up(v, first):
-    """v << 1 across the words on axis 1, with the bit first shifted into word 0."""
-    out = v << 1
+def _shift_up(v, first, patterns):
+    """v << 1 across each candidate's words, with the bit first shifted into its word 0."""
+    out = v << _ONE
     if first:
-        out[:, 0] |= first
-    if v.shape[1] > 1:
-        out[:, 1:] |= v[:, :-1] >> _TOP_BIT
+        out[: patterns.reach[0]] |= first
+    for below, word in patterns.carries:
+        out[word] |= v[below] >> _TOP_BIT
     return out
 
 
@@ -103,39 +84,34 @@ def _edit_distances(x: str, table, transpositions: bool) -> np.ndarray:
     """Unit-cost (or OSA) distance from x to each sorted candidate.
 
     Hyyroe's formulation of Myers' algorithm (J. ACM 1999) for the global
-    distance, with Hyyroe's (2003) transposition term for OSA, over
-    ceil(|x| / LANE_BITS) words per candidate (Hyyroe 2003's blocks).
+    distance, with Hyyroe's (2003) transposition term for OSA, with each
+    candidate as the pattern over its own words (Hyyroe 2003's blocks) and
+    one step per character of x. Both distances are symmetric, so this is
+    the distance from x as well as to it.
     """
     if not x:
         return table.lengths.astype(np.float64)
-    size = len(table)
-    masks = _match_masks(x, table)
-    words = masks.shape[1]
-    vp = np.full((size, words), ~np.uint64(0))
-    vn = np.zeros((size, words), dtype=np.uint64)
-    d0 = np.zeros((size, words), dtype=np.uint64)
-    pm_prev = np.zeros((size, words), dtype=np.uint64)
-    for j, a in enumerate(table.active):
-        pm, v_p, v_n = masks.take(table.symbols_t[j, :a], axis=0), vp[:a], vn[:a]
-        low = pm & v_p
-        total = low + v_p
-        if words > 1:
-            _add_carries(total, low, v_p)
-        diag = (total ^ v_p) | pm | v_n
+    patterns = table.patterns()
+    masks, rows = patterns.masks(table.symbols(x))
+    vp = np.full(patterns.size, ~np.uint64(0))
+    vn = np.zeros(patterns.size, dtype=np.uint64)
+    d0 = pm_prev = np.zeros(patterns.size, dtype=np.uint64)  # rebound, never written in place
+    for row in rows:
+        pm = masks[row]
+        low = pm & vp
+        total = low + vp
+        _add_carries(total, low, vp, patterns)
+        diag = (total ^ vp) | pm | vn
         if transpositions:
-            diag |= _shift_up(~d0[:a] & pm, 0) & pm_prev[:a]
-            d0[:a] = diag
-            pm_prev[:a] = pm
-        hp = _shift_up(v_n | ~(diag | v_p), 1)
-        hn = _shift_up(diag & v_p, 0)
-        vp[:a] = hn | ~(diag | hp)
-        vn[:a] = hp & diag
-    # each candidate's state stopped at its own last column |y|: its distance
-    # is D[0][|y|] = |y| plus the vertical steps +1 (vp) and -1 (vn) down it
-    pattern = _pattern_bits(len(x))
-    ups = np.bitwise_count(vp & pattern).sum(axis=1, dtype=np.int64)
-    downs = np.bitwise_count(vn & pattern).sum(axis=1, dtype=np.int64)
-    return (table.lengths + ups - downs).astype(np.float64)
+            diag |= _shift_up(~d0 & pm, 0, patterns) & pm_prev
+            d0, pm_prev = diag, pm
+        hp = _shift_up(vn | ~(diag | vp), _ONE, patterns)
+        hn = _shift_up(diag & vp, 0, patterns)
+        vp = hn | ~(diag | hp)
+        vn = hp & diag
+    # the column after x's last character: the distance to candidate y is
+    # D[|y|][|x|] = |x| plus the vertical steps +1 (vp) and -1 (vn) down y
+    return (len(x) + patterns.count(vp) - patterns.count(vn)).astype(np.float64)
 
 
 def levenshtein_many(x: str, table) -> np.ndarray:
@@ -220,24 +196,23 @@ def lcs_distance(x: str, y: str) -> int:
 def _lcs_lengths(x: str, table) -> np.ndarray:
     """LCS length of x with each sorted candidate.
 
-    Bit-parallel LCS (Allison and Dix 1986; Hyyroe 2004) over
-    ceil(|x| / LANE_BITS) words per candidate: the zero bits of the state
-    vector count the matched pattern positions. Only the addition carries
-    from word to word; s - u borrows nowhere, as u's bits are a subset of s's.
+    Bit-parallel LCS (Allison and Dix 1986; Hyyroe 2004) with each
+    candidate as the pattern over its own words and one step per character
+    of x: the zero bits of the state vector count the matched candidate
+    positions. Only the addition carries from word to word; s - u borrows
+    nowhere, as u's bits are a subset of s's.
     """
     if not x:
         return np.zeros(len(table), dtype=np.int64)
-    masks = _match_masks(x, table)
-    words = masks.shape[1]
-    state = np.full((len(table), words), ~np.uint64(0))
-    for j, a in enumerate(table.active):
-        s = state[:a]
-        u = s & masks.take(table.symbols_t[j, :a], axis=0)
-        total = s + u
-        if words > 1:
-            _add_carries(total, u, s)
-        state[:a] = total | (s - u)
-    return np.bitwise_count(~state & _pattern_bits(len(x))).sum(axis=1, dtype=np.int64)
+    patterns = table.patterns()
+    masks, rows = patterns.masks(table.symbols(x))
+    state = np.full(patterns.size, ~np.uint64(0))
+    for row in rows:
+        u = state & masks[row]
+        total = state + u
+        _add_carries(total, u, state, patterns)
+        state = total | (state - u)
+    return patterns.count(~state)
 
 
 def lcs_distance_many(x: str, table) -> np.ndarray:

@@ -18,7 +18,7 @@ from .candidates import CandidateTable
 from .denoise import AutoencoderModel, encode_all
 from .contextenc import EmbeddingMatrix
 from .errors import BindingError, ConfigError
-from .lexicon import Lexicon, word_ids
+from .lexicon import Lexicon, _normalize, word_ids
 from .vecdist import vector_metric
 
 __all__ = [
@@ -170,11 +170,13 @@ def qualitative_neighbors(spec: MetricSpec, lex: Lexicon, queries, k=5):
     """Per-query top-k neighbor listings.
 
     D_a restricts candidates to standard words; D_c and classical metrics
-    rank the whole vocabulary but the query itself. Unknown query words
-    yield an error entry without aborting the run.
+    rank the whole vocabulary but the query itself. Query words are looked
+    up normalised as the lexicon file's words are, and the listings keyed
+    by the words as given. Unknown query words yield an error entry
+    without aborting the run.
     """
-    known = [q for q in queries if q in lex]
-    qids = [lex.id_of(q) for q in known]
+    known = [q for q in queries if _normalize(q) in lex]
+    qids = [lex.id_of(_normalize(q)) for q in known]
     if spec.kind == "learned-Da":
         candidates = np.array(lex.standard_ids)
     else:

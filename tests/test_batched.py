@@ -117,6 +117,30 @@ def test_word_boundaries(name):
     assert_kernel_matches(name, x, ["", "a", x, x[::-1], x[:-1], x + "b"])
 
 
+@pytest.mark.parametrize("name", EDIT_METRICS)
+def test_candidate_word_boundaries(name):
+    # every candidate is its own pattern, so the long strings are candidates here
+    for bit in (63, 127):
+        words = ["c" * bit + "ab" + "c" * 5, "a" * bit, "a" * (bit + 1), "b" * bit + "a", "ab", ""]
+        for x in ["a", "b", "ab", "ba", "cab", "acb"]:
+            assert_kernel_matches(name, x, words)
+        # an adjacent transposition of the candidate's bits bit and bit + 1
+        y = "c" * bit + "ab" + "c" * 5
+        for x in ["c" * bit + "ba" + "c" * 5, "c" * (bit - 1) + "ba" + "c" * 6, "ba"]:
+            assert_kernel_matches(name, x, [y, y[: bit + 1], y[::-1], "ab"])
+    # empty candidates beside 130-character ones
+    words = ["", "ab" * 65, "", "b" * 130, "a"]
+    for x in ["", "a", "ba", "ab" * 65, "b" * 129]:
+        assert_kernel_matches(name, x, words)
+    # a table whose only candidates are empty
+    for words in ([""], ["", ""]):
+        for x in ["", "a", "ab" * 40]:
+            assert_kernel_matches(name, x, words)
+    # query characters that no candidate holds
+    for x in ["z", "azb", "ab" + "z" * 70, "zq" * 3]:
+        assert_kernel_matches(name, x, ["a" * 130, "ab" * 33, "b", ""])
+
+
 def test_long_queries_take_the_batched_path(monkeypatch):
     def forbidden(*args):
         raise AssertionError("scalar function called")

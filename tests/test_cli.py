@@ -457,6 +457,13 @@ class TestLearnedScoring:
         # eval scores Da and Dc in one run, so it takes both
         assert main(["eval", *both, "--metrics", "Da,Dc"]) == 0
 
+    def test_nearest_without_a_model_source_exit_2(self, tmp_path, capsys):
+        # a usage error found before the lexicon is read: the file need not exist
+        missing = tmp_path / "missing.tsv"
+        assert main(["nearest", "--lexicon", str(missing), "--query", "thng"]) == 2
+        err = capsys.readouterr().err
+        assert "--model" in err and "--embedding" in err
+
     def test_nearest_embedding_of_another_lexicon_exit_3(self, trained, tmp_path, capsys):
         _, models = trained
         other = tmp_path / "other.tsv"

@@ -164,6 +164,13 @@ class TestQualitativeNeighbors:
         assert "error" in out["zzzz"]
         assert "neighbors" in out["thng"]
 
+    def test_query_words_are_looked_up_normalised(self, toy_lexicon):
+        spec = MetricSpec(name="levenshtein")
+        out = qualitative_neighbors(spec, toy_lexicon, ["THNG", " thng ", "thng"], k=3)
+        assert list(out) == ["THNG", " thng ", "thng"]
+        assert out["THNG"] == out[" thng "] == out["thng"]
+        assert "thng" not in [n["word"] for n in out["THNG"]["neighbors"]]
+
 
 class TestExportReport:
     def report(self):

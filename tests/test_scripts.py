@@ -1,6 +1,7 @@
 import importlib.util
 import inspect
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,6 +51,19 @@ def test_full_pipeline_runs_the_cli_commands(tmp_path):
         data["metadata"].pop("created")
         models.append(data)
     assert models[0] == models[1]
+
+
+def test_bench_smoke_run_of_the_classical_eval_is_correct():
+    """A one-second eval-classical run checks every kernel against the bench's scalar oracle."""
+    argv = ["bench/run.py", "--workload", "eval-classical", "--smoke", "--seed", "3",
+            "--seconds", "1", "--trace", "0"]
+    done = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True
+    assert summary["failed"] == 0
 
 
 # the names bench/layers.py wraps in a traced run, per wordsim module
