@@ -4,19 +4,25 @@ A CandidateTable holds one candidate set in the shapes the batched
 kernels of ``editfam`` and ``gramfam`` read: the characters as a matrix
 of alphabet indices sorted by length (longest first, so the candidates
 still active at any column form a prefix) and, built on first use, the
-candidates as bit-parallel patterns and an inverted index of integer
-gram counts per gram length. Kernels return one value per candidate in
-the caller's order.
+candidates as bit-parallel patterns, as the cells of one flat DP row,
+and an inverted index of integer gram counts per gram length. Kernels
+return one value per candidate in the caller's order.
 """
 
 import numpy as np
 
-__all__ = ["CandidateTable", "GramIndex", "PatternIndex", "LANE_BITS", "PAD", "MISSING"]
+__all__ = [
+    "CandidateTable", "CellLayout", "GramIndex", "PatternIndex",
+    "LANE_BITS", "PAD", "MISSING", "HEAD",
+]
 
 #: Symbol beyond a candidate's length.
 PAD = -1
 #: Symbol of a query character that no candidate contains.
 MISSING = -2
+#: Symbol of the head padding before a string's first character; it
+#: equals only itself, as the reserved boundary character does.
+HEAD = -3
 
 #: Width of one word of the bit-parallel patterns: a candidate of n
 #: characters takes ceil(n / LANE_BITS) uint64 words.
@@ -89,6 +95,42 @@ class PatternIndex:
         for start, n in zip(self.starts, self.reach):
             out[:n] += ones[start : start + n]
         return out
+
+
+class CellLayout:
+    """A table's candidates as the cells of one flat DP row.
+
+    The (length-sorted) candidates lie one after another: candidate c
+    owns the ``lengths[c] + 1`` cells ``starts[c]`` to ``ends[c]``, cell j
+    standing for its prefix of j characters, so the row holds the
+    table's total characters plus one cell per candidate. ``gram_symbols(n)``
+    gives, per cell j >= 1, the n symbols of the head-padded gram
+    ending at character j, built on first use for each n.
+    """
+
+    def __init__(self, table):
+        self.lengths = table.lengths
+        self.ends = np.cumsum(self.lengths + 1) - 1
+        self.starts = self.ends - self.lengths
+        # cell j >= 1 holds the symbol of character j - 1; cell 0 the head padding
+        head = np.full((1, len(table)), HEAD, dtype=np.int32)
+        lanes = np.vstack([head, table.symbols_t]).T
+        self.symbols = lanes[lanes != PAD]
+        self.size = len(self.symbols)
+        self._grams = {}
+
+    def gram_symbols(self, n) -> np.ndarray:
+        """(n, size) int32: row t is symbol t of each cell's head-padded n-gram."""
+        grams = self._grams.get(n)
+        if grams is None:
+            grams = self._grams[n] = np.full((n, self.size), HEAD, dtype=np.int32)
+            # position j of every cell within its candidate
+            offset = np.arange(self.size) - np.repeat(self.starts, self.lengths + 1)
+            for t in range(n):
+                back = n - 1 - t  # characters before the cell's own
+                cells = np.nonzero(offset > back)[0]
+                grams[t, cells] = self.symbols[cells - back]
+        return grams
 
 
 class GramIndex:
@@ -168,8 +210,12 @@ class CandidateTable:
     sorted code points of all candidates, or PAD beyond its length.
     ``active[j]`` is the number of sorted candidates longer than j.
     Built on first use, ``patterns()`` holds the candidates as the
-    bit-parallel patterns of the edit and LCS kernels, which step once per
-    query character over all of them, and ``grams(n)`` the gram counts.
+    bit-parallel patterns of the edit and LCS kernels and ``cells()`` as
+    the flat DP row of the Kondrak kernel; both kernels step once per query
+    character over all candidates. ``grams(n)`` holds the gram counts.
+    The patterns and the cells take memory in proportion to the table's
+    total characters; the cells take 4 bytes a cell, plus 4n bytes a cell
+    for each gram length n asked for.
     """
 
     def __init__(self, words):
@@ -187,6 +233,7 @@ class CandidateTable:
         for j, a in enumerate(self.active):
             self.symbols_t[j, :a] = [index[w[j]] for w in ranked[:a]]
         self._patterns = None
+        self._cells = None
         self._grams = {}
 
     def __len__(self):
@@ -205,6 +252,12 @@ class CandidateTable:
         if self._patterns is None:
             self._patterns = PatternIndex(self)
         return self._patterns
+
+    def cells(self) -> CellLayout:
+        """The candidates as the cells of one flat DP row, built on first use."""
+        if self._cells is None:
+            self._cells = CellLayout(self)
+        return self._cells
 
     def grams(self, n) -> GramIndex:
         """The n-gram index over the candidates, built on first use."""

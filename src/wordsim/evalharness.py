@@ -152,6 +152,8 @@ def _top_k(distances, ids, k):
 
 def evaluate_accuracy(spec: MetricSpec, lex: Lexicon, ks=(1, 5)) -> dict:
     """accuracy@k (percent) of recovering the true standard form."""
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be >= 1")
     queries = list(lex.nonstandard_ids)
     if not queries:
         raise ConfigError("lexicon has no non-standard words to evaluate")
@@ -175,6 +177,8 @@ def qualitative_neighbors(spec: MetricSpec, lex: Lexicon, queries, k=5):
     by the words as given. Unknown query words yield an error entry
     without aborting the run.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     known = [q for q in queries if _normalize(q) in lex]
     qids = [lex.id_of(_normalize(q)) for q in known]
     if spec.kind == "learned-Da":

@@ -8,8 +8,10 @@ The scalar functions are the reference. Each ``*_many`` kernel scores one
 query against every candidate of a CandidateTable and returns exactly
 what the scalar distance returns for each pair, as float64 in the table's
 caller order, with +inf wherever the scalar function raises ValueError.
-Gram metrics read the table's integer gram counts; the Kondrak distance
-runs its DP across all candidates at once.
+Gram metrics read the table's integer gram counts. The Kondrak distance
+runs its DP in integers, costs scaled by n, so both its forms give the
+exact distance rounded once to float64; the kernel takes one step per
+query character over the cells of all candidates.
 """
 
 import math
@@ -17,7 +19,7 @@ from collections import Counter
 
 import numpy as np
 
-from .candidates import MISSING
+from .candidates import HEAD
 
 __all__ = [
     "ngram_profile",
@@ -84,6 +86,9 @@ def kondrak_ngram_distance(x: str, y: str, n: int = 2) -> float:
     for position j of y costs the fraction of differing characters between
     the head-padded n-grams ending at those positions. Result normalized
     to [0, 1] by max length. n=1 reduces to the normalized Levenshtein.
+
+    The DP runs in integers, every cost scaled by n, so the result is the
+    exact distance rounded once to float64.
     """
     if n < 1:
         raise ValueError("gram length must be >= 1")
@@ -94,52 +99,58 @@ def kondrak_ngram_distance(x: str, y: str, n: int = 2) -> float:
     pad = BOUNDARY * (n - 1)
     px, py = pad + x, pad + y
     m, k = len(x), len(y)
-    d = [[0.0] * (k + 1) for _ in range(m + 1)]
+    # d[i][j] is n times the distance between x[:i] and y[:j]
+    d = [[0] * (k + 1) for _ in range(m + 1)]
     for i in range(1, m + 1):
-        d[i][0] = float(i)
+        d[i][0] = n * i
     for j in range(1, k + 1):
-        d[0][j] = float(j)
+        d[0][j] = n * j
     for i in range(1, m + 1):
         gx = px[i - 1 : i - 1 + n]
         for j in range(1, k + 1):
             gy = py[j - 1 : j - 1 + n]
-            cost = sum(a != b for a, b in zip(gx, gy)) / n
-            d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1, d[i - 1][j - 1] + cost)
-    return d[m][k] / max(m, k)
+            cost = sum(a != b for a, b in zip(gx, gy))
+            d[i][j] = min(d[i - 1][j] + n, d[i][j - 1] + n, d[i - 1][j - 1] + cost)
+    return d[m][k] / (n * max(m, k))
 
 
 def kondrak_ngram_distance_many(x: str, table, n: int = 2) -> np.ndarray:
     """kondrak_ngram_distance(x, y, n) for every candidate y.
 
-    The DP of the scalar function, one column (position of y) at a time
-    across all candidates, with the same operations per cell.
+    The integer DP of the scalar function, one row (position i of x) at a
+    time over the cells of every candidate (see CellLayout). Cell p,
+    column j of sorted candidate c, holds D[i][j] - n * (p + m * c). The
+    shift turns the chain D[i][j - 1] + n into one running minimum over
+    the row. As no D is negative and i <= m, every cell of the candidates
+    before c holds at least what column 0 of c does, D[i - 1][0] + n =
+    n * i shifted, and so does the diagonal from the last of them: column
+    0 needs no case of its own and no minimum runs across candidates.
     """
     if n < 1 or not x or BOUNDARY in x:
         return _undefined(table)
     m = len(x)
-    width, size = table.symbols_t.shape
-    # head padding compares equal only to head padding, as BOUNDARY does
-    head = MISSING - 1
-    padded = np.full((n - 1 + width, size), head, dtype=np.int32)
-    padded[n - 1 :] = table.symbols_t
-    query = np.concatenate([np.full(n - 1, head, dtype=np.int32), table.symbols(x)])
-    grams = np.lib.stride_tricks.sliding_window_view(query, n)[:, :, None]  # row i-1: gram i of x
-    d = np.repeat(np.arange(m + 1, dtype=np.float64)[:, None], size, axis=1)  # d[i][0] = i
-    last = np.empty(size)  # d[m][len(y)]
-    step = np.empty(size)
-    for j in range(1, width + 1):
-        a = table.active[j - 1]
-        cost = (grams != padded[j - 1 : j - 1 + n, :a]).sum(axis=1) / n  # gram j of y
-        # min(d[i][j-1] + 1, d[i-1][j-1] + cost) for every i; d[i-1][j] + 1 follows
-        best = np.minimum(d[1:, :a] + 1, d[:-1, :a] + cost)
-        d[0, :a] = float(j)
-        for i in range(1, m + 1):
-            np.add(d[i - 1, :a], 1, out=step[:a])
-            np.minimum(best[i - 1], step[:a], out=d[i, :a])
-        done = table.active[j] if j < width else 0
-        last[done:a] = d[m, done:a]
+    cells = table.cells()
+    # the grams of cells 1.., each beside the diagonal from the cell before it
+    grams = cells.gram_symbols(n)[:, 1:]
+    query = np.concatenate([np.full(n - 1, HEAD, dtype=np.int32), table.symbols(x)])
     lengths = table.lengths
-    out = last / np.maximum(m, lengths)
+    # row 0, D[0][j] = n * j, is one shifted value per candidate
+    base = -n * (cells.starts + m * np.arange(len(table)))
+    row = np.repeat(base, lengths + 1)
+    best = np.empty_like(row)
+    diag = np.empty_like(row[1:])
+    equal = np.empty(len(diag), dtype=bool)
+    for i in range(1, m + 1):
+        np.add(row, n, out=best)  # D[i - 1][j] + n
+        # D[i - 1][j - 1] + n - (matching characters of the two grams)
+        np.equal(grams[0], query[i - 1], out=equal)
+        np.subtract(row[:-1], equal, out=diag)
+        for t in range(1, n):
+            np.equal(grams[t], query[i - 1 + t], out=equal)
+            np.subtract(diag, equal, out=diag)
+        np.minimum(best[1:], diag, out=best[1:])
+        np.minimum.accumulate(best, out=row)
+    out = (row[cells.ends] - base + n * lengths) / (n * np.maximum(m, lengths))
     out[lengths == 0] = np.inf
     if len(table.alphabet) and table.alphabet[0] == ord(BOUNDARY):
         out[(table.symbols_t == 0).any(axis=0)] = np.inf

@@ -2,11 +2,13 @@
 
 These deliberately avoid the dynamic-programming formulation used by the
 library: distances come from explicit edit-script search (BFS over the
-string space, or branch-and-bound over scripts).
+string space, or branch-and-bound over scripts) or from enumerating
+every alignment.
 """
 
 from collections import deque
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 
 def all_strings(alphabet, max_len):
@@ -85,3 +87,31 @@ def osa_script_search(x, y):
 
     go(0, 0, 0)
     return best[0]
+
+
+def kondrak_alignment_search(x, y, n):
+    """Kondrak's n-gram distance as an exact Fraction, by enumerating alignments.
+
+    A monotone alignment pairs positions i1 < i2 < ... of x with j1 < j2 <
+    ... of y. A pair costs the share of the n gram characters that differ
+    between the grams ending at its two positions, both padded at the head
+    with a marker that equals only itself; every unpaired character of
+    either string costs 1. The distance is the least total cost over all
+    alignments, divided by the longer length. Enumeration grows
+    combinatorially, so keep the strings short.
+    """
+
+    def gram(s, i):
+        return tuple(s[p] if p >= 0 else None for p in range(i - n + 1, i + 1))
+
+    best = None
+    for r in range(min(len(x), len(y)) + 1):
+        for xs in combinations(range(len(x)), r):
+            for ys in combinations(range(len(y)), r):
+                cost = Fraction(len(x) + len(y) - 2 * r)
+                for i, j in zip(xs, ys):
+                    differ = sum(a != b for a, b in zip(gram(x, i), gram(y, j)))
+                    cost += Fraction(differ, n)
+                if best is None or cost < best:
+                    best = cost
+    return best / max(len(x), len(y))

@@ -141,6 +141,34 @@ def test_candidate_word_boundaries(name):
         assert_kernel_matches(name, x, ["a" * 130, "ab" * 33, "b", ""])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_kondrak_boundaries(n):
+    y130 = "ab" * 65
+    cases = [
+        # an empty table
+        ([], ["", "a", "ab" * 40]),
+        # tables of empty candidates only
+        ([""], ["", "a", "ab"]),
+        (["", "", ""], ["a", "ab" * 40]),
+        # empty candidates beside 130-character ones
+        (["", y130, "", "b" * 130, "a"], ["", "a", "ba", y130, "b" * 129]),
+        # n above every candidate's length
+        (["a", "ab", "ba", "b"], ["a", "ab", "abab", "ba" * 3]),
+        # candidates holding the boundary character beside normal ones
+        (["ab", "a" + BOUNDARY + "b", BOUNDARY, "ba", BOUNDARY + "a"], ["a", "ab", "bab"]),
+        # a query longer than every candidate
+        (["ab", "ba", "a", "bb"], ["ab" * 40, "ba" * 7 + "a"]),
+        # query characters that no candidate holds
+        (["a" * 130, "ab" * 33, "b", ""], ["z", "azb", "ab" + "z" * 70, "zq" * 3]),
+        # a single candidate
+        (["abc"], ["abc", "cba", "a", "é中", "abc" * 30]),
+        ([y130], ["a", y130, y130[::-1], y130 + "b"]),
+    ]
+    for words, queries in cases:
+        for x in queries:
+            assert_kernel_matches("ngram", x, words, n=n)
+
+
 def test_long_queries_take_the_batched_path(monkeypatch):
     def forbidden(*args):
         raise AssertionError("scalar function called")

@@ -77,6 +77,20 @@ class TestEvaluateAccuracy:
         with pytest.raises(ConfigError):
             evaluate_accuracy(MetricSpec(name="levenshtein"), all_standard)
 
+    @pytest.mark.parametrize("ks", [(0,), (1, -1), (-5, 5)])
+    def test_k_below_one_rejected(self, ks):
+        lex = build_lexicon([("thng", "thing")])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            evaluate_accuracy(MetricSpec(name="levenshtein"), lex, ks=ks)
+
+    def test_exact_ngram_tie_ranks_by_word_id(self):
+        # at n=3 both candidates are exactly 3/4 from the query; the one of
+        # lower id ranks first, whatever the rounding of the two values
+        lex = build_lexicon([("cqaieffk", "cqaieffk"), ("ghtlfci", "noytztnd")])
+        assert lex.id_of("cqaieffk") < lex.id_of("noytztnd")
+        spec = MetricSpec(name="ngram", params={"n": 3})
+        assert evaluate_accuracy(spec, lex, ks=(1, 2)) == {1: 0.0, 2: 100.0}
+
 
 def ranked(distances, ids):
     """Every id ordered by (distance, id), as the listings order them."""
@@ -163,6 +177,12 @@ class TestQualitativeNeighbors:
         out = qualitative_neighbors(spec, toy_lexicon, ["zzzz", "thng"], k=2)
         assert "error" in out["zzzz"]
         assert "neighbors" in out["thng"]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        lex = build_lexicon([("thng", "thing"), ("nite", "night"), ("wat", "what")])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            qualitative_neighbors(MetricSpec(name="levenshtein"), lex, ["thng"], k=k)
 
     def test_query_words_are_looked_up_normalised(self, toy_lexicon):
         spec = MetricSpec(name="levenshtein")

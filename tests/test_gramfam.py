@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import kondrak_alignment_search
 
 from wordsim.editfam import normalized_levenshtein
 from wordsim.gramfam import (
@@ -15,6 +16,8 @@ from wordsim.gramfam import (
 
 words = st.text(alphabet="abcde", min_size=0, max_size=8)
 nonempty = st.text(alphabet="abcde", min_size=1, max_size=8)
+# small enough for the alignment oracle to enumerate
+tiny = st.text(alphabet="abc", min_size=1, max_size=4)
 
 
 class TestNgramProfile:
@@ -90,6 +93,22 @@ class TestKondrakNgram:
         d = kondrak_ngram_distance(x, y, 2)
         assert d == pytest.approx(kondrak_ngram_distance(y, x, 2))
         assert 0 <= d <= 1
+
+    @settings(max_examples=400)
+    @given(x=tiny, y=tiny, n=st.integers(1, 4))
+    def test_equals_alignment_oracle(self, x, y, n):
+        # the exact distance, rounded once
+        assert kondrak_ngram_distance(x, y, n) == float(kondrak_alignment_search(x, y, n))
+
+    @settings(max_examples=200)
+    @given(x=nonempty, y=nonempty, n=st.integers(1, 4))
+    def test_exactly_symmetric(self, x, y, n):
+        assert kondrak_ngram_distance(x, y, n) == kondrak_ngram_distance(y, x, n)
+
+    def test_exact_tie_is_equal(self):
+        # both are exactly 3/4; a float DP gave the second 0.7500000000000001
+        assert kondrak_ngram_distance("ghtlfci", "noytztnd", 3) == 0.75
+        assert kondrak_ngram_distance("ghtlfci", "cqaieffk", 3) == 0.75
 
 
 class TestDice:
