@@ -1,23 +1,22 @@
 """Candidate strings laid out for batched scoring.
 
 A CandidateTable holds one candidate set in the shapes the batched
-kernels of ``editfam`` and ``gramfam`` read: the characters as a matrix
-of alphabet indices sorted by length (longest first, so the candidates
-still active at any column form a prefix) and, built on first use, the
-candidates as bit-parallel patterns, as the cells of one flat DP row,
-and an inverted index of integer gram counts per gram length. Kernels
-return one value per candidate in the caller's order.
+kernels of ``editfam`` and ``gramfam`` read: the candidates sorted by
+length (longest first, so the candidates longer than any bound form a
+prefix) with all their characters in one flat array of alphabet indices
+and, built on first use from that array, the candidates as bit-parallel
+patterns, as the cells of one flat DP row, and an inverted index of
+integer gram counts per gram length. Kernels return one value per
+candidate in the caller's order.
 """
 
 import numpy as np
 
 __all__ = [
     "CandidateTable", "CellLayout", "GramIndex", "PatternIndex",
-    "LANE_BITS", "PAD", "MISSING", "HEAD",
+    "LANE_BITS", "MISSING", "HEAD",
 ]
 
-#: Symbol beyond a candidate's length.
-PAD = -1
 #: Symbol of a query character that no candidate contains.
 MISSING = -2
 #: Symbol of the head padding before a string's first character; it
@@ -27,6 +26,11 @@ HEAD = -3
 #: Width of one word of the bit-parallel patterns: a candidate of n
 #: characters takes ceil(n / LANE_BITS) uint64 words.
 LANE_BITS = 64
+
+
+def _code_points(text: str) -> np.ndarray:
+    """The code point of each character of text, lone surrogates included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
 class PatternIndex:
@@ -47,7 +51,8 @@ class PatternIndex:
 
     def __init__(self, table):
         self.candidates = len(table)
-        self.reach = table.active[::LANE_BITS].tolist() or [0]
+        bounds = np.arange(0, table.lengths[0] if len(table) else 0, LANE_BITS)
+        self.reach = np.count_nonzero(table.lengths > bounds[:, None], axis=1).tolist() or [0]
         self.starts = [sum(self.reach[:w]) for w in range(len(self.reach))]
         # (word w - 1, word w) of every candidate that reaches word w >= 1
         self.carries = [
@@ -55,16 +60,16 @@ class PatternIndex:
             for below, start, n in zip(self.starts, self.starts[1:], self.reach[1:])
         ]
         self.size = sum(self.reach)
-        j, lane = np.nonzero(table.symbols_t >= 0)
-        word = j // LANE_BITS
-        flat = np.array(self.starts, dtype=np.int64)[word] + lane
-        bit = np.left_shift(np.uint64(1), (j % LANE_BITS).astype(np.uint64))
+        word, offset = np.divmod(table.positions, LANE_BITS)
+        flat = np.array(self.starts, dtype=np.int64)[word] + table.lanes
         # one entry per (symbol, flat word), its bits OR-ed together
-        key = table.symbols_t[j, lane].astype(np.int64) * self.size + flat
-        order = np.argsort(key, kind="stable")
-        key, first = np.unique(key[order], return_index=True)
-        self.bits = np.bitwise_or.reduceat(bit[order], first)
-        symbol, self.slots = np.divmod(key, max(self.size, 1))
+        key = table.chars.astype(np.int64) * self.size + flat
+        order = np.argsort(key)
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        bit = np.left_shift(np.uint64(1), offset[order].astype(np.uint64))
+        self.bits = np.bitwise_or.reduceat(bit, first)
+        symbol, self.slots = np.divmod(key[first], max(self.size, 1))
         self.indptr = np.searchsorted(symbol, np.arange(len(table.alphabet) + 1)).tolist()
         # per flat word, how many of its candidate's characters it holds (1..LANE_BITS)
         held = np.concatenate([table.lengths[:n] - LANE_BITS * w for w, n in enumerate(self.reach)])
@@ -112,11 +117,10 @@ class CellLayout:
         self.lengths = table.lengths
         self.ends = np.cumsum(self.lengths + 1) - 1
         self.starts = self.ends - self.lengths
+        self.size = len(table.chars) + len(table)
         # cell j >= 1 holds the symbol of character j - 1; cell 0 the head padding
-        head = np.full((1, len(table)), HEAD, dtype=np.int32)
-        lanes = np.vstack([head, table.symbols_t]).T
-        self.symbols = lanes[lanes != PAD]
-        self.size = len(self.symbols)
+        self.symbols = np.full(self.size, HEAD, dtype=np.int32)
+        self.symbols[np.arange(1, len(table.chars) + 1) + table.lanes] = table.chars
         self._grams = {}
 
     def gram_symbols(self, n) -> np.ndarray:
@@ -150,17 +154,16 @@ class GramIndex:
     def __init__(self, table, n):
         self.n = n
         self.alphabet_size = len(table.alphabet)
-        width, size = table.symbols_t.shape
-        # every gram start p of every candidate long enough: a prefix of the lanes
-        reach = [int(table.active[p + n - 1]) for p in range(width - n + 1)]
-        starts = np.repeat(np.arange(len(reach)), reach)
-        lanes = np.concatenate([np.arange(a) for a in reach]) if reach else starts
-        key = table.symbols_t[starts, lanes].astype(np.int64)
+        size = len(table)
+        # the flat position of every character that starts a gram of its candidate
+        starts = np.flatnonzero(table.positions + n <= table.lengths[table.lanes])
+        lanes = table.lanes[starts]
+        key = table.chars[starts].astype(np.int64)
         self.prefixes = []
         for t in range(1, n):
             distinct, rank = np.unique(key, return_inverse=True)
             self.prefixes.append(distinct)
-            key = rank * self.alphabet_size + table.symbols_t[starts + t, lanes]
+            key = rank * self.alphabet_size + table.chars[starts + t]
         pairs, self.count = np.unique(key * size + lanes, return_counts=True)
         gram, self.lane = np.divmod(pairs, size)
         self.keys, first = np.unique(gram, return_index=True)
@@ -204,34 +207,34 @@ class CandidateTable:
     """One candidate set, prepared once and scored against many queries.
 
     ``words`` keeps the caller's order. ``order`` sorts the candidates by
-    length, longest first (ties keep caller order); ``lengths`` and
-    ``symbols_t`` are in that sorted order. ``symbols_t[j, c]`` is
-    character j of sorted candidate c as an index into ``alphabet``, the
-    sorted code points of all candidates, or PAD beyond its length.
-    ``active[j]`` is the number of sorted candidates longer than j.
-    Built on first use, ``patterns()`` holds the candidates as the
-    bit-parallel patterns of the edit and LCS kernels and ``cells()`` as
-    the flat DP row of the Kondrak kernel; both kernels step once per query
-    character over all candidates. ``grams(n)`` holds the gram counts.
-    The patterns and the cells take memory in proportion to the table's
-    total characters; the cells take 4 bytes a cell, plus 4n bytes a cell
-    for each gram length n asked for.
+    length, longest first (ties keep caller order); ``lengths`` is in that
+    sorted order. ``alphabet`` holds the sorted code points of all
+    candidates. ``chars`` holds every character of the sorted candidates,
+    one candidate after another, as an index into ``alphabet``; ``lanes``
+    and ``positions`` give, per character, its sorted candidate and its
+    position within that candidate. Built on first use from these flat
+    arrays, ``patterns()`` holds the candidates as the bit-parallel
+    patterns of the edit and LCS kernels and ``cells()`` as the flat DP
+    row of the Kondrak kernel; both kernels step once per query character
+    over all candidates. ``grams(n)`` holds the gram counts. Every layout
+    takes memory in proportion to the table's total characters; the cells
+    take 4 bytes a cell, plus 4n bytes a cell for each gram length n asked
+    for.
     """
 
     def __init__(self, words):
         self.words = tuple(words)
-        order = sorted(range(len(self.words)), key=lambda i: -len(self.words[i]))
-        ranked = [self.words[i] for i in order]
-        self.order = np.array(order, dtype=np.int64)
-        self.lengths = np.array([len(w) for w in ranked], dtype=np.int64)
-        chars = sorted(set().union(*ranked))
-        self.alphabet = np.array([ord(c) for c in chars], dtype=np.int64)
-        index = {c: k for k, c in enumerate(chars)}
-        width = len(ranked[0]) if ranked else 0
-        self.active = np.count_nonzero(self.lengths[None, :] > np.arange(width)[:, None], axis=1)
-        self.symbols_t = np.full((width, len(ranked)), PAD, dtype=np.int32)
-        for j, a in enumerate(self.active):
-            self.symbols_t[j, :a] = [index[w[j]] for w in ranked[:a]]
+        lengths = np.fromiter(map(len, self.words), dtype=np.int64, count=len(self.words))
+        self.order = np.argsort(-lengths, kind="stable")
+        self.lengths = lengths[self.order]
+        codes = _code_points("".join([self.words[i] for i in self.order.tolist()]))
+        alphabet, chars = np.unique(codes, return_inverse=True)
+        self.alphabet = alphabet.astype(np.int64)
+        self.chars = chars.astype(np.int32)
+        self.lanes = np.repeat(np.arange(len(self.words)), self.lengths)
+        self.positions = np.arange(len(codes)) - np.repeat(
+            np.cumsum(self.lengths) - self.lengths, self.lengths
+        )
         self._patterns = None
         self._cells = None
         self._grams = {}
@@ -241,7 +244,7 @@ class CandidateTable:
 
     def symbols(self, query: str) -> np.ndarray:
         """The alphabet index of each query character, MISSING where no candidate has it."""
-        codes = np.array([ord(c) for c in query], dtype=np.int64)
+        codes = _code_points(query)
         pos = np.searchsorted(self.alphabet, codes)
         found = pos < len(self.alphabet)
         found[found] = self.alphabet[pos[found]] == codes[found]

@@ -8,6 +8,7 @@ which keeps an existing file until the new one is complete.
 
 import argparse
 import datetime
+import functools
 import os
 import sys
 
@@ -23,25 +24,26 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _at_least_one(what):
-    """An argparse type reading an integer >= 1; what names it in the error."""
+def _integer(what, least=1, odd=False):
+    """An argparse type reading an integer >= least, odd if asked; what names it in the error."""
 
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}") from None
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{what} must be >= 1, got {text}")
+        if value < least or (odd and value % 2 == 0):
+            rule = f"an odd integer >= {least}" if odd else f">= {least}"
+            raise argparse.ArgumentTypeError(f"{what} must be {rule}, got {text}")
         return value
 
     return parse
 
 
-_gram_length = _at_least_one("gram length")
+_gram_length = _integer("gram length")
 # a k of accuracy@k (eval --ks) or of a top-k listing (nearest --k)
-_rank = _at_least_one("k")
-_epochs = _at_least_one("epochs")
+_rank = _integer("k")
+_epochs = _integer("epochs")
 
 
 def _ranks(text):
@@ -49,7 +51,9 @@ def _ranks(text):
     return tuple(_rank(k) for k in text.split(","))
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built once per process: parsing leaves it as it was."""
     p = argparse.ArgumentParser(prog="wordsim")
     p.add_argument("--seed", type=int, default=0)
     sub = p.add_subparsers(dest="command", required=True)
@@ -78,18 +82,18 @@ def _parser():
     # the options of every training command
     train = argparse.ArgumentParser(add_help=False)
     train.add_argument("--lexicon", required=True)
-    train.add_argument("--batch", type=_at_least_one("batch size"), default=100)
+    train.add_argument("--batch", type=_integer("batch size"), default=100)
     train.add_argument("--lr", type=float, default=0.01)
     train.add_argument("--out", required=True)
     # the autoencoder's shape, shared by train-ae and train-combined
     hourglass = argparse.ArgumentParser(add_help=False)
-    hourglass.add_argument("--code-size", type=_at_least_one("code size"), default=11)
-    hourglass.add_argument("--depth", type=int, default=7)
+    hourglass.add_argument("--code-size", type=_integer("code size"), default=11)
+    hourglass.add_argument("--depth", type=_integer("depth", least=3, odd=True), default=7)
     # the context predictor's input and width, shared by train-ctx and train-combined
     context = argparse.ArgumentParser(add_help=False)
     context.add_argument("--corpus", required=True)
-    context.add_argument("--window", type=_at_least_one("window"), default=4)
-    context.add_argument("--hidden", type=_at_least_one("hidden size"), default=32)
+    context.add_argument("--window", type=_integer("window"), default=4)
+    context.add_argument("--hidden", type=_integer("hidden size"), default=32)
 
     ta = sub.add_parser(
         "train-ae", parents=[train, hourglass], help="train the denoising autoencoder"
@@ -97,7 +101,7 @@ def _parser():
     ta.add_argument("--epochs", type=_epochs, default=50)
 
     tc = sub.add_parser("train-ctx", parents=[train, context], help="train the context encoder")
-    tc.add_argument("--embed-size", type=_at_least_one("embedding size"), default=11)
+    tc.add_argument("--embed-size", type=_integer("embedding size"), default=11)
     tc.add_argument("--epochs", type=_epochs, default=5)
 
     tb = sub.add_parser(
@@ -105,7 +109,7 @@ def _parser():
         parents=[train, hourglass, context],
         help="combined autoencoder + context training",
     )
-    tb.add_argument("--rounds", type=_at_least_one("rounds"), default=5)
+    tb.add_argument("--rounds", type=_integer("rounds"), default=5)
     tb.add_argument("--blend", type=float, default=0.5)
 
     e = sub.add_parser("eval", parents=[learned, grams], help="accuracy@k evaluation")

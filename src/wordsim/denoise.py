@@ -162,7 +162,7 @@ def nearest_standard(source, lex, query_id: int, k: int = 5, vec_metric: str = "
         raise ValueError("k must be >= 1")
     name = "Da" if isinstance(source, AutoencoderModel) else "Dc"
     spec = MetricSpec(name, f"learned-{name}", {"model": source, "vec_metric": vec_metric})
-    candidates = np.array(lex.standard_ids)
+    candidates = lex.standard_array
     row = scores(spec, lex, [query_id], candidates)[0]
     return [(int(candidates[i]), float(row[i])) for i in _top_k(row, candidates, k)]
 

@@ -92,12 +92,12 @@ def _metric_params(name, params):
     return {k: v for k, v in params.items() if k in allowed}
 
 
-def _candidate_table(lex: Lexicon, candidate_ids) -> CandidateTable:
-    """The table of one candidate set, built on first use and kept with the lexicon."""
-    key = tuple(candidate_ids)
+def _candidate_table(lex: Lexicon, candidate_ids: np.ndarray) -> CandidateTable:
+    """The table of one candidate id array, built on first use and kept with the lexicon."""
+    key = candidate_ids.tobytes()
     table = lex._tables.get(key)
     if table is None:
-        table = lex._tables[key] = CandidateTable(lex.word_of(c) for c in key)
+        table = lex._tables[key] = CandidateTable(lex.word_of(c) for c in candidate_ids.tolist())
     return table
 
 
@@ -134,7 +134,7 @@ def scores(spec: MetricSpec, lex: Lexicon, query_ids, candidate_ids) -> np.ndarr
     if spec.kind == "classical":
         d = partial(CLASSICAL_METRICS[spec.name], **_metric_params(spec.name, spec.params))
         queries = [lex.word_of(q) for q in query_ids]
-        rows = _candidate_table(lex, candidate_ids.tolist())
+        rows = _candidate_table(lex, candidate_ids)
     else:
         vectors = _learned_vectors(spec, lex)
         d = vector_metric(spec.params.get("vec_metric", "cosine"))
@@ -154,12 +154,11 @@ def evaluate_accuracy(spec: MetricSpec, lex: Lexicon, ks=(1, 5)) -> dict:
     """accuracy@k (percent) of recovering the true standard form."""
     if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
-    queries = list(lex.nonstandard_ids)
-    if not queries:
+    queries, standard = lex.nonstandard_array, lex.standard_array
+    if not len(queries):
         raise ConfigError("lexicon has no non-standard words to evaluate")
-    dist = scores(spec, lex, queries, lex.standard_ids)
-    standard = np.array(lex.standard_ids)
-    truth = np.array([lex.standard_of[m] for m in queries])
+    dist = scores(spec, lex, queries, standard)
+    truth = np.array([lex.standard_of[m] for m in lex.nonstandard_ids])
     d_truth = dist[np.arange(len(queries)), np.searchsorted(standard, truth)][:, None]
     # rank = 1 + the number of candidates ordered before the truth by (distance, id)
     ahead = (dist < d_truth) | ((dist == d_truth) & (standard < truth[:, None]))
@@ -182,7 +181,7 @@ def qualitative_neighbors(spec: MetricSpec, lex: Lexicon, queries, k=5):
     known = [q for q in queries if _normalize(q) in lex]
     qids = [lex.id_of(_normalize(q)) for q in known]
     if spec.kind == "learned-Da":
-        candidates = np.array(lex.standard_ids)
+        candidates = lex.standard_array
     else:
         candidates = np.arange(len(lex))
     dist = scores(spec, lex, qids, candidates)

@@ -153,7 +153,7 @@ def kondrak_ngram_distance_many(x: str, table, n: int = 2) -> np.ndarray:
     out = (row[cells.ends] - base + n * lengths) / (n * np.maximum(m, lengths))
     out[lengths == 0] = np.inf
     if len(table.alphabet) and table.alphabet[0] == ord(BOUNDARY):
-        out[(table.symbols_t == 0).any(axis=0)] = np.inf
+        out[table.lanes[table.chars == 0]] = np.inf
     return table.unsort(out)
 
 

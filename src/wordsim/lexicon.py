@@ -5,8 +5,10 @@ corpus is one whitespace-tokenized sentence per line. Both are immutable
 after load.
 """
 
+import codecs
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -29,10 +31,8 @@ class Lexicon:
     standard_flags: tuple
     standard_of: dict
     _index: dict = field(default=None, repr=False, compare=False)
-    _standard_ids: tuple = field(default=None, init=False, repr=False, compare=False)
-    _nonstandard_ids: tuple = field(default=None, init=False, repr=False, compare=False)
     _fingerprint: str = field(default=None, init=False, repr=False, compare=False)
-    # scoring tables derived from the words, keyed by candidate ids (see evalharness)
+    # scoring tables derived from the words, keyed by candidate id bytes (see evalharness)
     _tables: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -56,35 +56,45 @@ class Lexicon:
     def word_of(self, word_id: int) -> str:
         return self.words[word_id]
 
-    @property
+    # cached_property stores in the instance dict, past the frozen __setattr__
+    @cached_property
     def standard_ids(self) -> tuple:
         """Ids of all standard words (the set C), in lexicon order."""
-        if self._standard_ids is None:
-            ids = tuple(i for i, f in enumerate(self.standard_flags) if f)
-            object.__setattr__(self, "_standard_ids", ids)
-        return self._standard_ids
+        return tuple(i for i, f in enumerate(self.standard_flags) if f)
 
-    @property
+    @cached_property
     def nonstandard_ids(self) -> tuple:
-        if self._nonstandard_ids is None:
-            ids = tuple(i for i, f in enumerate(self.standard_flags) if not f)
-            object.__setattr__(self, "_nonstandard_ids", ids)
-        return self._nonstandard_ids
+        return tuple(i for i, f in enumerate(self.standard_flags) if not f)
+
+    @cached_property
+    def standard_array(self) -> np.ndarray:
+        """standard_ids as a read-only index array."""
+        return _read_only(np.array(self.standard_ids, dtype=np.intp))
+
+    @cached_property
+    def nonstandard_array(self) -> np.ndarray:
+        """nonstandard_ids as a read-only index array."""
+        return _read_only(np.array(self.nonstandard_ids, dtype=np.intp))
 
     def fingerprint(self) -> str:
         """Content hash binding trained models to this exact lexicon."""
         if self._fingerprint is None:
-            h = hashlib.sha256()
-            for i, w in enumerate(self.words):
-                std = self.standard_of.get(i, -1)
-                h.update(f"{w}\t{int(self.standard_flags[i])}\t{std}\n".encode())
-            object.__setattr__(self, "_fingerprint", h.hexdigest())
+            text = "".join(
+                f"{w}\t{int(flag)}\t{self.standard_of.get(i, -1)}\n"
+                for i, (w, flag) in enumerate(zip(self.words, self.standard_flags))
+            )
+            object.__setattr__(self, "_fingerprint", hashlib.sha256(text.encode()).hexdigest())
         return self._fingerprint
 
     def check_binding(self, model):
         """Raise BindingError unless model's lexicon_fingerprint is this lexicon's."""
         if model.lexicon_fingerprint != self.fingerprint():
             raise BindingError("model was not trained against this lexicon")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -139,16 +149,27 @@ def build_lexicon(pairs: Iterable) -> Lexicon:
     return Lexicon(words=words, standard_flags=flags, standard_of=standard_of)
 
 
-def _numbered_lines(path):
-    """(line number, text) for each line of a UTF-8 file, split where text-mode reading splits.
+def _lines(path):
+    """The lines of a UTF-8 file, split where text-mode reading splits, a leading BOM dropped.
 
-    Raises ParseError with the line number of the first line that is not UTF-8.
+    Decodes the whole file at once. If it is not UTF-8, the lines are
+    decoded one by one as they are read, and the first that is not raises
+    ParseError with its line number, so a fault on an earlier line is
+    still the one reported.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    for line_no, raw in enumerate(data.splitlines(), start=1):
+        lines = fh.read().removeprefix(codecs.BOM_UTF8).splitlines()
+    try:
+        # no line holds a line break, so the text splits back into exactly these lines
+        return b"\n".join(lines).decode("utf-8").split("\n") if lines else []
+    except UnicodeDecodeError:
+        return _decoded(lines)
+
+
+def _decoded(lines):
+    for line_no, raw in enumerate(lines, start=1):
         try:
-            yield line_no, raw.decode("utf-8")
+            yield raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(
                 f"not UTF-8: byte {raw[exc.start]:#04x} at offset {exc.start}", line_no
@@ -158,13 +179,15 @@ def _numbered_lines(path):
 def load_lexicon(pairs_path) -> Lexicon:
     """Load a lexicon from a UTF-8 TSV of `nonstandard<TAB>standard` lines.
 
-    Lines starting with `#` are skipped. Raises ParseError, with the line
-    number, on a line that is not UTF-8 or not two tab-separated fields,
-    and AmbiguityError when a word maps to two standard forms.
+    Lines starting with `#` are skipped, and so is a leading byte-order
+    mark. Raises ParseError, with the line number, on a line that is not
+    UTF-8 or not two tab-separated fields, and AmbiguityError when a word
+    maps to two standard forms.
     """
     pairs = []
-    for line_no, line in _numbered_lines(pairs_path):
-        if not line.strip() or line.lstrip().startswith("#"):
+    for line_no, line in enumerate(_lines(pairs_path), start=1):
+        head = line.lstrip()
+        if not head or head.startswith("#"):
             continue
         fields = line.count("\t") + 1
         if fields == 1:
@@ -184,12 +207,13 @@ def load_corpus(corpus_path, lex: Lexicon) -> Corpus:
     """Load a corpus of whitespace-tokenized sentences, one per line.
 
     Out-of-vocabulary tokens are dropped and counted in oov_count;
-    sentences left empty are filtered out. A line that is not UTF-8
-    raises ParseError with its line number.
+    sentences left empty are filtered out. A leading byte-order mark is
+    skipped. A line that is not UTF-8 raises ParseError with its line
+    number.
     """
     sentences = []
     oov = 0
-    for _, line in _numbered_lines(corpus_path):
+    for line in _lines(corpus_path):
         ids = []
         for t in line.split():
             t = _normalize(t)

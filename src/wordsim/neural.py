@@ -173,8 +173,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
 
@@ -312,8 +312,11 @@ def sgd_step(net: Network, grads, lr: float) -> Network:
     columns. The parameters are then scanned for NaN/Inf, unless numpy
     already raises on overflow and invalid operations, as it does in the
     trainers: there a step from finite values raises before it can write
-    one. The network's memo of encode_all codes is emptied first.
+    one. A non-finite lr raises ConfigError before any change. The
+    network's memo of encode_all codes is emptied first.
     """
+    if not math.isfinite(lr):
+        raise ConfigError(f"learning rate must be finite, got {lr}")
     net._codes = None
     for layer, (dW, db) in zip(net.layers, grads):
         if isinstance(dW, ColumnGrad):

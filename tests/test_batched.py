@@ -84,6 +84,24 @@ def test_edge_cases(name):
             assert_kernel_matches(name, x, words, **p)
 
 
+@pytest.mark.parametrize("name", sorted(CLASSICAL_METRICS))
+def test_astral_and_surrogate_characters(name):
+    # the table reads code points from UTF-32: an astral character is one
+    # symbol, and a lone surrogate is a symbol of its own, even next to its pair
+    smile, lone, low = "\U0001f600", "\ud83d", "\ude00"
+    words = [
+        smile + "ab", "a" + smile + "b", lone + "a", "a" + lone + low, low + lone,
+        "\U00010000" * 3, smile * 70, "ab", "",
+    ]
+    queries = [
+        "", smile, "a" + smile + "b", lone, lone + low, low + "a", smile * 66, "ab" * 40 + smile,
+    ]
+    params = [{PARAMS[name]: n} for n in (1, 2, 3)] if name in PARAMS else [{}]
+    for x in queries:
+        for p in params:
+            assert_kernel_matches(name, x, words, **p)
+
+
 def test_undefined_pairs_score_inf():
     table = CandidateTable(["", "a", "ab", "a" + BOUNDARY])
     assert list(gramfam.dice_distance_many("a", table, 2)[:2]) == [np.inf, np.inf]

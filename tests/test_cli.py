@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,8 @@ from wordsim.cli import main
 from wordsim.lexicon import load_lexicon
 
 from conftest import TOY_STANDARD, toy_variants
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_pairs(path):
@@ -228,6 +236,20 @@ class TestOutputFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ae.json", "pairs.tsv"]
 
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["train-ae", "train-ctx", "train-combined"])
+    def test_non_finite_lr_exit_3(self, pairs_file, corpus_file, tmp_path, capsys, command, lr):
+        out = tmp_path / "keep.json"
+        out.write_bytes(b"an earlier model\n")
+        corpus = [] if command == "train-ae" else ["--corpus", str(corpus_file)]
+        rc = main(
+            [command, "--lexicon", str(pairs_file), *corpus, f"--lr={lr}", "--out", str(out)]
+        )
+        assert rc == 3
+        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier model\n"
+
+
 class TestTrainContext:
     @pytest.mark.parametrize(
         "command,option,message",
@@ -261,6 +283,32 @@ class TestTrainContext:
             )
         assert exc.value.code == 2
         assert f"{message} must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "depth,message",
+        [
+            ("4", "must be an odd integer >= 3, got 4"),
+            ("1", "must be an odd integer >= 3, got 1"),
+            ("-1", "must be an odd integer >= 3, got -1"),
+            ("five", "must be an integer, got 'five'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["train-ae", "train-combined"])
+    def test_bad_depth_exit_2(
+        self, pairs_file, corpus_file, tmp_path, capsys, command, depth, message
+    ):
+        out = tmp_path / "model.json"
+        corpus = [] if command == "train-ae" else ["--corpus", str(corpus_file)]
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    command, "--lexicon", str(pairs_file), *corpus,
+                    "--depth", depth, "--out", str(out),
+                ]
+            )
+        assert exc.value.code == 2
+        assert f"depth {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_train_ctx_writes_embedding(self, pairs_file, corpus_file, tmp_path, capsys):
@@ -383,6 +431,62 @@ class TestEval:
         captured = capsys.readouterr()
         assert "no metric" in captured.err and captured.out == ""
         assert not report.exists()
+
+
+class TestSharedParser:
+    """main reuses one parser: each call must act as the same call in a fresh interpreter."""
+
+    def run(self, argv, report):
+        """(exit code, stdout, stderr, report without its timestamp) of main(argv) here."""
+        if report.exists():
+            report.unlink()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue(), self.report(report)
+
+    def run_fresh(self, argv, report):
+        if report.exists():
+            report.unlink()
+        done = subprocess.run(
+            [sys.executable, "-m", "wordsim.cli", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        return done.returncode, done.stdout, done.stderr, self.report(report)
+
+    @staticmethod
+    def report(path):
+        if not path.exists():
+            return None
+        data = json.loads(path.read_text())
+        data["metadata"].pop("created")
+        return data
+
+    def test_calls_in_one_process_match_fresh_interpreters(self, pairs_file, tmp_path, monkeypatch):
+        # the usage message wraps at the terminal width, so both sides get the same one
+        monkeypatch.setenv("COLUMNS", "80")
+        report = tmp_path / "report.json"
+        eval_ = [
+            "eval", "--lexicon", str(pairs_file), "--metrics", "lcs,dice", "--out", str(report)
+        ]
+        calls = [
+            eval_ + ["--ks", "1"],
+            eval_,  # --ks back to its default 1,5
+            ["--seed", "7"] + eval_,
+            eval_,  # --seed back to its default 0
+            eval_ + ["--ks", "0"],  # a usage error
+            eval_ + ["--n", "3"],
+        ]
+        here = [self.run(argv, report) for argv in calls]
+        assert [h[0] for h in here] == [0, 0, 0, 0, 2, 0]
+        assert here[1][3]["accuracies"]["lcs"].keys() == {"1", "5"}
+        assert [h[3]["metadata"]["seed"] for h in here[2:4]] == [7, 0]
+        for argv, got in zip(calls, here):
+            assert got == self.run_fresh(argv, report), argv
 
 
 class TestInputErrors:

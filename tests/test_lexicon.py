@@ -4,6 +4,31 @@ import pytest
 from wordsim.errors import AmbiguityError, ParseError, UnknownWordError, WordsimError
 from wordsim.lexicon import build_lexicon, load_corpus, load_lexicon, one_hot
 
+from conftest import TOY_STANDARD, toy_variants
+
+BOM = b"\xef\xbb\xbf"
+
+# CRLF, CR and LF endings, comments, blank lines, casefolding, multiword
+# forms, non-ASCII and astral characters, and characters that str.splitlines
+# would split at but a lexicon line keeps (U+2028, form feed)
+PINNED_LEXICON = (
+    "# a comment line\r\n"
+    "thng\tthing\r\n"
+    "\r\n"
+    "   # an indented comment\r"
+    "Nite\tNIGHT\r"
+    "gr8 m8\tgreat mate\n"
+    "\n"
+    "caf\u00e9\tCAF\u00c9\r\n"
+    "stra\u00dfe\tstreet\n"
+    "\U0001f600x\t\U0001f600\n"
+    "x\u2028y\txy\n"
+    "p\x0cq\tpq\n"
+    "\u0130stanbul\tistanbul\n"
+    "  omg \t oh my god  \n"
+    "wter\twater"
+).encode("utf-8")
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -50,6 +75,12 @@ class TestLoadLexicon:
         with pytest.raises(ParseError, match="line 2: not UTF-8"):
             load_lexicon(path)
 
+    def test_fault_before_a_non_utf8_line_is_reported_first(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(b"thng\tthing\nbad\ncaf\xe9\tcafe\n")
+        with pytest.raises(ParseError, match="line 2: missing tab"):
+            load_lexicon(path)
+
     def test_line_numbers_count_crlf_and_cr_endings(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_bytes(b"thng\tthing\r\nwter\twater\rbad\n")
@@ -77,6 +108,41 @@ class TestLoadLexicon:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_lexicon(tmp_path / "nope.tsv")
+
+    def test_leading_bom_is_dropped(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(BOM + b"thng\tthing\n\xef\xbb\xbfwter\twater\n")
+        lex = load_lexicon(path)
+        # only the first BOM is the file's; a later one belongs to its word
+        assert lex.words == ("thng", "thing", "\ufeffwter", "water")
+
+    def test_lines_split_only_at_cr_and_lf(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(PINNED_LEXICON)
+        lex = load_lexicon(path)
+        assert "x\u2028y" in lex and "p\x0cq" in lex
+        assert len(lex) == 21
+
+
+class TestPinnedFingerprints:
+    """Saved models store the fingerprint: any drift turns them into a BindingError."""
+
+    def test_mixed_file(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(PINNED_LEXICON)
+        want = "8ee40c48515eba3586775271f86c6ea4507c2d0ed7a7b1b949609827a9012083"
+        assert load_lexicon(path).fingerprint() == want
+        path.write_bytes(PINNED_LEXICON.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+        assert load_lexicon(path).fingerprint() == want
+
+    def test_toy_pairs_file(self, tmp_path):
+        path = write(
+            tmp_path,
+            "pairs.tsv",
+            "\n".join(f"{v}\t{w}" for w in TOY_STANDARD for v in toy_variants(w)) + "\n",
+        )
+        want = "f6b1adecdf25db1f532fffafe7fb0666423cfbafd81c2ee00cb5eed94da18902"
+        assert load_lexicon(path).fingerprint() == want
 
 
 class TestLexiconInvariants:
@@ -142,6 +208,13 @@ class TestLoadCorpus:
         path.write_bytes(b"thing water\n\nhouse caf\xe9\n")
         with pytest.raises(ParseError, match="line 3: not UTF-8"):
             load_corpus(path, toy_lexicon)
+
+    def test_leading_bom_is_dropped(self, tmp_path, toy_lexicon):
+        path = tmp_path / "c.txt"
+        path.write_bytes(BOM + b"thing water\n")
+        corpus = load_corpus(path, toy_lexicon)
+        assert corpus.sentences == ((toy_lexicon.id_of("thing"), toy_lexicon.id_of("water")),)
+        assert corpus.oov_count == 0
 
     def test_all_empty_is_error(self, tmp_path, toy_lexicon):
         path = write(tmp_path, "c.txt", "zebra\n\n")

@@ -154,6 +154,17 @@ class TestSgdStep:
             sgd_step(net, grads, 0.05)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_lr_changes_nothing(self, lr):
+        net = init_network([3, 2], ["softmax"], np.random.default_rng(5))
+        before = [(l.W.copy(), l.b.copy()) for l in net.layers]
+        grads, _ = backward(net, np.ones(3), np.array([1.0, 0.0]))
+        with pytest.raises(ConfigError, match="finite"):
+            sgd_step(net, grads, lr)
+        for layer, (W, b) in zip(net.layers, before):
+            assert_same_bytes(layer.W, W)
+            assert_same_bytes(layer.b, b)
+
 
 class TestGradientCheck:
     def test_linear_net_near_exact(self):
@@ -219,6 +230,9 @@ class TestTraining:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)
+        for lr in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="learning_rate must be finite"):
+                TrainConfig(learning_rate=lr)
 
 
 def id_net(n=9, seed=11):
