@@ -6,14 +6,16 @@ length (longest first, so the candidates longer than any bound form a
 prefix) with all their characters in one flat array of alphabet indices
 and, built on first use from that array, the candidates as bit-parallel
 patterns, as the cells of one flat DP row, and an inverted index of
-integer gram counts per gram length. Kernels return one value per
-candidate in the caller's order.
+integer gram counts per gram length. A Query is one query string
+prepared against one table: what the kernels derive from the query
+alone is built once, on first use, and shared by every kernel given that
+Query. Kernels return one value per candidate in the caller's order.
 """
 
 import numpy as np
 
 __all__ = [
-    "CandidateTable", "CellLayout", "GramIndex", "PatternIndex",
+    "CandidateTable", "CellLayout", "GramIndex", "PatternIndex", "Query",
     "LANE_BITS", "MISSING", "HEAD",
 ]
 
@@ -203,6 +205,51 @@ class GramIndex:
             yield self.lane[lo:hi], self.count[lo:hi], cq
 
 
+class Query:
+    """One query string prepared for scoring against one CandidateTable.
+
+    Made by ``CandidateTable.query``. Each part the kernels derive from
+    the query alone is built on first use and kept for the life of the
+    Query: its alphabet symbols, the match masks of its characters, its
+    gram postings per gram length, and any pass whose result more than
+    one kernel reads (see ``shared``). Kept arrays are read-only.
+    """
+
+    def __init__(self, table, text: str):
+        self.table = table
+        self.text = text
+        self._parts = {}
+
+    def shared(self, key, build):
+        """The part named key, made by build() on first use; an array part is made read-only."""
+        part = self._parts.get(key)
+        if part is None:
+            part = self._parts[key] = build()
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
+        return part
+
+    @property
+    def symbols(self) -> np.ndarray:
+        """The alphabet index of each query character (see CandidateTable.symbols)."""
+        return self.shared("symbols", lambda: self.table.symbols(self.text))
+
+    def masks(self):
+        """(masks, rows): the match masks of the query's characters (see PatternIndex.masks)."""
+
+        def build():
+            masks, rows = self.table.patterns().masks(self.symbols)
+            masks.flags.writeable = False
+            return masks, tuple(rows)
+
+        return self.shared("masks", build)
+
+    def postings(self, n) -> tuple:
+        """The query's gram postings at gram length n (see GramIndex.postings)."""
+        index = self.table.grams(n)
+        return self.shared(("postings", n), lambda: tuple(index.postings(self.symbols)))
+
+
 class CandidateTable:
     """One candidate set, prepared once and scored against many queries.
 
@@ -249,6 +296,17 @@ class CandidateTable:
         found = pos < len(self.alphabet)
         found[found] = self.alphabet[pos[found]] == codes[found]
         return np.where(found, pos, MISSING).astype(np.int32)
+
+    def query(self, x) -> Query:
+        """x prepared against this table: a str, or a Query, kept as it is if it is of this table.
+
+        A Query of another table is prepared again from its text.
+        """
+        if isinstance(x, Query):
+            if x.table is self:
+                return x
+            x = x.text
+        return Query(self, x)
 
     def patterns(self) -> PatternIndex:
         """The candidates as bit-parallel patterns, built on first use."""

@@ -281,11 +281,12 @@ def _cmd_eval(args):
             specs.append(_learned_spec(name, args))
         else:
             specs.append(MetricSpec(name=name, params={"n": args.n, "q": args.n}))
-    accuracies = {}
-    for spec in specs:
-        accuracies[spec.name] = evalharness.evaluate_accuracy(spec, lex, ks=args.ks)
-        line = "  ".join(f"acc@{k}={v:.2f}%" for k, v in accuracies[spec.name].items())
+    # every spec is resolved and scored before the first line is printed
+    results = evalharness.evaluate_accuracies(specs, lex, ks=args.ks)
+    for spec, acc in zip(specs, results):
+        line = "  ".join(f"acc@{k}={v:.2f}%" for k, v in acc.items())
         print(f"{spec.name}: {line}")
+    accuracies = {spec.name: acc for spec, acc in zip(specs, results)}
     if args.out:
         report = EvalReport(
             accuracies=accuracies,

@@ -12,6 +12,11 @@ candidate y holds ceil(|y| / LANE_BITS) uint64 words, additions and
 shifts carry from one word into the next, and the kernel takes one step
 per query character over all candidates at once, so a query of m
 characters costs m steps whatever the longest candidate.
+
+Every kernel takes the query x as a str or as a ``candidates.Query`` of
+the same table. Given one Query, the kernels share its match masks and
+one pass each of Myers (Levenshtein and its normalised form), OSA and
+LCS (LCS distance and metric-LCS), kept read-only on the Query.
 """
 
 import math
@@ -80,8 +85,13 @@ def _shift_up(v, first, patterns):
     return out
 
 
-def _edit_distances(x: str, table, transpositions: bool) -> np.ndarray:
-    """Unit-cost (or OSA) distance from x to each sorted candidate.
+def _edit_distances(query, transpositions: bool) -> np.ndarray:
+    """Unit-cost (or OSA) distance from a Query to each sorted candidate, one pass per Query."""
+    return query.shared(("edit", transpositions), lambda: _myers(query, transpositions))
+
+
+def _myers(query, transpositions):
+    """Unit-cost (or OSA) distance from the query x to each sorted candidate.
 
     Hyyroe's formulation of Myers' algorithm (J. ACM 1999) for the global
     distance, with Hyyroe's (2003) transposition term for OSA, with each
@@ -89,10 +99,11 @@ def _edit_distances(x: str, table, transpositions: bool) -> np.ndarray:
     one step per character of x. Both distances are symmetric, so this is
     the distance from x as well as to it.
     """
+    x, table = query.text, query.table
     if not x:
         return table.lengths.astype(np.float64)
     patterns = table.patterns()
-    masks, rows = patterns.masks(table.symbols(x))
+    masks, rows = query.masks()
     vp = np.full(patterns.size, ~np.uint64(0))
     vn = np.zeros(patterns.size, dtype=np.uint64)
     d0 = pm_prev = np.zeros(patterns.size, dtype=np.uint64)  # rebound, never written in place
@@ -116,7 +127,7 @@ def _edit_distances(x: str, table, transpositions: bool) -> np.ndarray:
 
 def levenshtein_many(x: str, table) -> np.ndarray:
     """Unit-cost levenshtein(x, y) for every candidate y."""
-    return table.unsort(_edit_distances(x, table, transpositions=False))
+    return table.unsort(_edit_distances(table.query(x), transpositions=False))
 
 
 def normalized_levenshtein(x: str, y: str) -> float:
@@ -128,9 +139,10 @@ def normalized_levenshtein(x: str, y: str) -> float:
 
 def normalized_levenshtein_many(x: str, table) -> np.ndarray:
     """normalized_levenshtein(x, y) for every candidate y."""
-    dist = _edit_distances(x, table, transpositions=False)
+    query = table.query(x)
+    dist = _edit_distances(query, transpositions=False)
     # both empty: the distance is 0, and 0 / 1 gives the scalar 0.0
-    return table.unsort(dist / np.maximum(table.lengths, max(len(x), 1)))
+    return table.unsort(dist / np.maximum(table.lengths, max(len(query.text), 1)))
 
 
 def damerau_levenshtein(x: str, y: str) -> int:
@@ -162,7 +174,7 @@ def damerau_levenshtein(x: str, y: str) -> int:
 
 def damerau_levenshtein_many(x: str, table) -> np.ndarray:
     """damerau_levenshtein(x, y) for every candidate y, as float64."""
-    return table.unsort(_edit_distances(x, table, transpositions=True))
+    return table.unsort(_edit_distances(table.query(x), transpositions=True))
 
 
 def hamming(x: str, y: str) -> int:
@@ -193,8 +205,13 @@ def lcs_distance(x: str, y: str) -> int:
     return len(x) + len(y) - 2 * lcs_length(x, y)
 
 
-def _lcs_lengths(x: str, table) -> np.ndarray:
-    """LCS length of x with each sorted candidate.
+def _lcs_lengths(query) -> np.ndarray:
+    """LCS length of a Query with each sorted candidate, one pass per Query."""
+    return query.shared("lcs", lambda: _bit_parallel_lcs(query))
+
+
+def _bit_parallel_lcs(query):
+    """LCS length of the query x with each sorted candidate.
 
     Bit-parallel LCS (Allison and Dix 1986; Hyyroe 2004) with each
     candidate as the pattern over its own words and one step per character
@@ -202,10 +219,11 @@ def _lcs_lengths(x: str, table) -> np.ndarray:
     positions. Only the addition carries from word to word; s - u borrows
     nowhere, as u's bits are a subset of s's.
     """
+    x, table = query.text, query.table
     if not x:
         return np.zeros(len(table), dtype=np.int64)
     patterns = table.patterns()
-    masks, rows = patterns.masks(table.symbols(x))
+    masks, rows = query.masks()
     state = np.full(patterns.size, ~np.uint64(0))
     for row in rows:
         u = state & masks[row]
@@ -217,7 +235,8 @@ def _lcs_lengths(x: str, table) -> np.ndarray:
 
 def lcs_distance_many(x: str, table) -> np.ndarray:
     """lcs_distance(x, y) for every candidate y, as float64."""
-    dist = len(x) + table.lengths - 2 * _lcs_lengths(x, table)
+    query = table.query(x)
+    dist = len(query.text) + table.lengths - 2 * _lcs_lengths(query)
     return table.unsort(dist.astype(np.float64))
 
 
@@ -230,8 +249,9 @@ def metric_lcs(x: str, y: str) -> float:
 
 def metric_lcs_many(x: str, table) -> np.ndarray:
     """metric_lcs(x, y) for every candidate y."""
-    longest = np.maximum(table.lengths, len(x))
-    share = _lcs_lengths(x, table) / np.maximum(longest, 1)
+    query = table.query(x)
+    longest = np.maximum(table.lengths, len(query.text))
+    share = _lcs_lengths(query) / np.maximum(longest, 1)
     return table.unsort(np.where(longest == 0, 0.0, 1.0 - share))
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "classical_distance",
     "scores",
     "evaluate_accuracy",
+    "evaluate_accuracies",
     "qualitative_neighbors",
     "export_report",
     "load_report",
@@ -122,26 +123,56 @@ def _learned_vectors(spec: MetricSpec, lex: Lexicon) -> np.ndarray:
     return rows
 
 
+def _scorer(spec: MetricSpec, lex: Lexicon, candidate_ids: np.ndarray, table):
+    """score(query id, its Query of table) -> its distance to every candidate under spec.
+
+    A learned spec is resolved here, before any query is scored: the
+    model's lexicon binding is checked and the candidate rows gathered.
+    """
+    if spec.kind == "classical":
+        kernel = partial(CLASSICAL_METRICS[spec.name], **_metric_params(spec.name, spec.params))
+        return lambda qid, query: kernel(query, table)
+    vectors = _learned_vectors(spec, lex)
+    d = vector_metric(spec.params.get("vec_metric", "cosine"))
+    rows = vectors[candidate_ids]
+    return lambda qid, query: d(vectors[qid], rows)
+
+
+def _rows(specs, lex: Lexicon, query_ids, candidate_ids):
+    """Per query, in order, its distance row to the candidates under each spec.
+
+    The one scoring core: queries outside, specs inside, one row in
+    memory per spec. Every spec is resolved before the first row. The
+    classical specs share one prepared Query per query word, so the work
+    their kernels have in common (the query's symbols, match masks and
+    gram postings, and the Myers, OSA and LCS passes) is done once per
+    query. Undefined classical comparisons, e.g. dice on strings shorter
+    than n, score +inf and so rank last. query_ids and candidate_ids
+    must be valid ids (see lexicon.word_ids).
+    """
+    classical = any(spec.kind == "classical" for spec in specs)
+    table = _candidate_table(lex, candidate_ids) if classical else None
+    scorers = [_scorer(spec, lex, candidate_ids, table) for spec in specs]
+
+    def rows():
+        for qid in query_ids:
+            query = table.query(lex.word_of(qid)) if classical else None
+            yield [score(qid, query) for score in scorers]
+
+    return rows()
+
+
 def scores(spec: MetricSpec, lex: Lexicon, query_ids, candidate_ids) -> np.ndarray:
     """Distances from each query to each candidate, one row per query.
 
     Each query is scored against all candidates in one call: classical
-    metrics with their batched kernel (undefined comparisons, e.g. dice on
-    strings shorter than n, score +inf and so rank last), learned kinds
-    with the vector metric on the candidates' rows.
+    metrics with their batched kernel (undefined comparisons score +inf),
+    learned kinds with the vector metric on the candidates' rows.
     """
     query_ids, candidate_ids = word_ids(query_ids, len(lex)), word_ids(candidate_ids, len(lex))
-    if spec.kind == "classical":
-        d = partial(CLASSICAL_METRICS[spec.name], **_metric_params(spec.name, spec.params))
-        queries = [lex.word_of(q) for q in query_ids]
-        rows = _candidate_table(lex, candidate_ids)
-    else:
-        vectors = _learned_vectors(spec, lex)
-        d = vector_metric(spec.params.get("vec_metric", "cosine"))
-        queries, rows = vectors[query_ids], vectors[candidate_ids]
     out = np.empty((len(query_ids), len(candidate_ids)))
-    for row, query in zip(out, queries):
-        row[:] = d(query, rows)
+    for out_row, (row,) in zip(out, _rows([spec], lex, query_ids.tolist(), candidate_ids)):
+        out_row[:] = row
     return out
 
 
@@ -150,21 +181,32 @@ def _top_k(distances, ids, k):
     return np.lexsort((ids, distances))[:k]
 
 
-def evaluate_accuracy(spec: MetricSpec, lex: Lexicon, ks=(1, 5)) -> dict:
-    """accuracy@k (percent) of recovering the true standard form."""
+def evaluate_accuracies(specs, lex: Lexicon, ks=(1, 5)) -> list:
+    """accuracy@k (percent) of recovering the true standard form, one dict per spec in order.
+
+    Every spec scores a query before the next query is scored, and each
+    row is reduced at once to the truth's rank: 1 + the number of
+    candidates ordered before the truth by (distance, id). Memory is one
+    row per spec, not one per (query, candidate) pair.
+    """
     if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
     queries, standard = lex.nonstandard_array, lex.standard_array
     if not len(queries):
         raise ConfigError("lexicon has no non-standard words to evaluate")
-    dist = scores(spec, lex, queries, standard)
-    truth = np.array([lex.standard_of[m] for m in lex.nonstandard_ids])
-    d_truth = dist[np.arange(len(queries)), np.searchsorted(standard, truth)][:, None]
-    # rank = 1 + the number of candidates ordered before the truth by (distance, id)
-    ahead = (dist < d_truth) | ((dist == d_truth) & (standard < truth[:, None]))
-    rank = 1 + np.count_nonzero(ahead, axis=1)
-    hits = {k: int(np.count_nonzero(rank <= k)) for k in ks}
-    return {k: 100.0 * hits[k] / len(queries) for k in ks}
+    # standard ids ascend, so the candidates of lower id than the truth are those before its column
+    truth = np.searchsorted(standard, [lex.standard_of[m] for m in lex.nonstandard_ids]).tolist()
+    rank = np.empty((len(specs), len(queries)), dtype=np.int64)
+    for i, (col, rows) in enumerate(zip(truth, _rows(specs, lex, lex.nonstandard_ids, standard))):
+        for s, row in enumerate(rows):
+            d = row[col]
+            rank[s, i] = 1 + np.count_nonzero(row < d) + np.count_nonzero(row[:col] == d)
+    return [{k: 100.0 * int(np.count_nonzero(r <= k)) / len(queries) for k in ks} for r in rank]
+
+
+def evaluate_accuracy(spec: MetricSpec, lex: Lexicon, ks=(1, 5)) -> dict:
+    """accuracy@k (percent) of recovering the true standard form."""
+    return evaluate_accuracies([spec], lex, ks)[0]
 
 
 def qualitative_neighbors(spec: MetricSpec, lex: Lexicon, queries, k=5):
@@ -184,9 +226,8 @@ def qualitative_neighbors(spec: MetricSpec, lex: Lexicon, queries, k=5):
         candidates = lex.standard_array
     else:
         candidates = np.arange(len(lex))
-    dist = scores(spec, lex, qids, candidates)
     listings = {}
-    for query, qid, row in zip(known, qids, dist):
+    for query, qid, (row,) in zip(known, qids, _rows([spec], lex, qids, candidates)):
         ids = candidates
         if spec.kind != "learned-Da":
             keep = candidates != qid

@@ -11,7 +11,9 @@ caller order, with +inf wherever the scalar function raises ValueError.
 Gram metrics read the table's integer gram counts. The Kondrak distance
 runs its DP in integers, costs scaled by n, so both its forms give the
 exact distance rounded once to float64; the kernel takes one step per
-query character over the cells of all candidates.
+query character over the cells of all candidates. Every kernel takes the
+query x as a str or as a ``candidates.Query`` of the same table; given
+one Query, the kernels share its symbols and its gram postings per n.
 """
 
 import math
@@ -61,10 +63,10 @@ def _undefined(table) -> np.ndarray:
     return np.full(len(table), np.inf)
 
 
-def _shared(x, table, n, combine) -> np.ndarray:
-    """Per sorted candidate, the sum over shared grams of combine(its count, x's count)."""
-    acc = np.zeros(len(table), dtype=np.int64)
-    for lanes, counts, cq in table.grams(n).postings(table.symbols(x)):
+def _shared(query, n, combine) -> np.ndarray:
+    """Per sorted candidate, the sum over shared grams of combine(its count, the query's count)."""
+    acc = np.zeros(len(query.table), dtype=np.int64)
+    for lanes, counts, cq in query.postings(n):
         acc[lanes] += combine(counts, cq)
     return acc
 
@@ -73,9 +75,10 @@ def qgram_distance_many(x: str, table, q: int = 2) -> np.ndarray:
     """qgram_distance(x, y, q) for every candidate y, as float64."""
     if q < 1:
         return _undefined(table)
+    query = table.query(x)
     # sum |px - py| over grams = |px| + |py| - 2 * sum min(px, py)
-    common = _shared(x, table, q, np.minimum)
-    total = max(0, len(x) - q + 1) + table.grams(q).total
+    common = _shared(query, q, np.minimum)
+    total = max(0, len(query.text) - q + 1) + table.grams(q).total
     return table.unsort((total - 2 * common).astype(np.float64))
 
 
@@ -126,13 +129,15 @@ def kondrak_ngram_distance_many(x: str, table, n: int = 2) -> np.ndarray:
     n * i shifted, and so does the diagonal from the last of them: column
     0 needs no case of its own and no minimum runs across candidates.
     """
+    query = table.query(x)
+    x = query.text
     if n < 1 or not x or BOUNDARY in x:
         return _undefined(table)
     m = len(x)
     cells = table.cells()
     # the grams of cells 1.., each beside the diagonal from the cell before it
     grams = cells.gram_symbols(n)[:, 1:]
-    query = np.concatenate([np.full(n - 1, HEAD, dtype=np.int32), table.symbols(x)])
+    padded = np.concatenate([np.full(n - 1, HEAD, dtype=np.int32), query.symbols])
     lengths = table.lengths
     # row 0, D[0][j] = n * j, is one shifted value per candidate
     base = -n * (cells.starts + m * np.arange(len(table)))
@@ -143,10 +148,10 @@ def kondrak_ngram_distance_many(x: str, table, n: int = 2) -> np.ndarray:
     for i in range(1, m + 1):
         np.add(row, n, out=best)  # D[i - 1][j] + n
         # D[i - 1][j - 1] + n - (matching characters of the two grams)
-        np.equal(grams[0], query[i - 1], out=equal)
+        np.equal(grams[0], padded[i - 1], out=equal)
         np.subtract(row[:-1], equal, out=diag)
         for t in range(1, n):
-            np.equal(grams[t], query[i - 1 + t], out=equal)
+            np.equal(grams[t], padded[i - 1 + t], out=equal)
             np.subtract(diag, equal, out=diag)
         np.minimum(best[1:], diag, out=best[1:])
         np.minimum.accumulate(best, out=row)
@@ -177,8 +182,9 @@ def dice_distance_many(x: str, table, n: int = 2) -> np.ndarray:
     """1 - dice_coefficient(x, y, n) for every candidate y."""
     if n < 1:
         return _undefined(table)
-    nt = _shared(x, table, n, np.minimum)
-    grams = max(0, len(x) - n + 1) + table.grams(n).total
+    query = table.query(x)
+    nt = _shared(query, n, np.minimum)
+    grams = max(0, len(query.text) - n + 1) + table.grams(n).total
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 1.0 - 2.0 * nt / grams
     out[grams == 0] = np.inf
@@ -199,7 +205,9 @@ def jaccard_distance_many(x: str, table, n: int = 2) -> np.ndarray:
     """jaccard_distance(x, y, n) for every candidate y."""
     if n < 1:
         return _undefined(table)
-    inter = _shared(x, table, n, lambda counts, cq: 1)
+    query = table.query(x)
+    x = query.text
+    inter = _shared(query, n, lambda counts, cq: 1)
     distinct = len({x[i : i + n] for i in range(len(x) - n + 1)})
     union = distinct + table.grams(n).distinct - inter
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -224,10 +232,12 @@ def char_cosine_distance(x: str, y: str) -> float:
 
 def char_cosine_distance_many(x: str, table) -> np.ndarray:
     """char_cosine_distance(x, y) for every candidate y."""
+    query = table.query(x)
+    x = query.text
     if not x:
         return _undefined(table)
     index = table.grams(1)
-    dot = _shared(x, table, 1, np.multiply)
+    dot = _shared(query, 1, np.multiply)
     nx = math.sqrt(sum(v * v for v in Counter(x).values()))
     ny = np.sqrt(index.sumsq)
     with np.errstate(divide="ignore", invalid="ignore"):

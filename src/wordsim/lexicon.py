@@ -36,9 +36,8 @@ class Lexicon:
     _tables: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {w: i for i, w in enumerate(self.words)}
-        )
+        if self._index is None:
+            object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.words)})
         object.__setattr__(self, "_tables", {})
 
     def __len__(self):
@@ -118,35 +117,28 @@ def _normalize(word: str) -> str:
 
 def build_lexicon(pairs: Iterable) -> Lexicon:
     """Construct a lexicon from (nonstandard, standard) word pairs."""
+    return _build([(_normalize(non), _normalize(std)) for non, std in pairs])
+
+
+def _build(pairs) -> Lexicon:
+    """The lexicon of (nonstandard, standard) pairs of normalised words."""
     mapping = {}
-    standard = []
-    seen_standard = set()
-    order = []
-    seen = set()
+    index = {}  # word -> id, in order of first appearance
     for non, std in pairs:
-        non, std = _normalize(non), _normalize(std)
-        if non in mapping and mapping[non] != std:
-            raise AmbiguityError(
-                f"{non!r} mapped to both {mapping[non]!r} and {std!r}"
-            )
-        mapping[non] = std
-        for w in (non, std):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-        seen_standard.add(std)
-    if not seen_standard:
+        known = mapping.setdefault(non, std)
+        if known != std:
+            raise AmbiguityError(f"{non!r} mapped to both {known!r} and {std!r}")
+        index.setdefault(non, len(index))
+        index.setdefault(std, len(index))
+    standard = set(mapping.values())
+    if not standard:
         raise WordsimError("lexicon has no standard words")
     # A standard word listed as someone's variant would make the mapping
     # non-functional; treat membership in C as authoritative.
-    for non in list(mapping):
-        if non in seen_standard:
-            del mapping[non]
-    words = tuple(order)
-    index = {w: i for i, w in enumerate(words)}
-    flags = tuple(w in seen_standard for w in words)
-    standard_of = {index[n]: index[s] for n, s in mapping.items()}
-    return Lexicon(words=words, standard_flags=flags, standard_of=standard_of)
+    standard_of = {index[n]: index[s] for n, s in mapping.items() if n not in standard}
+    words = tuple(index)
+    flags = tuple(map(standard.__contains__, words))
+    return Lexicon(words=words, standard_flags=flags, standard_of=standard_of, _index=index)
 
 
 def _lines(path):
@@ -194,13 +186,17 @@ def load_lexicon(pairs_path) -> Lexicon:
             raise ParseError("missing tab separator", line_no)
         if fields > 2:
             raise ParseError(f"expected 2 tab-separated fields, got {fields}", line_no)
-        non, _, std = line.partition("\t")
-        if not non.strip() or not std.strip():
+        # _normalize of each field: casefold works character by character, maps
+        # no character to a tab or to whitespace and every whitespace character
+        # to itself, and leaves a non-empty string non-empty
+        non, _, std = line.casefold().partition("\t")
+        non, std = non.strip(), std.strip()
+        if not non or not std:
             raise ParseError("empty field", line_no)
         pairs.append((non, std))
     if not pairs:
         raise ParseError(f"no pairs found in {pairs_path}")
-    return build_lexicon(pairs)
+    return _build(pairs)
 
 
 def load_corpus(corpus_path, lex: Lexicon) -> Corpus:

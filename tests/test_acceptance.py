@@ -8,11 +8,13 @@ import json
 import statistics
 import string
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from wordsim import contextenc, denoise, editfam, gramfam, neural
+from wordsim.candidates import CandidateTable
 from wordsim.cli import main as cli_main
 from wordsim.evalharness import MetricSpec, evaluate_accuracy
 from wordsim.lexicon import build_lexicon
@@ -29,25 +31,36 @@ def verdict(num, ok, detail):
 
 def test_criterion_1_oracle_equivalence():
     # every pair of strings of length <= 5 over {a,b,c} against
-    # edit-script search oracles; DP answers must match exactly
+    # edit-script search oracles; DP answers must match exactly, and so
+    # must the batched kernels, all three given one prepared query per x
     start = time.monotonic()
     universe = all_strings("abc", 5)
+    table = CandidateTable(universe)
     mismatches = 0
     for x in universe:
         lev_oracle = bfs_script_distances(x, "abc", 5, ("insert", "delete", "substitute"))
         lcs_oracle = bfs_script_distances(x, "abc", 5, ("insert", "delete"))
+        osa_oracle = {y: osa_script_search(x, y) for y in universe}
         for y in universe:
             if editfam.levenshtein(x, y) != lev_oracle[y]:
                 mismatches += 1
             if editfam.lcs_distance(x, y) != lcs_oracle[y]:
                 mismatches += 1
-            if editfam.damerau_levenshtein(x, y) != osa_script_search(x, y):
+            if editfam.damerau_levenshtein(x, y) != osa_oracle[y]:
                 mismatches += 1
+        query = table.query(x)
+        for kernel, oracle in (
+            (editfam.damerau_levenshtein_many, osa_oracle),
+            (editfam.lcs_distance_many, lcs_oracle),
+            (editfam.levenshtein_many, lev_oracle),
+        ):
+            want = [oracle[y] for y in universe]
+            mismatches += int(np.count_nonzero(kernel(query, table) != want))
     elapsed = time.monotonic() - start
     verdict(
         1,
         mismatches == 0 and elapsed < 60.0,
-        f"{len(universe) ** 2} pairs x 3 metrics, {mismatches} mismatches, {elapsed:.1f}s",
+        f"{len(universe) ** 2} pairs x 3 metrics, scalar and batched, {mismatches} mismatches, {elapsed:.1f}s",
     )
 
 
@@ -80,13 +93,28 @@ def test_criterion_2_metric_axioms():
         dxy, dyz, dxz = qgram(x, y), qgram(y, z), qgram(x, z)
         if dxy < 0 or dxy != qgram(y, x) or dxz > dxy + dyz:
             violations += 1
+    # the same axioms through the batched kernels, one prepared query per
+    # word, over every triple of 300 more words
+    words = [rand_word() for _ in range(300)]
+    table = CandidateTable(words)
+    kernels = [editfam.levenshtein_many, editfam.damerau_levenshtein_many,
+               editfam.lcs_distance_many, partial(gramfam.qgram_distance_many, q=2)]
+    queries = [table.query(x) for x in words]
+    same = np.array([[x == y for y in words] for x in words])
+    for i, kernel in enumerate(kernels):
+        d = np.array([kernel(query, table) for query in queries])
+        violations += int(np.count_nonzero(d < 0) + np.count_nonzero(d != d.T))
+        if i < 3:
+            violations += int(np.count_nonzero((d == 0) != same))
+        for y in range(len(words)):
+            violations += int(np.count_nonzero(d > d[:, y, None] + d[None, y, :]))
     # identity-of-indiscernibles failure witness for the q-gram distance
     witness_ok = gramfam.qgram_distance("abab", "baba", 1) == 0 and "abab" != "baba"
     elapsed = time.monotonic() - start
     verdict(
         2,
         violations == 0 and witness_ok and elapsed < 60.0,
-        f"10^4 triples, {violations} violations, q-gram witness "
+        f"10^4 triples and 300^3 batched, {violations} violations, q-gram witness "
         f"{'held' if witness_ok else 'missing'}, {elapsed:.1f}s",
     )
 

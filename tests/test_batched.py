@@ -202,6 +202,61 @@ def test_long_queries_take_the_batched_path(monkeypatch):
     assert list(editfam.levenshtein_many("a" * 65, table)) == [64.0, 70.0]
 
 
+# call orders of the ten kernels on one shared Query: the normalised and
+# metric forms before the passes they divide, and the gram metrics at
+# different gram lengths side by side
+SHARED_ORDERS = [
+    ["normalized-levenshtein", "levenshtein", "metric-lcs", "lcs", "qgram", "dice",
+     "jaccard", "cosine", "ngram", "damerau-levenshtein"],
+    ["damerau-levenshtein", "levenshtein", "normalized-levenshtein", "lcs", "metric-lcs",
+     "ngram", "cosine", "jaccard", "dice", "qgram"],
+    sorted(CLASSICAL_METRICS),
+]
+SHARED_PARAMS = [
+    {"qgram": {"q": 3}, "dice": {"n": 2}, "jaccard": {"n": 2}, "ngram": {"n": 2}},
+    {"qgram": {"q": 2}, "dice": {"n": 3}, "jaccard": {"n": 1}, "ngram": {"n": 3}},
+]
+
+
+@pytest.mark.parametrize("order", SHARED_ORDERS)
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(x=strings, words=st.lists(strings, max_size=6), p=st.sampled_from(SHARED_PARAMS))
+def test_shared_query_equals_fresh_strings(order, x, words, p):
+    table = CandidateTable(words)
+    query = table.query(x)
+    for name in order:
+        got = CLASSICAL_METRICS[name](query, table, **p.get(name, {}))
+        want = CLASSICAL_METRICS[name](x, CandidateTable(words), **p.get(name, {}))
+        assert got.tobytes() == want.tobytes(), (name, x, p)
+
+
+def test_shared_passes_are_read_only():
+    table = CandidateTable(["abc", "b" * 70, ""])
+    query = table.query("abd")
+    editfam.normalized_levenshtein_many(query, table)
+    editfam.metric_lcs_many(query, table)
+    editfam.damerau_levenshtein_many(query, table)
+    for raw in (editfam._edit_distances(query, False), editfam._edit_distances(query, True),
+                editfam._lcs_lengths(query), query.masks()[0], query.symbols):
+        assert not raw.flags.writeable
+    # a kernel's result is the caller's own to write
+    row = editfam.levenshtein_many(query, table)
+    row[:] = -1
+    assert list(editfam.levenshtein_many(query, table)) == [1.0, 69.0, 3.0]
+
+
+def test_query_of_another_table_is_prepared_again():
+    first, second = CandidateTable(["ab", "ba"]), CandidateTable(["abc", "xyz", "b" * 70])
+    query = first.query("abd")
+    assert first.query(query) is query
+    again = second.query(query)
+    assert again is not query and again.table is second and again.text == "abd"
+    for name in sorted(CLASSICAL_METRICS):
+        CLASSICAL_METRICS[name](query, first)  # fill the first table's shared parts
+        got = CLASSICAL_METRICS[name](query, second)
+        assert got.tobytes() == CLASSICAL_METRICS[name]("abd", second).tobytes(), name
+
+
 def scalar_accuracy(name, lex, ks):
     standard = lex.standard_ids
     hits = dict.fromkeys(ks, 0)

@@ -1,0 +1,96 @@
+"""The traced benchmark's wrap sites still exist in wordsim.
+
+``bench/layers.py`` wraps wordsim functions by name, and per-kernel spans
+are attributed through the ``CLASSICAL_METRICS`` entries. These tests
+read that file without changing it, so that a renamed function fails
+here rather than as an ``AttributeError`` in a traced run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from wordsim import cli, contextenc, denoise, editfam, evalharness, gramfam, lexicon, neural
+from wordsim.evalharness import CLASSICAL_METRICS
+from wordsim.lexicon import load_lexicon
+
+from conftest import TOY_STANDARD, toy_variants
+
+LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+
+
+@pytest.fixture(scope="module")
+def layers():
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class Recorder:
+    """Stands in for the bench tracer: records every binding install() wraps, wrapping none."""
+
+    def __init__(self):
+        self.bindings = []
+
+    def wrap(self, owner, key, span, after=None):
+        self.bindings.append((owner, key))
+
+    def file_bytes(self, counter):
+        return None
+
+    def note_fingerprint(self, args, kwargs, result):
+        pass
+
+
+def test_named_functions_exist(layers):
+    for module, names in ((editfam, layers.EDITFAM), (gramfam, layers.GRAMFAM),
+                          (neural, layers.NEURAL), (denoise, layers.DENOISE),
+                          (contextenc, layers.CONTEXTENC)):
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    for name in ("evaluate_accuracy", "qualitative_neighbors", "export_report"):
+        assert callable(getattr(evalharness, name, None)), name
+    for owner in (cli, lexicon):
+        for name in ("load_lexicon", "load_corpus"):
+            assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
+
+
+def test_every_wrapped_binding_exists(layers):
+    recorder = Recorder()
+    layers.install(recorder)
+    assert recorder.bindings
+    for owner, key in recorder.bindings:
+        if isinstance(owner, dict):
+            assert key in owner, key
+        else:
+            assert hasattr(owner, key), f"{owner!r}.{key}"
+
+
+def test_classical_metrics_are_module_level_kernels():
+    for name, fn in CLASSICAL_METRICS.items():
+        assert fn.__module__ in ("wordsim.editfam", "wordsim.gramfam"), name
+        assert getattr(sys.modules[fn.__module__], fn.__name__) is fn, name
+
+
+def test_cli_eval_calls_each_kernel_once_per_query(tmp_path, monkeypatch):
+    path = tmp_path / "pairs.tsv"
+    path.write_text(
+        "".join(f"{v}\t{w}\n" for w in TOY_STANDARD for v in toy_variants(w)), encoding="utf-8"
+    )
+    calls = dict.fromkeys(CLASSICAL_METRICS, 0)
+
+    def counting(name, kernel):
+        def stand_in(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        return stand_in
+
+    for name, kernel in list(CLASSICAL_METRICS.items()):
+        monkeypatch.setitem(CLASSICAL_METRICS, name, counting(name, kernel))
+    assert cli.main(["eval", "--lexicon", str(path), "--metrics", "all-classical"]) == 0
+    queries = len(load_lexicon(path).nonstandard_ids)
+    assert calls == dict.fromkeys(CLASSICAL_METRICS, queries)

@@ -432,6 +432,47 @@ class TestEval:
         assert "no metric" in captured.err and captured.out == ""
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "argv,stdout",
+        [
+            (
+                ["--metrics", "levenshtein,levenshtein,dice", "--ks", "1,2,5"],
+                "levenshtein: acc@1=96.67%  acc@2=100.00%  acc@5=100.00%\n"
+                "levenshtein: acc@1=96.67%  acc@2=100.00%  acc@5=100.00%\n"
+                "dice: acc@1=96.67%  acc@2=100.00%  acc@5=100.00%\n",
+            ),
+            (
+                ["--n", "3", "--ks", "1,3"],
+                "cosine: acc@1=95.00%  acc@3=100.00%\n"
+                "damerau-levenshtein: acc@1=100.00%  acc@3=100.00%\n"
+                "dice: acc@1=86.67%  acc@3=95.00%\n"
+                "jaccard: acc@1=86.67%  acc@3=95.00%\n"
+                "lcs: acc@1=98.33%  acc@3=100.00%\n"
+                "levenshtein: acc@1=96.67%  acc@3=100.00%\n"
+                "metric-lcs: acc@1=98.33%  acc@3=100.00%\n"
+                "ngram: acc@1=98.33%  acc@3=100.00%\n"
+                "normalized-levenshtein: acc@1=96.67%  acc@3=100.00%\n"
+                "qgram: acc@1=85.00%  acc@3=95.00%\n",
+            ),
+        ],
+        ids=["repeated-names", "all-classical-n3"],
+    )
+    def test_stdout_is_pinned(self, pairs_file, argv, stdout, capsys):
+        # the lines as the metric-by-metric evaluation printed them, byte for byte
+        assert main(["eval", "--lexicon", str(pairs_file), *argv]) == 0
+        assert capsys.readouterr().out == stdout
+
+    def test_binding_error_prints_no_accuracy(self, trained, tmp_path, capsys):
+        _, models = trained
+        other = write_pairs(tmp_path / "other.tsv")
+        with open(other, "a", encoding="utf-8") as fh:
+            fh.write("wter\twater\n")
+        argv = ["eval", "--lexicon", str(other), "--metrics", "levenshtein,Da", "--model", models["Da"]]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not trained against this lexicon" in captured.err
+
 
 class TestSharedParser:
     """main reuses one parser: each call must act as the same call in a fresh interpreter."""

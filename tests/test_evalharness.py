@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from wordsim.denoise import build_autoencoder, train_autoencoder
 from wordsim.errors import BindingError, ConfigError
 from wordsim.evalharness import (
     EvalReport,
+    CLASSICAL_METRICS,
     MetricSpec,
     _top_k,
+    evaluate_accuracies,
     evaluate_accuracy,
     export_report,
     load_report,
@@ -90,6 +94,36 @@ class TestEvaluateAccuracy:
         assert lex.id_of("cqaieffk") < lex.id_of("noytztnd")
         spec = MetricSpec(name="ngram", params={"n": 3})
         assert evaluate_accuracy(spec, lex, ks=(1, 2)) == {1: 0.0, 2: 100.0}
+
+    def test_many_specs_equal_one_at_a_time(self, toy_lexicon, trained_da):
+        specs = [MetricSpec(name) for name in sorted(CLASSICAL_METRICS)]
+        specs += [
+            MetricSpec("Da", "learned-Da", {"model": trained_da}),
+            MetricSpec("dice", params={"n": 3}),
+        ]
+        together = evaluate_accuracies(specs, toy_lexicon, ks=(1, 3))
+        assert together == [evaluate_accuracy(spec, toy_lexicon, ks=(1, 3)) for spec in specs]
+
+    @pytest.mark.parametrize("name", ["levenshtein", "ngram"])
+    def test_memory_is_one_row_per_query(self, name):
+        # 300 queries x 2000 candidates: a float64 distance matrix would take 4.8 MB
+        rng = np.random.default_rng(0)
+        letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+        words = {"".join(rng.choice(letters, size=rng.integers(5, 11))) for _ in range(2100)}
+        standard = sorted(words)[:2000]
+        pairs = [(w[::-1] + "x", w) for w in standard[:300]] + [(w, w) for w in standard]
+        lex = build_lexicon(pairs)
+        matrix = len(lex.nonstandard_ids) * len(lex.standard_ids) * 8
+        peaks = []
+        for _ in range(2):  # the first call also builds the candidate table
+            tracemalloc.start()
+            try:
+                evaluate_accuracy(MetricSpec(name), lex, ks=(1, 5))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < matrix / 2
+        assert peaks[1] < matrix / 5
 
 
 def ranked(distances, ids):

@@ -123,6 +123,32 @@ class TestLoadLexicon:
         assert "x\u2028y" in lex and "p\x0cq" in lex
         assert len(lex) == 21
 
+    def test_fields_normalise_as_build_lexicon_does(self, tmp_path):
+        # whitespace beyond ASCII around the fields, and characters whose
+        # casefold is longer than they are or is context-free where lower() is not
+        pairs = [
+            ("\u00a0Stra\u00dfe\u3000", "STREET"),
+            ("\ufb00ort\u2028", "effort"),
+            ("\u03a3\u0399\u03a3\u03a5\u03a6\u039f\u03a3",
+             "\u03c3\u03b9\u03c3\u03c5\u03c6\u03bf\u03c2"),
+            ("\u0085\u0130stanbul", "istanbul\u0345"),
+            ("\u1e9ee", "sse"),
+        ]
+        path = write(tmp_path, "pairs.tsv", "".join(f"{n}\t{s}\n" for n, s in pairs))
+        loaded, built = load_lexicon(path), build_lexicon(pairs)
+        assert loaded == built and loaded.fingerprint() == built.fingerprint()
+
+    def test_casefold_keeps_tabs_and_whitespace(self):
+        # load_lexicon casefolds a whole line before splitting it at the tab
+        # and stripping the fields, which equals _normalize of each field
+        for c in map(chr, range(0x110000)):
+            folded = c.casefold()
+            if c.isspace():
+                assert folded == c, hex(ord(c))
+            else:
+                assert folded and "\t" not in folded, hex(ord(c))
+                assert not folded[0].isspace() and not folded[-1].isspace(), hex(ord(c))
+
 
 class TestPinnedFingerprints:
     """Saved models store the fingerprint: any drift turns them into a BindingError."""
