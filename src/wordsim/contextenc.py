@@ -14,9 +14,9 @@ import numpy as np
 from . import neural
 from .denoise import AutoencoderModel, encode_all, train_autoencoder
 from .errors import ConfigError, WordsimError
-from .lexicon import Corpus, Lexicon, word_ids
+from .lexicon import Corpus, Lexicon, word_id
 from .neural import Network, TrainConfig
-from .vecdist import vector_metric
+from .vecdist import check_finite, vector_metric
 
 __all__ = [
     "PAD",
@@ -215,10 +215,11 @@ def train_combined(
 
 
 def distance_Dc(U, a_i: int, a_j: int, vec_metric: str = "cosine") -> float:
-    """Vector distance between the embedding rows of two words."""
+    """Vector distance between the embedding rows of two words; NumericError if one is not finite."""
     rows = U.U if isinstance(U, EmbeddingMatrix) else np.asarray(U, dtype=float)
-    i, j = word_ids([a_i, a_j], len(rows))
+    i, j = word_id(a_i, len(rows)), word_id(a_j, len(rows))
     d = vector_metric(vec_metric)
+    check_finite(rows[[i, j]], "the words' vectors")
     return float(d(rows[i], rows[j]))
 
 

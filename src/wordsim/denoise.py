@@ -11,7 +11,7 @@ import numpy as np
 
 from . import neural
 from .errors import ConfigError
-from .lexicon import Lexicon, one_hot
+from .lexicon import Lexicon, one_hot, word_id
 from .neural import Network, TrainConfig
 
 __all__ = [
@@ -115,13 +115,14 @@ def encode_all(model: AutoencoderModel, lex: Lexicon) -> np.ndarray:
     until neural.sgd_step changes the weights, so a repeated call returns
     the very array the first one computed. Edit a layer's W, b or
     activation by hand only before the first call, or on a fresh or
-    reloaded model.
+    reloaded model. An overflow while encoding raises NumericError.
     """
     lex.check_binding(model)  # the bound lexicon fixes the rows, so the codes follow the weights
     if model.net._codes is None:
         a = np.arange(len(lex))  # the id form of eye(|A|)
-        for layer in model.net.layers[: model.bottleneck_index + 1]:
-            a = neural._apply(layer.activation, neural._affine(layer, a))
+        with neural._numeric_guard():
+            for layer in model.net.layers[: model.bottleneck_index + 1]:
+                a = neural._apply(layer.activation, neural._affine(layer, a))
         a.flags.writeable = False
         model.net._codes = a
     return model.net._codes
@@ -154,17 +155,31 @@ def nearest_standard(source, lex, query_id: int, k: int = 5, vec_metric: str = "
 
     ``source`` is either a trained AutoencoderModel (distance D_a), or an
     EmbeddingMatrix or raw matrix with one row per word id (distance D_c).
-    Ties break by ascending word id; k beyond |C| truncates.
+    Ties break by ascending word id; k beyond |C| truncates. The query id
+    must be an integer in [0, |A|) (TypeError, IndexError), and a NaN or
+    infinite query or candidate vector raises NumericError.
+
+    The query is scored through the one scoring core against the
+    lexicon's standard ids, which need no check, and only the query's
+    row is formed. For D_a the candidates' codes and, for cosine, their
+    norms are kept on the model's network per candidate set until
+    neural.sgd_step changes the weights, so a query pays only for its
+    own vector, one vector-metric call and the top k. A raw matrix or
+    EmbeddingMatrix source is gathered again on each call. The top k is
+    found by selection (np.partition), and only the distances at or
+    below the k-th are sorted.
     """
     # evalharness imports this module, so its scoring path is imported here
-    from .evalharness import MetricSpec, _top_k, scores
+    from .evalharness import MetricSpec, _rows, _top_k
     if k < 1:
         raise ValueError("k must be >= 1")
     name = "Da" if isinstance(source, AutoencoderModel) else "Dc"
     spec = MetricSpec(name, f"learned-{name}", {"model": source, "vec_metric": vec_metric})
+    qid = word_id(query_id, len(lex))
     candidates = lex.standard_array
-    row = scores(spec, lex, [query_id], candidates)[0]
-    return [(int(candidates[i]), float(row[i])) for i in _top_k(row, candidates, k)]
+    ((row,),) = _rows([spec], lex, [qid], candidates)
+    top = _top_k(row, candidates, k)
+    return list(zip(candidates[top].tolist(), row[top].tolist()))
 
 
 # the shape a model file stores beside its layers; load_autoencoder checks it

@@ -9,7 +9,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .denoise import AutoencoderModel, encode_all
 from .contextenc import EmbeddingMatrix
 from .errors import BindingError, ConfigError
 from .lexicon import Lexicon, _normalize, word_ids
-from .vecdist import vector_metric
+from .vecdist import check_finite, nonzero_norms, vector_metric
 
 __all__ = [
     "MetricSpec",
@@ -123,19 +123,69 @@ def _learned_vectors(spec: MetricSpec, lex: Lexicon) -> np.ndarray:
     return rows
 
 
+class _CandidateRows:
+    """The vectors of one candidate set, gathered once, read-only and checked finite.
+
+    Their norms, checked nonzero, are computed on the first cosine use.
+    """
+
+    def __init__(self, vectors: np.ndarray, candidate_ids: np.ndarray):
+        rows = vectors[candidate_ids]
+        check_finite(rows, "a candidate's vector")
+        rows.flags.writeable = False
+        self.vectors, self.rows = vectors, rows
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        norms = nonzero_norms(self.rows)
+        norms.flags.writeable = False
+        return norms
+
+
+def _candidate_rows(spec: MetricSpec, vectors: np.ndarray, candidate_ids: np.ndarray):
+    """The _CandidateRows of candidate_ids under spec.
+
+    For Da they are kept on the model's network, one entry per candidate
+    set, and emptied with its codes (see neural.sgd_step); an entry taken
+    from other codes is prepared again. A raw array or an EmbeddingMatrix
+    has no key that stays valid, so its rows are prepared per call.
+    """
+    if spec.kind != "learned-Da":
+        return _CandidateRows(vectors, candidate_ids)
+    net = spec.params["model"].net
+    if net._candidates is None:
+        net._candidates = {}
+    key = candidate_ids.tobytes()
+    prepared = net._candidates.get(key)
+    if prepared is None or prepared.vectors is not vectors:
+        prepared = net._candidates[key] = _CandidateRows(vectors, candidate_ids)
+    return prepared
+
+
 def _scorer(spec: MetricSpec, lex: Lexicon, candidate_ids: np.ndarray, table):
     """score(query id, its Query of table) -> its distance to every candidate under spec.
 
     A learned spec is resolved here, before any query is scored: the
-    model's lexicon binding is checked and the candidate rows gathered.
+    model's lexicon binding is checked and the candidates' rows (and, for
+    cosine, their norms) prepared. A non-finite query or candidate vector
+    raises NumericError.
     """
     if spec.kind == "classical":
         kernel = partial(CLASSICAL_METRICS[spec.name], **_metric_params(spec.name, spec.params))
         return lambda qid, query: kernel(query, table)
     vectors = _learned_vectors(spec, lex)
-    d = vector_metric(spec.params.get("vec_metric", "cosine"))
-    rows = vectors[candidate_ids]
-    return lambda qid, query: d(vectors[qid], rows)
+    metric = spec.params.get("vec_metric", "cosine")
+    d = vector_metric(metric)
+    candidates = _candidate_rows(spec, vectors, candidate_ids)
+    rows = candidates.rows
+    norms = (candidates.norms,) if metric == "cosine" else ()
+
+    def score(qid, query):
+        vector = vectors[qid]
+        check_finite(vector, "the query's vector")
+        return d(vector, rows, *norms)
+
+    return score
 
 
 def _rows(specs, lex: Lexicon, query_ids, candidate_ids):
@@ -177,7 +227,18 @@ def scores(spec: MetricSpec, lex: Lexicon, query_ids, candidate_ids) -> np.ndarr
 
 
 def _top_k(distances, ids, k):
-    """Positions of the k smallest (distance, id) pairs, in that order."""
+    """Positions of the k >= 1 smallest (distance, id) pairs, in that order.
+
+    np.partition finds the k-th smallest distance, and only the entries at
+    or below it are sorted. The order is that of np.lexsort((ids,
+    distances))[:k], ties and NaN included: the full sort is used when k
+    covers every entry or the k-th smallest distance is NaN.
+    """
+    if k < len(distances):
+        kth = np.partition(distances, k - 1)[k - 1]
+        if not np.isnan(kth):
+            near = np.flatnonzero(distances <= kth)
+            return near[np.lexsort((ids[near], distances[near]))[:k]]
     return np.lexsort((ids, distances))[:k]
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AmbiguityError, BindingError, ParseError, UnknownWordError, WordsimError
 
-__all__ = ["Lexicon", "Corpus", "load_lexicon", "load_corpus", "one_hot", "word_ids"]
+__all__ = ["Lexicon", "Corpus", "load_lexicon", "load_corpus", "one_hot", "word_id", "word_ids"]
 
 
 @dataclass(frozen=True)
@@ -224,17 +224,41 @@ def load_corpus(corpus_path, lex: Lexicon) -> Corpus:
     return Corpus(sentences=tuple(sentences), oov_count=oov)
 
 
+def word_id(i, size: int) -> int:
+    """i as a word id: TypeError unless it is an integer, IndexError outside [0, size).
+
+    A float, str, bool or sequence is not an integer, so 2.5 never
+    stands for word 2.
+    """
+    if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+        raise TypeError(f"word id must be an integer, got {i!r}")
+    if not 0 <= i < size:
+        raise IndexError(f"word id {i} out of range for |A|={size}")
+    return int(i)
+
+
 def word_ids(ids, size: int) -> np.ndarray:
-    """ids as an index array; IndexError names the first one outside [0, size)."""
-    ids = np.asarray(ids, dtype=np.intp)
-    bad = ids[(ids < 0) | (ids >= size)]
-    if len(bad):
-        raise IndexError(f"word id {bad[0]} out of range for |A|={size}")
-    return ids
+    """An id or a sequence of ids as an index array of 0 or 1 dimensions.
+
+    Each id is checked as word_id checks it: a sequence where one id
+    belongs raises TypeError too. An empty sequence gives an empty array.
+    IndexError names the first id outside [0, size).
+    """
+    if isinstance(ids, np.ndarray):
+        if ids.ndim > 1 or (ids.size and ids.dtype.kind not in "iu"):
+            raise TypeError(f"word ids must be integers, got a {ids.ndim}-d {ids.dtype} array")
+        a = ids.astype(np.intp, copy=False)
+        bad = a[(a < 0) | (a >= size)]
+        if len(bad):
+            raise IndexError(f"word id {bad[0]} out of range for |A|={size}")
+        return a
+    if isinstance(ids, (str, bytes)) or not isinstance(ids, Iterable):
+        return np.array(word_id(ids, size), dtype=np.intp)
+    return np.array([word_id(i, size) for i in ids], dtype=np.intp)
 
 
 def one_hot(lex: Lexicon, word_id: int) -> np.ndarray:
     """One-hot vector of dimension |A| with a single 1 at word_id."""
     v = np.zeros(len(lex))
-    v[word_ids(word_id, len(lex))] = 1.0
+    v[word_ids([word_id], len(lex))] = 1.0
     return v

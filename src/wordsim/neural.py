@@ -118,16 +118,19 @@ class Network:
     """Dense layers from input to output.
 
     A network also keeps the bottleneck codes that denoise.encode_all
-    last computed from its weights. sgd_step, the one function that
-    writes weights in place, empties that memo, and a network that is
-    built or loaded starts without one. Edit a layer's W, b or activation
-    by hand only before the first encode_all, or on a fresh or reloaded
-    network: a hand edit leaves stale codes in place.
+    last computed from its weights, and the candidate rows that scoring
+    gathered from those codes. sgd_step, the one function that writes
+    weights in place, empties both memos, and a network that is built or
+    loaded starts without them. Edit a layer's W, b or activation by hand
+    only before the first encode_all, or on a fresh or reloaded network:
+    a hand edit leaves stale codes in place.
     """
 
     layers: List[DenseLayer]
     # read-only codes of denoise.encode_all for the current weights; None until computed
     _codes: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    # candidate id bytes -> the candidates' rows of _codes, prepared by evalharness; None until used
+    _candidates: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -313,11 +316,12 @@ def sgd_step(net: Network, grads, lr: float) -> Network:
     already raises on overflow and invalid operations, as it does in the
     trainers: there a step from finite values raises before it can write
     one. A non-finite lr raises ConfigError before any change. The
-    network's memo of encode_all codes is emptied first.
+    network's memos of encode_all codes and of candidate rows are emptied
+    first.
     """
     if not math.isfinite(lr):
         raise ConfigError(f"learning rate must be finite, got {lr}")
-    net._codes = None
+    net._codes = net._candidates = None
     for layer, (dW, db) in zip(net.layers, grads):
         if isinstance(dW, ColumnGrad):
             dW.rows *= lr
@@ -408,7 +412,8 @@ def decode_array(value, field: str, ndim: int) -> np.ndarray:
     """The ndim-dimensional float64 array an encode_array object holds.
 
     A list is a format-1 array stored as nested numbers and is read as
-    such. Anything malformed raises ConfigError naming the field.
+    such. Anything malformed, a NaN or infinite value included, raises
+    ConfigError naming the field.
     """
     if isinstance(value, list):
         try:
@@ -438,6 +443,8 @@ def decode_array(value, field: str, ndim: int) -> np.ndarray:
         a = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
     if a.ndim != ndim:
         raise ConfigError(f"{field} must have {ndim} dimensions, got shape {list(a.shape)}")
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{field} holds a non-finite value")
     return a
 
 

@@ -1,3 +1,4 @@
+import base64
 import errno
 import itertools
 
@@ -89,6 +90,17 @@ def _truncate(array):
     array["f8le"] = array["f8le"][:-4]  # still valid base64, three bytes short
 
 
+def _first_value(value):
+    """A breaker that stores value as the array's first float64."""
+
+    def breaks(array):
+        raw = bytearray(base64.b64decode(array["f8le"]))
+        raw[:8] = np.array([value], dtype="<f8").tobytes()
+        array["f8le"] = base64.b64encode(bytes(raw)).decode("ascii")
+
+    return breaks
+
+
 _SHAPE_LIST = "shape must be a list of non-negative integers"
 
 # ways to break one saved array object, and what the ConfigError must say
@@ -103,6 +115,8 @@ MALFORMED_ARRAYS = {
     "shape-negative": (lambda a: a.update(shape=[-1] * len(a["shape"])), _SHAPE_LIST),
     "shape-not-integers": (lambda a: a.update(shape=[float(n) for n in a["shape"]]), _SHAPE_LIST),
     "one-dimension-too-many": (lambda a: a.update(shape=a["shape"] + [1]), "dimensions, got shape"),
+    "nan": (_first_value(np.nan), "holds a non-finite value"),
+    "infinite": (_first_value(-np.inf), "holds a non-finite value"),
 }
 
 

@@ -10,11 +10,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wordsim import cli, contextenc, denoise, editfam, evalharness, gramfam, lexicon, neural
 from wordsim.evalharness import CLASSICAL_METRICS
 from wordsim.lexicon import load_lexicon
+from wordsim.vecdist import VECTOR_METRICS
 
 from conftest import TOY_STANDARD, toy_variants
 
@@ -75,12 +77,17 @@ def test_classical_metrics_are_module_level_kernels():
         assert getattr(sys.modules[fn.__module__], fn.__name__) is fn, name
 
 
-def test_cli_eval_calls_each_kernel_once_per_query(tmp_path, monkeypatch):
+def toy_pairs(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text(
         "".join(f"{v}\t{w}\n" for w in TOY_STANDARD for v in toy_variants(w)), encoding="utf-8"
     )
-    calls = dict.fromkeys(CLASSICAL_METRICS, 0)
+    return path
+
+
+def count_calls(table, monkeypatch):
+    """Replace every entry of table by one that counts its calls; returns the counts by name."""
+    calls = dict.fromkeys(table, 0)
 
     def counting(name, kernel):
         def stand_in(*args, **kwargs):
@@ -89,8 +96,34 @@ def test_cli_eval_calls_each_kernel_once_per_query(tmp_path, monkeypatch):
 
         return stand_in
 
-    for name, kernel in list(CLASSICAL_METRICS.items()):
-        monkeypatch.setitem(CLASSICAL_METRICS, name, counting(name, kernel))
+    for name, kernel in list(table.items()):
+        monkeypatch.setitem(table, name, counting(name, kernel))
+    return calls
+
+
+def test_cli_eval_calls_each_kernel_once_per_query(tmp_path, monkeypatch):
+    path = toy_pairs(tmp_path)
+    calls = count_calls(CLASSICAL_METRICS, monkeypatch)
     assert cli.main(["eval", "--lexicon", str(path), "--metrics", "all-classical"]) == 0
     queries = len(load_lexicon(path).nonstandard_ids)
     assert calls == dict.fromkeys(CLASSICAL_METRICS, queries)
+
+
+@pytest.mark.parametrize("vec_metric", sorted(VECTOR_METRICS))
+def test_learned_scoring_calls_the_vector_metric_once_per_query(tmp_path, monkeypatch, vec_metric):
+    path = toy_pairs(tmp_path)
+    lex = load_lexicon(path)
+    ae = denoise.build_autoencoder(lex, code_size=4, depth=3, seed=0)
+    rows = np.random.default_rng(0).normal(size=(len(lex), 4))
+    emb = contextenc.EmbeddingMatrix(U=rows, lexicon_fingerprint=lex.fingerprint())
+    denoise.save_autoencoder(ae, tmp_path / "ae.json")
+    contextenc.save_embedding(emb, tmp_path / "emb.json")
+    calls = count_calls(VECTOR_METRICS, monkeypatch)
+    assert cli.main(["eval", "--lexicon", str(path), "--metrics", "Da,Dc", "--vec-metric", vec_metric,
+                     "--model", str(tmp_path / "ae.json"), "--embedding", str(tmp_path / "emb.json")]) == 0
+    queries = len(lex.nonstandard_ids)
+    assert calls == {**dict.fromkeys(VECTOR_METRICS, 0), vec_metric: 2 * queries}
+    for source in (ae, rows, emb):
+        for q in range(len(lex)):
+            denoise.nearest_standard(source, lex, q, vec_metric=vec_metric)
+    assert calls[vec_metric] == 2 * queries + 3 * len(lex)

@@ -658,6 +658,36 @@ class TestLearnedScoring:
         assert rc == 3
         assert "bottleneck_index" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metric,flag", [("Da", "--model"), ("Dc", "--embedding")])
+    def test_model_with_a_non_finite_value_exit_3(self, trained, tmp_path, metric, flag, capsys):
+        pairs, models = trained
+        if metric == "Da":
+            model = denoise.load_autoencoder(models["Da"])
+            model.net.layers[1].W[0, 2] = np.nan
+            save, field = denoise.save_autoencoder, "layers[1].weights"
+        else:
+            model = contextenc.load_embedding(models["Dc"])
+            model.U[3, 1] = np.inf
+            save, field = contextenc.save_embedding, "rows"
+        broken = tmp_path / "broken.json"
+        save(model, broken)
+        rc = main(["nearest", flag, str(broken), "--lexicon", pairs, "--query", "thng"])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {field} holds a non-finite value\n"
+
+    def test_codes_that_overflow_exit_4(self, trained, tmp_path, capsys):
+        pairs, models = trained
+        model = denoise.load_autoencoder(models["Da"])
+        model.net.layers[0].W[:] = 1e308
+        model.net.layers[0].b[:] = 1e308
+        broken = tmp_path / "huge.json"
+        denoise.save_autoencoder(model, broken)
+        for argv in (["nearest", "--query", "thng"], ["eval", "--metrics", "Da"],
+                     ["dist", "--metric", "Da", "thng", "water"]):
+            assert main([*argv, "--model", str(broken), "--lexicon", pairs]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("numeric abort: overflow")
+
     @pytest.mark.parametrize(
         "metric,flag,field",
         [

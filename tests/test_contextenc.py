@@ -305,6 +305,26 @@ class TestDistanceDc:
                 distance_Dc(U, *pair, "L1")
 
 
+    @pytest.mark.parametrize("bad", [2.5, "0", True, [1]])
+    def test_id_that_is_not_an_integer(self, bad):
+        U = np.ones((3, 2))
+        emb = EmbeddingMatrix(U=U, lexicon_fingerprint="")
+        for pair in ((bad, 0), (0, bad)):
+            for source in (U, emb):
+                with pytest.raises(TypeError, match="word id must be an integer"):
+                    distance_Dc(source, *pair)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row(self, bad):
+        U = np.random.default_rng(4).normal(size=(4, 3))
+        U[1, 2] = bad
+        for pair in ((1, 0), (0, 1)):
+            for metric in ("L1", "L2", "cosine"):
+                with pytest.raises(NumericError, match="non-finite value"):
+                    distance_Dc(U, *pair, metric)
+        assert np.isfinite(distance_Dc(U, 0, 2))
+
+
 class TestEmbeddingPersistence:
     def test_round_trip(self, context_lexicon, tmp_path):
         U = np.random.default_rng(3).normal(size=(len(context_lexicon), 4))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wordsim import neural
+from wordsim import evalharness, neural
 from wordsim.contextenc import EmbeddingMatrix
 from wordsim.denoise import (
     build_autoencoder,
@@ -17,8 +17,10 @@ from wordsim.denoise import (
     save_autoencoder,
     train_autoencoder,
 )
-from wordsim.errors import BindingError, ConfigError
+from wordsim.errors import BindingError, ConfigError, NumericError
+from wordsim.evalharness import MetricSpec, evaluate_accuracy, qualitative_neighbors, scores
 from wordsim.lexicon import build_lexicon
+from wordsim.vecdist import VECTOR_METRICS
 from wordsim.neural import TrainConfig, forward
 
 from conftest import MALFORMED_ARRAYS, identity_codes, wide_lexicon
@@ -318,6 +320,131 @@ class TestNearestStandard:
             )
             result = nearest_standard(model, small_lexicon, q, k=4, vec_metric="L1")
             assert result == [(c, d) for d, c in expected[:4]]
+
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "3", True, [3], None])
+    def test_query_id_that_is_not_an_integer(self, da_model, small_lexicon, bad):
+        U = np.ones((len(small_lexicon), 3))
+        for source in (da_model, U):
+            with pytest.raises(TypeError, match="word id must be an integer"):
+                nearest_standard(source, small_lexicon, bad)
+        assert nearest_standard(U, small_lexicon, np.int64(2)) == nearest_standard(U, small_lexicon, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_or_candidate_vector(self, small_lexicon, bad):
+        U = np.random.default_rng(0).normal(size=(len(small_lexicon), 4))
+        query, candidate = small_lexicon.nonstandard_ids[0], small_lexicon.standard_ids[3]
+        for word, what in ((query, "the query's vector"), (candidate, "a candidate's vector")):
+            rows = U.copy()
+            rows[word, 1] = bad
+            for metric in VECTOR_METRICS:
+                with pytest.raises(NumericError, match=f"non-finite value in {what}"):
+                    nearest_standard(rows, small_lexicon, query, vec_metric=metric)
+
+    @pytest.mark.parametrize("role", ["query", "candidate"])
+    def test_non_finite_code(self, small_lexicon, role):
+        model = build_autoencoder(small_lexicon, code_size=4, depth=3, seed=0)
+        query, candidate = small_lexicon.nonstandard_ids[0], small_lexicon.standard_ids[3]
+        model.net.layers[0].W[1, query if role == "query" else candidate] = np.nan
+        with pytest.raises(NumericError, match="non-finite value"):
+            nearest_standard(model, small_lexicon, query)
+
+    def test_overflowing_code_is_a_numeric_error(self, small_lexicon):
+        model = build_autoencoder(small_lexicon, code_size=4, depth=3, seed=0)
+        model.net.layers[0].W[:] = 1e308
+        model.net.layers[0].b[:] = 1e308
+        with pytest.raises(NumericError, match="overflow"):
+            nearest_standard(model, small_lexicon, 0)
+
+
+def one_pair_top_k(vectors, lex, query, k, metric):
+    """The top k standard words of query, each distance a one-pair vector-metric call."""
+    d = VECTOR_METRICS[metric]
+    ranked = sorted((float(d(vectors[query], vectors[c])), c) for c in lex.standard_ids)
+    return [(c, dist) for dist, c in ranked[:k]]
+
+
+class TestPreparedCandidates:
+    """Da keeps the gathered candidate rows and norms on the network, per candidate set."""
+
+    def key(self, lex):
+        return lex.standard_array.tobytes()
+
+    def test_a_built_or_loaded_model_starts_without_a_memo(self, da_model, small_lexicon, tmp_path):
+        assert build_autoencoder(small_lexicon, code_size=4, depth=5).net._candidates is None
+        nearest_standard(da_model, small_lexicon, 0)
+        assert da_model.net._candidates
+        save_autoencoder(da_model, tmp_path / "ae.json")
+        assert load_autoencoder(tmp_path / "ae.json").net._candidates is None
+
+    def test_repeated_calls_reuse_the_prepared_arrays(self, small_lexicon, monkeypatch):
+        model, _ = trained_model(small_lexicon, epochs=5)
+        nearest_standard(model, small_lexicon, 0)
+        prepared = model.net._candidates[self.key(small_lexicon)]
+        rows, norms = prepared.rows, prepared.norms
+        assert not rows.flags.writeable and not norms.flags.writeable
+        checked = []
+        monkeypatch.setattr(evalharness, "check_finite", lambda v, what: checked.append(what))
+        monkeypatch.setattr(evalharness, "nonzero_norms", lambda rows: pytest.fail("norms again"))
+        for q in range(len(small_lexicon)):
+            nearest_standard(model, small_lexicon, q)
+        assert model.net._candidates[self.key(small_lexicon)] is prepared
+        assert prepared.rows is rows and prepared.norms is norms
+        assert checked == ["the query's vector"] * len(small_lexicon)
+
+    def test_one_entry_per_candidate_set(self, small_lexicon):
+        model, _ = trained_model(small_lexicon, epochs=5)
+        spec = MetricSpec("Da", "learned-Da", {"model": model})
+        nearest_standard(model, small_lexicon, 0)
+        nearest_standard(model, small_lexicon, 1, vec_metric="L1")
+        evaluate_accuracy(spec, small_lexicon)
+        qualitative_neighbors(spec, small_lexicon, ["apple", "pple"])
+        assert list(model.net._candidates) == [self.key(small_lexicon)]
+        scores(spec, small_lexicon, [0], [3, 1])
+        scores(spec, small_lexicon, [2], np.array([3, 1]))
+        assert len(model.net._candidates) == 2
+
+    @pytest.mark.parametrize("step", ["sgd_step", "train_autoencoder"])
+    def test_a_stepped_model_ranks_as_its_reloaded_copy(self, small_lexicon, tmp_path, step):
+        model, _ = trained_model(small_lexicon, epochs=5)
+        before = [nearest_standard(model, small_lexicon, q) for q in range(len(small_lexicon))]
+        if step == "sgd_step":
+            grads, _ = neural.backward(model.net, np.array([0, 3]), np.array([1, 2]))
+            neural.sgd_step(model.net, grads, 0.5)
+        else:
+            train_autoencoder(model, small_lexicon, TrainConfig(batch_size=4, learning_rate=0.5, epochs=2))
+        assert model.net._candidates is None
+        save_autoencoder(model, tmp_path / "ae.json")
+        reloaded = load_autoencoder(tmp_path / "ae.json")
+        for metric in VECTOR_METRICS:
+            for q in range(len(small_lexicon)):
+                got = nearest_standard(model, small_lexicon, q, k=4, vec_metric=metric)
+                assert got == nearest_standard(reloaded, small_lexicon, q, k=4, vec_metric=metric)
+        assert [nearest_standard(model, small_lexicon, q) for q in range(len(small_lexicon))] != before
+
+    def test_codes_computed_again_are_prepared_again(self, small_lexicon):
+        model, _ = trained_model(small_lexicon, epochs=5)
+        nearest_standard(model, small_lexicon, 0)
+        prepared = model.net._candidates[self.key(small_lexicon)]
+        model.net._codes = None
+        nearest_standard(model, small_lexicon, 0)
+        assert model.net._candidates[self.key(small_lexicon)] is not prepared
+
+    @pytest.mark.parametrize("metric", sorted(VECTOR_METRICS))
+    @pytest.mark.parametrize("source", ["Da", "Dc-array", "Dc-embedding"])
+    def test_equals_one_pair_scoring(self, small_lexicon, metric, source):
+        model, _ = trained_model(small_lexicon, epochs=5)
+        if source == "Da":
+            src, vectors = model, encode_all(model, small_lexicon)
+        else:
+            vectors = np.random.default_rng(3).normal(size=(len(small_lexicon), 5))
+            vectors[7] = vectors[5]  # two standard words with equal vectors tie exactly
+            src = vectors if source == "Dc-array" else EmbeddingMatrix(vectors, small_lexicon.fingerprint())
+        n = len(small_lexicon.standard_ids)
+        for q in range(len(small_lexicon)):
+            for k in (1, 5, n):
+                got = nearest_standard(src, small_lexicon, q, k=k, vec_metric=metric)
+                assert got == one_pair_top_k(vectors, small_lexicon, q, k, metric)
 
 
 def assert_same_network(loaded, net):

@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordsim.contextenc import EmbeddingMatrix
 from wordsim.denoise import build_autoencoder, train_autoencoder
-from wordsim.errors import BindingError, ConfigError
+from wordsim.errors import BindingError, ConfigError, NumericError
 from wordsim.evalharness import (
     EvalReport,
     CLASSICAL_METRICS,
@@ -146,6 +148,38 @@ class TestRanking:
         assert ranked([1.0, 1.0, 0.5], std) == [5, 3, 7]
 
 
+# few distinct values, so that exact ties are common, with both zeros, infinities and NaN
+TIE_PRONE = st.sampled_from([0.0, -0.0, 0.25, 1.0, 1.0 + 2**-52, np.inf, -np.inf, np.nan])
+DISTANCE = TIE_PRONE | st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestTopK:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.tuples(DISTANCE, st.integers(0, 12)), max_size=40),
+        st.sampled_from(["distinct", "repeated"]),
+    )
+    def test_equals_the_full_lexsort(self, entries, id_kind):
+        d = np.array([e[0] for e in entries], dtype=float)
+        ids = np.array([e[1] for e in entries], dtype=np.intp)
+        if id_kind == "distinct":
+            ids = np.argsort(ids, kind="stable")[::-1].copy()
+        n = len(d)
+        for k in {1, n - 1, n, n + 3} - {-1}:
+            got = _top_k(d, ids, k)
+            assert got.tolist() == np.lexsort((ids, d))[:k].tolist(), k
+
+    def test_empty_row(self):
+        empty = np.array([])
+        assert _top_k(empty, np.array([], dtype=np.intp), 1).tolist() == []
+
+    def test_ties_at_the_kth_distance_rank_by_id(self):
+        d = np.array([3.0, 1.0, 2.0, 1.0, 1.0, 0.5])
+        ids = np.array([0, 9, 1, 4, 7, 2])
+        assert _top_k(d, ids, 2).tolist() == [5, 3]
+        assert _top_k(d, ids, 3).tolist() == [5, 3, 4]
+
+
 class TestScores:
     def test_learned_l1_equals_numpy_reference(self, toy_lexicon):
         rows = np.random.default_rng(0).normal(size=(len(toy_lexicon), 11))
@@ -165,6 +199,24 @@ class TestScores:
                 scores(spec, toy_lexicon, [0, bad], [1])
             with pytest.raises(IndexError, match=f"word id {bad} out of range"):
                 scores(spec, toy_lexicon, [0], [1, bad])
+
+
+    @pytest.mark.parametrize("role", ["query", "candidate"])
+    @pytest.mark.parametrize("metric", ["L1", "L2", "cosine"])
+    def test_non_finite_vector(self, toy_lexicon, role, metric):
+        rows = np.random.default_rng(1).normal(size=(len(toy_lexicon), 3))
+        rows[2 if role == "query" else 5, 0] = np.nan
+        spec = MetricSpec(name="Dc", kind="learned-Dc", params={"model": rows, "vec_metric": metric})
+        with pytest.raises(NumericError, match="non-finite value"):
+            scores(spec, toy_lexicon, [0, 2], [1, 5])
+        assert np.isfinite(scores(spec, toy_lexicon, [0, 1], [3, 4])).all()
+
+    def test_ids_that_are_not_integers(self, toy_lexicon):
+        spec = MetricSpec(name="levenshtein")
+        for queries, candidates in (([2.5], [1]), ([0], ["3"]), ([True], [1]), ([[0, 1]], [1])):
+            with pytest.raises(TypeError, match="word id must be an integer"):
+                scores(spec, toy_lexicon, queries, candidates)
+        assert scores(spec, toy_lexicon, [], [1, 2]).shape == (0, 2)
 
 
 class TestQualitativeNeighbors:

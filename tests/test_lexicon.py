@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wordsim.errors import AmbiguityError, ParseError, UnknownWordError, WordsimError
-from wordsim.lexicon import build_lexicon, load_corpus, load_lexicon, one_hot
+from wordsim.lexicon import build_lexicon, load_corpus, load_lexicon, one_hot, word_id, word_ids
 
 from conftest import TOY_STANDARD, toy_variants
 
@@ -213,6 +213,54 @@ class TestOneHot:
     def test_out_of_range(self, toy_lexicon):
         with pytest.raises(IndexError):
             one_hot(toy_lexicon, len(toy_lexicon))
+
+
+class TestWordIds:
+    @pytest.mark.parametrize(
+        "ids", [2.5, 2.0, np.float64(2.0), "3", b"3", True, np.bool_(True), None, [3], (3,)]
+    )
+    def test_one_id_that_is_not_an_integer(self, ids):
+        with pytest.raises(TypeError, match="word id must be an integer"):
+            word_id(ids, 10)
+
+    @pytest.mark.parametrize(
+        "ids", [2.5, "3", True, [1, 2.5], [1, "3"], [True, 1], [1, [2]], [[1, 2]], [(1,)]]
+    )
+    def test_sequence_with_an_id_that_is_not_an_integer(self, ids):
+        with pytest.raises(TypeError, match="word id must be an integer"):
+            word_ids(ids, 10)
+
+    @pytest.mark.parametrize(
+        "ids", [np.array([1.0, 2.0]), np.array([True, False]), np.array(["1"]), np.array([[1, 2]])]
+    )
+    def test_array_that_is_not_integer_ids(self, ids):
+        with pytest.raises(TypeError, match="word ids must be integers"):
+            word_ids(ids, 10)
+
+    @pytest.mark.parametrize("ids", [[], (), np.array([]), np.array([], dtype=np.intp)])
+    def test_empty_sequence_is_valid(self, ids):
+        got = word_ids(ids, 10)
+        assert got.dtype == np.intp and got.shape == (0,)
+
+    def test_integers_of_every_kind(self):
+        assert word_id(np.int32(3), 10) == 3 and type(word_id(np.int64(3), 10)) is int
+        assert word_ids(4, 10).shape == () and int(word_ids(4, 10)) == 4
+        assert word_ids([1, np.int64(2), np.uint8(3)], 10).tolist() == [1, 2, 3]
+        assert word_ids(range(3), 10).tolist() == [0, 1, 2]
+        assert word_ids(np.arange(3, dtype=np.uint16), 10).tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_out_of_range(self, bad):
+        with pytest.raises(IndexError, match=f"word id {bad} out of range for \\|A\\|=10"):
+            word_id(bad, 10)
+        for ids in ([0, bad], np.array([0, bad])):
+            with pytest.raises(IndexError, match=f"word id {bad} out of range for \\|A\\|=10"):
+                word_ids(ids, 10)
+
+    def test_one_hot_takes_one_integer_id(self, toy_lexicon):
+        for bad in (1.0, [1], True):
+            with pytest.raises(TypeError):
+                one_hot(toy_lexicon, bad)
 
 
 class TestLoadCorpus:

@@ -154,6 +154,13 @@ class TestSgdStep:
             sgd_step(net, grads, 0.05)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
+    def test_step_empties_both_memos(self):
+        net = init_network([3, 2], ["softmax"], np.random.default_rng(5))
+        net._codes, net._candidates = np.zeros((3, 2)), {b"ids": "prepared"}
+        grads, _ = backward(net, np.ones(3), np.array([1.0, 0.0]))
+        sgd_step(net, grads, 0.1)
+        assert net._codes is None and net._candidates is None
+
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_lr_changes_nothing(self, lr):
         net = init_network([3, 2], ["softmax"], np.random.default_rng(5))
@@ -452,3 +459,18 @@ class TestPersistence:
     def test_malformed_array_rejected(self, value):
         with pytest.raises(ConfigError, match="^weights "):
             decode_array(value, "weights", 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_in_either_format(self, bad):
+        a = np.ones((2, 3))
+        a[1, 2] = bad
+        # format 1 stores nested numbers, which JSON writes as NaN or Infinity
+        for value in (encode_array(a), json.loads(json.dumps(a.tolist()))):
+            with pytest.raises(ConfigError, match="^weights holds a non-finite value"):
+                decode_array(value, "weights", 2)
+
+    def test_built_and_loaded_networks_start_without_memos(self):
+        net = init_network([4, 2, 4], ["identity", "softmax"], np.random.default_rng(0))
+        assert net._codes is None and net._candidates is None
+        loaded = network_from_dict(json.loads(json.dumps(network_to_dict(net))))
+        assert loaded._codes is None and loaded._candidates is None
