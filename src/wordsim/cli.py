@@ -55,7 +55,7 @@ def _ranks(text):
 def _parser():
     """The argument parser, built once per process: parsing leaves it as it was."""
     p = argparse.ArgumentParser(prog="wordsim")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer("seed", least=0), default=0)
     sub = p.add_subparsers(dest="command", required=True)
     # the options _learned_spec reads, shared by dist, nearest and eval
     learned = argparse.ArgumentParser(add_help=False)

@@ -1,19 +1,21 @@
 """Context encoder: next-word prediction over learned word embeddings.
 
 A feedforward predictor maps the concatenated embeddings of the s
-previous words to a softmax over the vocabulary. Combined training
-alternates context epochs with autoencoder epochs and blends embedding
-rows toward the autoencoder codes, yielding the mapping behind D_c.
+previous words to a softmax over the vocabulary. It trains in
+neural.train_epochs, and each batch also steps the embedding rows it
+read. Combined training alternates context epochs with autoencoder
+epochs and blends embedding rows toward the autoencoder codes, yielding
+the mapping behind D_c.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import neural
 from .denoise import AutoencoderModel, encode_all, train_autoencoder
-from .errors import ConfigError, WordsimError
+from .errors import ConfigError
 from .lexicon import Corpus, Lexicon, word_id
 from .neural import Network, TrainConfig
 from .vecdist import check_finite, vector_metric
@@ -42,7 +44,6 @@ class ContextModel:
     pad_vec: np.ndarray  # embedding of the boundary-padding token
     predictor: Network  # window*n_embed -> hidden -> softmax over |A|
     lexicon_fingerprint: str
-    seed: int = 0
 
     @property
     def n_embed(self):
@@ -86,7 +87,6 @@ def build_context_model(
         pad_vec=pad_vec,
         predictor=predictor,
         lexicon_fingerprint=lex.fingerprint(),
-        seed=seed,
     )
 
 
@@ -120,45 +120,31 @@ def context_prob(model: ContextModel, context) -> np.ndarray:
     return neural.forward(model.predictor, x)[-1][0]
 
 
-@neural._numeric_guard()
 def train_context(model: ContextModel, corpus: Corpus, config: TrainConfig) -> list:
     """SGD on corpus log-likelihood; updates predictor and embedding rows.
 
     Returns the per-epoch mean log-likelihood trace (ascending is better).
     """
-    contexts, targets = context_windows(corpus, model.window)
-    if len(targets) == 0:
-        raise WordsimError("corpus yields no training windows")
-    # checked once: under the guard, no later step can make a finite value non-finite silently
-    model.predictor.check_finite()
     if not (np.all(np.isfinite(model.U)) and np.all(np.isfinite(model.pad_vec))):
         raise neural.NumericError("non-finite embedding rows")
-    rng = np.random.default_rng(config.seed)
-    trace = []
-    for _ in range(config.epochs):
-        order = rng.permutation(len(targets))
-        total_ll = 0.0
-        for start in range(0, len(targets), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            ctx_b, tgt_b = contexts[idx], targets[idx]
-            x = _gather(model, ctx_b)
-            grads, outs, dx = neural._backward_full(model.predictor, x, tgt_b)
-            total_ll -= neural.loss_value(outs[-1], tgt_b) * len(idx)
-            neural.sgd_step(model.predictor, grads, config.learning_rate)
-            # scatter the input gradient back onto the embedding rows
-            dslices = dx.reshape(len(idx), model.window, model.n_embed)
-            step = config.learning_rate / len(idx)
-            for pos in range(model.window):
-                ids = ctx_b[:, pos]
-                real = ids != PAD
-                np.subtract.at(model.U, ids[real], step * dslices[real, pos])
-                if np.any(~real):
-                    model.pad_vec -= step * dslices[~real, pos].sum(axis=0)
-        ll = total_ll / len(targets)
-        if not np.isfinite(ll):
-            raise neural.NumericError("log-likelihood became non-finite")
-        trace.append(float(ll))
-    return trace
+    contexts, targets = context_windows(corpus, model.window)
+
+    def batch(idx):
+        ctx_b, tgt_b = contexts[idx], targets[idx]
+        grads, outs, dx = neural._backward_full(model.predictor, _gather(model, ctx_b), tgt_b)
+        # scatter the input gradient back onto the embedding rows
+        dslices = dx.reshape(len(idx), model.window, model.n_embed)
+        step = config.learning_rate / len(idx)
+        for pos in range(model.window):
+            ids = ctx_b[:, pos]
+            real = ids != PAD
+            np.subtract.at(model.U, ids[real], step * dslices[real, pos])
+            if np.any(~real):
+                model.pad_vec -= step * dslices[~real, pos].sum(axis=0)
+        return grads, outs, tgt_b
+
+    # 0.0 - loss, not -loss: a loss of +0.0 stays +0.0
+    return [0.0 - loss for loss in neural.train_epochs(model.predictor, len(targets), config, batch)]
 
 
 def train_combined(
@@ -189,16 +175,13 @@ def train_combined(
     if rounds < 1:
         raise ConfigError("rounds must be >= 1")
     for r in range(rounds):
-        round_cfg = dict(
-            batch_size=config.batch_size, learning_rate=config.learning_rate, seed=config.seed + r
-        )
         if context_epochs_per_round > 0:
             train_context(
-                ctx, corpus, TrainConfig(epochs=context_epochs_per_round, **round_cfg)
+                ctx, corpus, replace(config, epochs=context_epochs_per_round, seed=config.seed + r)
             )
         if ae_epochs_per_round > 0:
             train_autoencoder(
-                ae, lex, TrainConfig(epochs=ae_epochs_per_round, **round_cfg)
+                ae, lex, replace(config, epochs=ae_epochs_per_round, seed=config.seed + r)
             )
         codes = encode_all(ae, lex)
         ctx.U = (1.0 - blend) * ctx.U + blend * codes

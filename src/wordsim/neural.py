@@ -3,6 +3,8 @@
 Inputs may be single vectors (shape (d,)) or batches (shape (B, d));
 batch gradients are averaged over the batch. The loss is softmax
 cross-entropy, so the last layer must be a softmax and only there.
+train_epochs is the one minibatch loop: train_supervised and the
+context encoder's trainer both run through it.
 
 A 1-D integer array is the id form of a batch of one-hot rows: ids
 stands for eye(d)[ids]. As an input, the first layer gathers the columns
@@ -45,6 +47,7 @@ __all__ = [
     "backward",
     "sgd_step",
     "gradient_check",
+    "train_epochs",
     "train_supervised",
     "network_to_dict",
     "network_from_dict",
@@ -174,12 +177,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def init_network(widths, activations, rng) -> Network:
@@ -373,33 +382,45 @@ def _numeric_guard():
 
 
 @_numeric_guard()
-def train_supervised(net, X, Y, config: TrainConfig) -> list:
-    """Minibatch SGD over (X, Y) rows or word ids; returns the per-epoch mean loss trace."""
-    X = word_ids(X, net.layers[0].in_dim) if _is_ids(X) else np.asarray(X, dtype=float)
-    Y = word_ids(Y, net.layers[-1].out_dim) if _is_ids(Y) else np.asarray(Y, dtype=float)
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError("X and Y row counts differ")
+def train_epochs(net: Network, n: int, config: TrainConfig, batch) -> list:
+    """Minibatch SGD over n examples; returns the per-epoch mean loss trace.
+
+    Each epoch visits the examples in a seeded shuffled order, batch_size
+    at a time. batch(idx) returns the gradients and outputs of net and
+    the targets for the examples idx; the loop adds up their loss and
+    steps net. Anything else a batch moves, batch steps itself.
+    """
+    if n == 0:
+        raise ConfigError("no training examples")
     # checked once: under the guard, no later step can make a finite value non-finite silently
     net.check_finite()
-    for name, a in (("inputs", X), ("targets", Y)):
-        if not _is_ids(a) and not np.all(np.isfinite(a)):
-            raise NumericError(f"non-finite training {name}")
     rng = np.random.default_rng(config.seed)
-    n = X.shape[0]
     trace = []
     for _ in range(config.epochs):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            grads, outs = backward(net, X[idx], Y[idx])
-            total += loss_value(outs[-1], Y[idx]) * len(idx)
+            grads, outs, target = batch(idx)
+            total += loss_value(outs[-1], target) * len(idx)
             sgd_step(net, grads, config.learning_rate)
         loss = total / n
         if not math.isfinite(loss):
             raise NumericError("training loss became non-finite")
         trace.append(loss)
     return trace
+
+
+def train_supervised(net, X, Y, config: TrainConfig) -> list:
+    """Minibatch SGD over (X, Y) rows or word ids; returns the per-epoch mean loss trace."""
+    X = word_ids(X, net.layers[0].in_dim) if _is_ids(X) else np.asarray(X, dtype=float)
+    Y = word_ids(Y, net.layers[-1].out_dim) if _is_ids(Y) else np.asarray(Y, dtype=float)
+    if X.shape[0] != Y.shape[0]:
+        raise ValueError("X and Y row counts differ")
+    for name, a in (("inputs", X), ("targets", Y)):
+        if not _is_ids(a) and not np.all(np.isfinite(a)):
+            raise NumericError(f"non-finite training {name}")
+    return train_epochs(net, X.shape[0], config, lambda idx: (*backward(net, X[idx], Y[idx]), Y[idx]))
 
 
 def encode_array(a) -> dict:

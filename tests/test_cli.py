@@ -311,6 +311,23 @@ class TestTrainContext:
         assert f"depth {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "seed,message",
+        [("-1", "must be >= 0, got -1"), ("x", "must be an integer, got 'x'")],
+        ids=["negative", "not-an-integer"],
+    )
+    @pytest.mark.parametrize("command", ["train-ae", "train-ctx", "train-combined"])
+    def test_bad_seed_exit_2(
+        self, pairs_file, corpus_file, tmp_path, capsys, command, seed, message
+    ):
+        out = tmp_path / "model.json"
+        corpus = [] if command == "train-ae" else ["--corpus", str(corpus_file)]
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", seed, command, "--lexicon", str(pairs_file), *corpus, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"seed {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_ctx_writes_embedding(self, pairs_file, corpus_file, tmp_path, capsys):
         out = tmp_path / "emb.json"
         rc = main(

@@ -100,6 +100,11 @@ class TestTrainContext:
             improved += trace[-1] > trace[0]
         assert improved >= 9
 
+    def test_empty_corpus_is_a_config_error(self, context_lexicon):
+        model = build_context_model(context_lexicon, n_embed=4, window=3, seed=0)
+        with pytest.raises(ConfigError, match="no training examples"):
+            train_context(model, Corpus(sentences=()), TrainConfig())
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_is_a_numeric_error(self, context_lexicon, context_corpus):
         model = build_context_model(context_lexicon, n_embed=4, window=3, seed=0)

@@ -240,6 +240,23 @@ class TestTraining:
         for lr in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ConfigError, match="learning_rate must be finite"):
                 TrainConfig(learning_rate=lr)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize("name", ["batch_size", "epochs", "seed"])
+    @pytest.mark.parametrize(
+        "value", [2.0, "2", True, np.int64(2), None], ids=["float", "str", "bool", "int64", "None"]
+    )
+    def test_counts_must_be_ints(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be an int, got "):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("form", ["rows", "ids"])
+    def test_empty_training_set_is_a_config_error(self, form):
+        net = init_network([3, 3], ["softmax"], np.random.default_rng(0))
+        empty = np.zeros((0, 3)) if form == "rows" else np.zeros(0, dtype=int)
+        with pytest.raises(ConfigError, match="no training examples"):
+            train_supervised(net, empty, empty, TrainConfig())
 
 
 def id_net(n=9, seed=11):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wordsim
-from wordsim import cli, denoise, neural
+from wordsim import cli, contextenc, denoise, neural
 
 from conftest import TOY_STANDARD, toy_variants
 
@@ -53,9 +53,15 @@ def test_full_pipeline_runs_the_cli_commands(tmp_path):
     assert models[0] == models[1]
 
 
-def test_bench_smoke_run_of_the_classical_eval_is_correct():
-    """A one-second eval-classical run checks every kernel against the bench's scalar oracle."""
-    argv = ["bench/run.py", "--workload", "eval-classical", "--smoke", "--seed", "3",
+@pytest.mark.parametrize("workload", ["eval-classical", "train"])
+def test_bench_smoke_run_is_correct(workload):
+    """A one-second smoke run passes the bench's own checks.
+
+    eval-classical checks every kernel against the bench's scalar oracle;
+    train checks that loss traces repeat bit for bit and that saved files
+    reload to the arrays that were saved.
+    """
+    argv = ["bench/run.py", "--workload", workload, "--smoke", "--seed", "3",
             "--seconds", "1", "--trace", "0"]
     done = subprocess.run(
         [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
@@ -64,6 +70,7 @@ def test_bench_smoke_run_of_the_classical_eval_is_correct():
     summary = json.loads(done.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True
     assert summary["failed"] == 0
+    assert summary["attempted"] > 0
 
 
 # the names bench/layers.py wraps in a traced run, per wordsim module
@@ -111,7 +118,9 @@ def test_bench_wrapped_bindings_exist(owner, name):
     assert callable(getattr(obj, name, None))
 
 
-def test_training_reaches_the_traced_backward_and_step(toy_lexicon, monkeypatch):
+def test_training_reaches_the_traced_backward_and_step(
+    toy_lexicon, context_lexicon, context_corpus, monkeypatch
+):
     """bench/layers.py wraps neural.backward and neural.sgd_step to time each training batch."""
     calls = {"backward": 0, "sgd_step": 0}
     for name in calls:
@@ -126,6 +135,14 @@ def test_training_reaches_the_traced_backward_and_step(toy_lexicon, monkeypatch)
     examples = len(toy_lexicon.standard_of) + len(toy_lexicon.standard_ids)
     batches = config.epochs * -(-examples // config.batch_size)
     assert calls == {"backward": batches, "sgd_step": batches}
+
+    # context training takes its gradients from _backward_full, and steps the predictor alike
+    calls["sgd_step"] = 0
+    ctx = contextenc.build_context_model(context_lexicon, n_embed=4, window=3, seed=0)
+    config = neural.TrainConfig(batch_size=64, epochs=2, seed=0)
+    contextenc.train_context(ctx, context_corpus, config)
+    batches = config.epochs * -(-context_corpus.token_count // config.batch_size)
+    assert calls["sgd_step"] == batches
 
 
 def test_classical_metrics_are_traced_kernels():
