@@ -29,6 +29,7 @@ __all__ = [
     "context_prob",
     "train_context",
     "train_combined",
+    "embedding_rows",
     "distance_Dc",
     "save_embedding",
     "load_embedding",
@@ -70,7 +71,8 @@ class EmbeddingMatrix:
 def build_context_model(
     lex: Lexicon, n_embed=11, window=4, hidden_size=32, seed=0
 ) -> ContextModel:
-    """Untrained context model; ConfigError for a width below 1."""
+    """Untrained context model; ConfigError for a width below 1 or a seed that is not an int >= 0."""
+    neural.check_int("seed", seed, 0)
     if min(n_embed, window, hidden_size) < 1:  # before the draws, which a negative width breaks
         raise ConfigError(
             f"layer widths must be >= 1, got n_embed={n_embed}, window={window}, "
@@ -172,8 +174,7 @@ def train_combined(
     lex.check_binding(ctx)
     if not 0.0 <= blend <= 1.0:
         raise ConfigError("blend must be in [0, 1]")
-    if rounds < 1:
-        raise ConfigError("rounds must be >= 1")
+    neural.check_int("rounds", rounds, 1)
     for r in range(rounds):
         if context_epochs_per_round > 0:
             train_context(
@@ -197,9 +198,17 @@ def train_combined(
     )
 
 
+def embedding_rows(source) -> np.ndarray:
+    """The rows of an EmbeddingMatrix or raw matrix, one per word id; ConfigError unless 2-D."""
+    rows = source.U if isinstance(source, EmbeddingMatrix) else np.asarray(source, dtype=float)
+    if rows.ndim != 2:
+        raise ConfigError(f"a D_c source must be a 2-D array of word rows, got shape {rows.shape}")
+    return rows
+
+
 def distance_Dc(U, a_i: int, a_j: int, vec_metric: str = "cosine") -> float:
     """Vector distance between the embedding rows of two words; NumericError if one is not finite."""
-    rows = U.U if isinstance(U, EmbeddingMatrix) else np.asarray(U, dtype=float)
+    rows = embedding_rows(U)
     i, j = word_id(a_i, len(rows)), word_id(a_j, len(rows))
     d = vector_metric(vec_metric)
     check_finite(rows[[i, j]], "the words' vectors")

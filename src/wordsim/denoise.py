@@ -62,10 +62,10 @@ def hourglass_widths(n_input: int, code_size: int, depth: int) -> list:
     ``depth`` counts node layers (input, hiddens, output) and must be odd
     so the bottleneck sits in the middle; depth=3 gives [n, code, n].
     """
-    if depth < 3 or depth % 2 == 0:
-        raise ConfigError("depth must be an odd integer >= 3")
-    if code_size < 1:
-        raise ConfigError("code_size must be >= 1")
+    neural.check_int("depth", depth, 3)
+    if depth % 2 == 0:
+        raise ConfigError(f"depth must be an odd integer >= 3, got {depth}")
+    neural.check_int("code_size", code_size, 1)
     if code_size >= n_input:
         raise ConfigError(
             f"code_size {code_size} must be smaller than the input width {n_input}"
@@ -85,8 +85,10 @@ def build_autoencoder(lex: Lexicon, code_size=11, depth=7, seed=0) -> Autoencode
     Glorot init, sigmoid stacks start with near-constant activations and
     need far more updates to differentiate the inputs, while the linear
     encoder trains quickly and its low-rank bottleneck still forces a
-    compressed code.
+    compressed code. ConfigError unless code_size, depth and seed are ints
+    (not bools), with a seed of at least 0.
     """
+    neural.check_int("seed", seed, 0)
     widths = hourglass_widths(len(lex), code_size, depth)
     activations = ["identity"] * (len(widths) - 2) + ["softmax"]
     rng = np.random.default_rng(seed)

@@ -16,7 +16,7 @@ import numpy as np
 from . import editfam, gramfam, neural
 from .candidates import CandidateTable
 from .denoise import AutoencoderModel, encode_all
-from .contextenc import EmbeddingMatrix
+from .contextenc import EmbeddingMatrix, embedding_rows
 from .errors import BindingError, ConfigError
 from .lexicon import Lexicon, _normalize, word_ids
 from .vecdist import check_finite, nonzero_norms, vector_metric
@@ -113,9 +113,7 @@ def _learned_vectors(spec: MetricSpec, lex: Lexicon) -> np.ndarray:
         return encode_all(model, lex)  # checks the lexicon binding
     if isinstance(model, EmbeddingMatrix):
         lex.check_binding(model)
-        rows = model.U
-    else:
-        rows = np.asarray(model, dtype=float)
+    rows = embedding_rows(model)
     if rows.shape[0] != len(lex):
         raise BindingError(
             f"embedding has {rows.shape[0]} rows, but the lexicon has {len(lex)} words"
@@ -130,7 +128,7 @@ class _CandidateRows:
     """
 
     def __init__(self, vectors: np.ndarray, candidate_ids: np.ndarray):
-        rows = vectors[candidate_ids]
+        rows = vectors.take(candidate_ids, axis=0)
         check_finite(rows, "a candidate's vector")
         rows.flags.writeable = False
         self.vectors, self.rows = vectors, rows

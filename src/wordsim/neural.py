@@ -39,6 +39,7 @@ __all__ = [
     "Network",
     "ColumnGrad",
     "TrainConfig",
+    "check_int",
     "init_network",
     "forward",
     "sigmoid",
@@ -169,6 +170,14 @@ class ColumnGrad:
         return full.T
 
 
+def check_int(name: str, value, least: int):
+    """ConfigError unless value is an int, not a bool, of at least least; name names it."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 100
@@ -177,18 +186,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an int, got {value!r}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        for name, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), least)
         if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def init_network(widths, activations, rng) -> Network:

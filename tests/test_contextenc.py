@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,16 @@ class TestBuild:
     def test_size_below_one_rejected(self, context_lexicon, sizes):
         with pytest.raises(ConfigError, match="layer widths must be >= 1"):
             build_context_model(context_lexicon, **sizes)
+
+    @pytest.mark.parametrize(
+        "seed,message",
+        [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an int, got 1.5"),
+         (True, "seed must be an int, got True")],
+        ids=["negative", "float", "bool"],
+    )
+    def test_seed_must_be_a_non_negative_int(self, context_lexicon, seed, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            build_context_model(context_lexicon, seed=seed)
 
     def test_draws_follow_the_seeded_stream(self, context_lexicon):
         """The rows are the seed's first draw and the predictor's weights the next ones."""
@@ -196,6 +207,15 @@ class TestTrainCombined:
             train_combined(ctx, ae, context_lexicon, context_corpus, self.cfg(), rounds=0)
         assert np.array_equal(ctx.U, before)
 
+    @pytest.mark.parametrize("rounds", [2.0, True, "2"])
+    def test_rounds_must_be_an_int(self, context_lexicon, context_corpus, rounds):
+        ctx = build_context_model(context_lexicon, n_embed=4, window=3, seed=0)
+        ae = build_autoencoder(context_lexicon, code_size=4, depth=3, seed=0)
+        before = ctx.U.copy()
+        with pytest.raises(ConfigError, match="^rounds must be an int, got "):
+            train_combined(ctx, ae, context_lexicon, context_corpus, self.cfg(), rounds=rounds)
+        assert np.array_equal(ctx.U, before)
+
     def test_blend_zero_is_pure_context(self, context_lexicon, context_corpus):
         ctx_a = build_context_model(context_lexicon, n_embed=4, window=3, seed=5)
         ctx_b = build_context_model(context_lexicon, n_embed=4, window=3, seed=5)
@@ -318,6 +338,13 @@ class TestDistanceDc:
             for source in (U, emb):
                 with pytest.raises(TypeError, match="word id must be an integer"):
                     distance_Dc(source, *pair)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (5, 3, 2)])
+    def test_a_source_that_is_not_2d_names_its_shape(self, shape):
+        rows = np.ones(shape)
+        for source in (rows, EmbeddingMatrix(U=rows, lexicon_fingerprint="")):
+            with pytest.raises(ConfigError, match=re.escape(f"2-D array of word rows, got shape {shape}")):
+                distance_Dc(source, 0, 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row(self, bad):

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -54,6 +55,24 @@ class TestHourglassWidths:
 
 
 class TestBuild:
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"seed": 1.5}, "seed must be an int, got 1.5"),
+            ({"seed": True}, "seed must be an int, got True"),
+            ({"seed": np.int64(2)}, "seed must be an int, got "),
+            ({"code_size": 2.0}, "code_size must be an int, got 2.0"),
+            ({"depth": 5.0}, "depth must be an int, got 5.0"),
+            ({"depth": True}, "depth must be an int, got True"),
+        ],
+        ids=["negative-seed", "float-seed", "bool-seed", "int64-seed", "float-code_size",
+             "float-depth", "bool-depth"],
+    )
+    def test_counts_must_be_ints(self, small_lexicon, kwargs, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            build_autoencoder(small_lexicon, **{"code_size": 4, "depth": 5, **kwargs})
+
     def test_io_widths_match_vocab(self, small_lexicon):
         model = build_autoencoder(small_lexicon, code_size=4, depth=5)
         assert model.net.topology[0] == len(small_lexicon)
@@ -310,6 +329,24 @@ class TestNearestStandard:
     def test_raw_rows_must_match_the_lexicon(self, small_lexicon):
         with pytest.raises(BindingError):
             nearest_standard(np.ones((len(small_lexicon) + 1, 4)), small_lexicon, 0)
+
+    @pytest.mark.parametrize("shape", [(), (20,), (20, 4, 2)])
+    def test_a_source_that_is_not_2d_names_its_shape(self, small_lexicon, shape):
+        rows = np.ones(shape)
+        for source in (rows, EmbeddingMatrix(rows, small_lexicon.fingerprint())):
+            with pytest.raises(ConfigError, match=re.escape(f"2-D array of word rows, got shape {shape}")):
+                nearest_standard(source, small_lexicon, 0)
+
+    @pytest.mark.parametrize("metric", sorted(VECTOR_METRICS))
+    def test_identical_rows_list_by_ascending_id(self, small_lexicon, metric):
+        vectors = np.random.default_rng(6).normal(size=(len(small_lexicon), 11))
+        query = small_lexicon.nonstandard_ids[0]
+        tied = sorted(small_lexicon.standard_ids)[1::3]
+        vectors[tied] = vectors[query] + 0.01  # the same row, nearer the query than any other
+        for source in (vectors, EmbeddingMatrix(vectors, small_lexicon.fingerprint())):
+            top = nearest_standard(source, small_lexicon, query, k=len(tied), vec_metric=metric)
+            assert [i for i, _ in top] == tied
+            assert len({d for _, d in top}) == 1
 
     def test_ranks_by_distance_then_id(self, small_lexicon):
         model, _ = trained_model(small_lexicon, epochs=5)

@@ -53,13 +53,15 @@ def test_full_pipeline_runs_the_cli_commands(tmp_path):
     assert models[0] == models[1]
 
 
-@pytest.mark.parametrize("workload", ["eval-classical", "train"])
+@pytest.mark.parametrize("workload", ["eval-classical", "train", "serve-learned"])
 def test_bench_smoke_run_is_correct(workload):
     """A one-second smoke run passes the bench's own checks.
 
     eval-classical checks every kernel against the bench's scalar oracle;
     train checks that loss traces repeat bit for bit and that saved files
-    reload to the arrays that were saved.
+    reload to the arrays that were saved; serve-learned checks every Da
+    and Dc result against a plain numpy cosine reference and requires a
+    true top k up to ties.
     """
     argv = ["bench/run.py", "--workload", workload, "--smoke", "--seed", "3",
             "--seconds", "1", "--trace", "0"]
