@@ -71,8 +71,13 @@ class EmbeddingMatrix:
 def build_context_model(
     lex: Lexicon, n_embed=11, window=4, hidden_size=32, seed=0
 ) -> ContextModel:
-    """Untrained context model; ConfigError for a width below 1 or a seed that is not an int >= 0."""
+    """Untrained context model; ConfigError unless the widths are ints >= 1 and the seed an int >= 0.
+
+    The ints exclude bools, as neural.check_int does.
+    """
     neural.check_int("seed", seed, 0)
+    for name, width in (("n_embed", n_embed), ("window", window), ("hidden_size", hidden_size)):
+        neural.check_int(name, width)
     if min(n_embed, window, hidden_size) < 1:  # before the draws, which a negative width breaks
         raise ConfigError(
             f"layer widths must be >= 1, got n_embed={n_embed}, window={window}, "
@@ -164,7 +169,8 @@ def train_combined(
 
     Each round runs context training, then autoencoder training, then
     pulls every embedding row toward the word's autoencoder code:
-    U[w] <- (1-blend)*U[w] + blend*code(w). Returns the final embeddings.
+    U[w] <- (1-blend)*U[w] + blend*code(w). Returns the final embeddings,
+    a read-only copy of ctx.U (see load_embedding).
     """
     if ae.code_size != ctx.n_embed:
         raise ConfigError(
@@ -186,8 +192,10 @@ def train_combined(
             )
         codes = encode_all(ae, lex)
         ctx.U = (1.0 - blend) * ctx.U + blend * codes
+    U = ctx.U.copy()
+    U.flags.writeable = False
     return EmbeddingMatrix(
-        U=ctx.U.copy(),
+        U=U,
         lexicon_fingerprint=ctx.lexicon_fingerprint,
         metadata={
             "window": ctx.window,
@@ -229,7 +237,11 @@ def save_embedding(emb: EmbeddingMatrix, path):
 
 
 def load_embedding(path) -> EmbeddingMatrix:
-    """The embedding saved at path; ConfigError if its stored n_embed disagrees with the rows."""
+    """The embedding saved at path; ConfigError if its stored n_embed disagrees with the rows.
+
+    U is read-only and owns its data, so scoring keeps its candidates'
+    rows prepared (see evalharness._candidate_rows). Edit a copy.
+    """
     data = neural._read_json(path)
     if data.get("kind") != "embedding":
         raise ConfigError(f"not an embedding file: {path}")
@@ -247,4 +259,5 @@ def load_embedding(path) -> EmbeddingMatrix:
         raise ConfigError(
             f"embedding file field n_embed is {n_embed!r}, its rows are {emb.n_embed} wide: {path}"
         )
+    emb.U.flags.writeable = False
     return emb

@@ -157,24 +157,28 @@ def nearest_standard(source, lex, query_id: int, k: int = 5, vec_metric: str = "
 
     ``source`` is either a trained AutoencoderModel (distance D_a), or an
     EmbeddingMatrix or raw matrix with one row per word id (distance D_c).
-    Ties break by ascending word id; k beyond |C| truncates. The query id
-    must be an integer in [0, |A|) (TypeError, IndexError), and a NaN or
-    infinite query or candidate vector raises NumericError.
+    Ties break by ascending word id; k beyond |C| truncates. k must be an
+    integer >= 1 and the query id an integer in [0, |A|) (TypeError,
+    ValueError, IndexError), and a NaN or infinite query or candidate
+    vector raises NumericError.
 
     The query is scored through the one scoring core against the
     lexicon's standard ids, which need no check, and only the query's
-    row is formed. For D_a the candidates' codes and, for cosine, their
-    norms are kept on the model's network per candidate set until
-    neural.sgd_step changes the weights, so a query pays only for its
-    own vector, one vector-metric call and the top k. A raw matrix or
-    EmbeddingMatrix source is gathered again on each call. The top k is
-    found by selection (np.partition), and only the distances at or
+    row is formed. When the source's vectors are a read-only array that
+    owns its data (the codes of encode_all, the U of a loaded or trained
+    EmbeddingMatrix, or a raw matrix made so), the candidates' rows and,
+    for cosine, their norms are prepared once and kept on the lexicon,
+    so a query pays only for its own vector, one vector-metric call and
+    the top k. Such an array is taken as fixed: making it writeable again
+    and editing it leaves the old prepared rows in place. neural.sgd_step
+    gives the next encode_all a new array, which is prepared again. A
+    writeable array or a view is gathered again on each call. The top k
+    is found by selection (np.partition), and only the distances at or
     below the k-th are sorted.
     """
     # evalharness imports this module, so its scoring path is imported here
-    from .evalharness import MetricSpec, _rows, _top_k
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    from .evalharness import MetricSpec, _check_k, _rows, _top_k
+    _check_k(k)
     name = "Da" if isinstance(source, AutoencoderModel) else "Dc"
     spec = MetricSpec(name, f"learned-{name}", {"model": source, "vec_metric": vec_metric})
     qid = word_id(query_id, len(lex))

@@ -140,23 +140,24 @@ class _CandidateRows:
         return norms
 
 
-def _candidate_rows(spec: MetricSpec, vectors: np.ndarray, candidate_ids: np.ndarray):
+def _candidate_rows(spec: MetricSpec, lex: Lexicon, vectors: np.ndarray, candidate_ids: np.ndarray):
     """The _CandidateRows of candidate_ids under spec.
 
-    For Da they are kept on the model's network, one entry per candidate
-    set, and emptied with its codes (see neural.sgd_step); an entry taken
-    from other codes is prepared again. A raw array or an EmbeddingMatrix
-    has no key that stays valid, so its rows are prepared per call.
+    A read-only vectors array that owns its data is taken as fixed: the
+    codes of denoise.encode_all, the U of a loaded or trained
+    EmbeddingMatrix, or any raw matrix made so. Its rows are kept on the
+    lexicon, one entry per (metric kind, candidate set), and an entry
+    prepared from another array is prepared again. Making such an array
+    writeable again and editing it leaves the old rows in place. A
+    writeable array, or a view, is prepared on each call.
     """
-    if spec.kind != "learned-Da":
+    if vectors.flags.writeable or vectors.base is not None:
         return _CandidateRows(vectors, candidate_ids)
-    net = spec.params["model"].net
-    if net._candidates is None:
-        net._candidates = {}
-    key = candidate_ids.tobytes()
-    prepared = net._candidates.get(key)
+    # the kind keeps Da and Dc apart, so queries that alternate them each keep their entry
+    key = (spec.kind, candidate_ids.tobytes())
+    prepared = lex._prepared.get(key)
     if prepared is None or prepared.vectors is not vectors:
-        prepared = net._candidates[key] = _CandidateRows(vectors, candidate_ids)
+        prepared = lex._prepared[key] = _CandidateRows(vectors, candidate_ids)
     return prepared
 
 
@@ -174,7 +175,7 @@ def _scorer(spec: MetricSpec, lex: Lexicon, candidate_ids: np.ndarray, table):
     vectors = _learned_vectors(spec, lex)
     metric = spec.params.get("vec_metric", "cosine")
     d = vector_metric(metric)
-    candidates = _candidate_rows(spec, vectors, candidate_ids)
+    candidates = _candidate_rows(spec, lex, vectors, candidate_ids)
     rows = candidates.rows
     norms = (candidates.norms,) if metric == "cosine" else ()
 
@@ -224,6 +225,14 @@ def scores(spec: MetricSpec, lex: Lexicon, query_ids, candidate_ids) -> np.ndarr
     return out
 
 
+def _check_k(k):
+    """TypeError unless k is an integer, not a bool, as lexicon.word_id asks; ValueError below 1."""
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+        raise TypeError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
 def _top_k(distances, ids, k):
     """Positions of the k >= 1 smallest (distance, id) pairs, in that order.
 
@@ -248,8 +257,8 @@ def evaluate_accuracies(specs, lex: Lexicon, ks=(1, 5)) -> list:
     candidates ordered before the truth by (distance, id). Memory is one
     row per spec, not one per (query, candidate) pair.
     """
-    if any(k < 1 for k in ks):
-        raise ValueError("k must be >= 1")
+    for k in ks:
+        _check_k(k)
     queries, standard = lex.nonstandard_array, lex.standard_array
     if not len(queries):
         raise ConfigError("lexicon has no non-standard words to evaluate")
@@ -277,8 +286,7 @@ def qualitative_neighbors(spec: MetricSpec, lex: Lexicon, queries, k=5):
     by the words as given. Unknown query words yield an error entry
     without aborting the run.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_k(k)
     known = [q for q in queries if _normalize(q) in lex]
     qids = [lex.id_of(_normalize(q)) for q in known]
     if spec.kind == "learned-Da":

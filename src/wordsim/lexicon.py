@@ -34,11 +34,15 @@ class Lexicon:
     _fingerprint: str = field(default=None, init=False, repr=False, compare=False)
     # scoring tables derived from the words, keyed by candidate id bytes (see evalharness)
     _tables: dict = field(default=None, init=False, repr=False, compare=False)
+    # learned candidates' rows prepared from read-only vectors, keyed by
+    # (metric kind, candidate id bytes) (see evalharness._candidate_rows)
+    _prepared: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self._index is None:
             object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.words)})
         object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_prepared", {})
 
     def __len__(self):
         return len(self.words)

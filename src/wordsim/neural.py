@@ -122,19 +122,20 @@ class Network:
     """Dense layers from input to output.
 
     A network also keeps the bottleneck codes that denoise.encode_all
-    last computed from its weights, and the candidate rows that scoring
-    gathered from those codes. sgd_step, the one function that writes
-    weights in place, empties both memos, and a network that is built or
-    loaded starts without them. Edit a layer's W, b or activation by hand
-    only before the first encode_all, or on a fresh or reloaded network:
-    a hand edit leaves stale codes in place.
+    last computed from its weights, one read-only array per weight state;
+    scoring keeps the candidates' rows of that array on the lexicon (see
+    evalharness._candidate_rows). sgd_step, the one function that writes
+    weights in place, empties the codes, so the next encode_all returns a
+    new array, whose candidates are then prepared again; a network that
+    is built or loaded starts without codes. Edit a layer's W, b or
+    activation by hand only before the first encode_all, or on a fresh
+    or reloaded network: a hand edit leaves stale codes, and the rows
+    prepared from them, in place.
     """
 
     layers: List[DenseLayer]
     # read-only codes of denoise.encode_all for the current weights; None until computed
     _codes: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    # candidate id bytes -> the candidates' rows of _codes, prepared by evalharness; None until used
-    _candidates: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -170,11 +171,11 @@ class ColumnGrad:
         return full.T
 
 
-def check_int(name: str, value, least: int):
-    """ConfigError unless value is an int, not a bool, of at least least; name names it."""
+def check_int(name: str, value, least: Optional[int] = None):
+    """ConfigError unless value is an int, not a bool, of at least least if given; name names it."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an int, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
@@ -326,12 +327,13 @@ def sgd_step(net: Network, grads, lr: float) -> Network:
     already raises on overflow and invalid operations, as it does in the
     trainers: there a step from finite values raises before it can write
     one. A non-finite lr raises ConfigError before any change. The
-    network's memos of encode_all codes and of candidate rows are emptied
-    first.
+    network's memo of encode_all codes is emptied first, so the next
+    encode_all returns a new array and scoring prepares its candidates
+    again.
     """
     if not math.isfinite(lr):
         raise ConfigError(f"learning rate must be finite, got {lr}")
-    net._codes = net._candidates = None
+    net._codes = None
     for layer, (dW, db) in zip(net.layers, grads):
         if isinstance(dW, ColumnGrad):
             dW.rows *= lr

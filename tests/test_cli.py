@@ -684,6 +684,7 @@ class TestLearnedScoring:
             save, field = denoise.save_autoencoder, "layers[1].weights"
         else:
             model = contextenc.load_embedding(models["Dc"])
+            model.U = model.U.copy()  # a loaded U is read-only
             model.U[3, 1] = np.inf
             save, field = contextenc.save_embedding, "rows"
         broken = tmp_path / "broken.json"

@@ -61,6 +61,21 @@ class TestBuild:
         with pytest.raises(ConfigError, match="^" + re.escape(message)):
             build_context_model(context_lexicon, seed=seed)
 
+    @pytest.mark.parametrize(
+        "sizes,message",
+        [
+            ({"n_embed": 2.0}, "n_embed must be an int, got 2.0"),
+            ({"window": 2.0}, "window must be an int, got 2.0"),
+            ({"hidden_size": 3.0}, "hidden_size must be an int, got 3.0"),
+            ({"n_embed": True}, "n_embed must be an int, got True"),
+            ({"window": "2"}, "window must be an int, got '2'"),
+        ],
+        ids=["float-n_embed", "float-window", "float-hidden", "bool-n_embed", "str-window"],
+    )
+    def test_width_must_be_an_int(self, context_lexicon, sizes, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            build_context_model(context_lexicon, **sizes)
+
     def test_draws_follow_the_seeded_stream(self, context_lexicon):
         """The rows are the seed's first draw and the predictor's weights the next ones."""
         model = build_context_model(context_lexicon, n_embed=4, window=3, hidden_size=6, seed=9)
@@ -300,6 +315,19 @@ class TestTrainCombined:
         assert d < median
 
 
+    def test_trained_and_loaded_rows_are_read_only(self, context_lexicon, context_corpus, tmp_path):
+        ctx = build_context_model(context_lexicon, n_embed=4, window=3, seed=2)
+        ae = build_autoencoder(context_lexicon, code_size=4, depth=3, seed=2)
+        emb = train_combined(ctx, ae, context_lexicon, context_corpus, self.cfg(), rounds=1)
+        assert ctx.U.flags.writeable  # training goes on in place
+        saved = emb.U.tobytes()
+        for _ in range(2):  # trained, then loaded
+            assert not emb.U.flags.writeable and emb.U.base is None
+            save_embedding(emb, tmp_path / "emb.json")
+            emb = load_embedding(tmp_path / "emb.json")
+            assert emb.U.tobytes() == saved
+
+
 class TestDistanceDc:
     def test_self_distance_zero(self):
         U = np.random.default_rng(0).normal(size=(6, 3))
@@ -396,6 +424,7 @@ class TestEmbeddingPersistence:
         path.write_text(json.dumps(container), encoding="utf-8")
         loaded = load_embedding(path)
         assert loaded.U.tobytes() == U.tobytes()
+        assert not loaded.U.flags.writeable and loaded.U.base is None
         assert loaded.metadata == {"rounds": 1}
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_ARRAYS))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -21,7 +22,7 @@ from wordsim.denoise import (
 from wordsim.errors import BindingError, ConfigError, NumericError
 from wordsim.evalharness import MetricSpec, evaluate_accuracy, qualitative_neighbors, scores
 from wordsim.lexicon import build_lexicon
-from wordsim.vecdist import VECTOR_METRICS
+from wordsim.vecdist import VECTOR_METRICS, nonzero_norms as norms
 from wordsim.neural import TrainConfig, forward
 
 from conftest import MALFORMED_ARRAYS, identity_codes, wide_lexicon
@@ -367,6 +368,25 @@ class TestNearestStandard:
                 nearest_standard(source, small_lexicon, bad)
         assert nearest_standard(U, small_lexicon, np.int64(2)) == nearest_standard(U, small_lexicon, 2)
 
+    @pytest.mark.parametrize(
+        "k,error,message",
+        [
+            (2.5, TypeError, "k must be an integer, got 2.5"),
+            (True, TypeError, "k must be an integer, got True"),
+            ("2", TypeError, "k must be an integer, got '2'"),
+            (0, ValueError, "k must be >= 1"),
+            (-1, ValueError, "k must be >= 1"),
+        ],
+    )
+    def test_k_that_is_not_an_integer_of_at_least_one(self, da_model, small_lexicon, k, error, message):
+        U = np.ones((len(small_lexicon), 3))
+        for source in (da_model, U):
+            with pytest.raises(error, match="^" + re.escape(message)):
+                nearest_standard(source, small_lexicon, 0, k=k)
+        assert nearest_standard(U, small_lexicon, 0, k=np.int64(2)) == nearest_standard(
+            U, small_lexicon, 0, k=2
+        )
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_or_candidate_vector(self, small_lexicon, bad):
         U = np.random.default_rng(0).normal(size=(len(small_lexicon), 4))
@@ -401,71 +421,168 @@ def one_pair_top_k(vectors, lex, query, k, metric):
     return [(c, dist) for dist, c in ranked[:k]]
 
 
+def read_only_rows(lex, seed=3):
+    """Random rows, one per word of lex, in a read-only array that owns its data."""
+    rows = np.random.default_rng(seed).normal(size=(len(lex), 5))
+    rows[7] = rows[5]  # two standard words with equal vectors tie exactly
+    rows.flags.writeable = False
+    return rows
+
+
 class TestPreparedCandidates:
-    """Da keeps the gathered candidate rows and norms on the network, per candidate set."""
+    """Read-only vectors that own their data keep their candidates' rows and norms on the lexicon.
 
-    def key(self, lex):
-        return lex.standard_array.tobytes()
+    One entry per (metric kind, candidate set); an entry prepared from another array is prepared again.
+    """
 
-    def test_a_built_or_loaded_model_starts_without_a_memo(self, da_model, small_lexicon, tmp_path):
-        assert build_autoencoder(small_lexicon, code_size=4, depth=5).net._candidates is None
-        nearest_standard(da_model, small_lexicon, 0)
-        assert da_model.net._candidates
+    @pytest.fixture
+    def lex(self, small_lexicon):
+        """small_lexicon's words in a lexicon of its own, so that its memo starts empty."""
+        return dataclasses.replace(small_lexicon)
+
+    def key(self, lex, kind="learned-Da"):
+        return (kind, lex.standard_array.tobytes())
+
+    def source(self, name, lex):
+        """A source of the named kind whose vectors are read-only, with its memo key."""
+        if name == "Da":
+            return trained_model(lex, epochs=5)[0], self.key(lex)
+        rows = read_only_rows(lex)
+        if name == "Dc-embedding":
+            rows = EmbeddingMatrix(rows, lex.fingerprint())
+        return rows, self.key(lex, "learned-Dc")
+
+    def test_a_built_or_loaded_model_starts_without_a_memo(self, da_model, lex, tmp_path):
+        assert build_autoencoder(lex, code_size=4, depth=5).net._codes is None
+        assert not lex._prepared
+        nearest_standard(da_model, lex, 0)
+        prepared = lex._prepared[self.key(lex)]
+        assert prepared.vectors is encode_all(da_model, lex)
         save_autoencoder(da_model, tmp_path / "ae.json")
-        assert load_autoencoder(tmp_path / "ae.json").net._candidates is None
+        loaded = load_autoencoder(tmp_path / "ae.json")
+        assert loaded.net._codes is None
+        nearest_standard(loaded, lex, 0)
+        assert lex._prepared[self.key(lex)] is not prepared
+        assert lex._prepared[self.key(lex)].vectors is encode_all(loaded, lex)
 
-    def test_repeated_calls_reuse_the_prepared_arrays(self, small_lexicon, monkeypatch):
-        model, _ = trained_model(small_lexicon, epochs=5)
-        nearest_standard(model, small_lexicon, 0)
-        prepared = model.net._candidates[self.key(small_lexicon)]
+    def assert_prepared_once(self, source, key, lex, monkeypatch):
+        """Repeated queries reuse one entry's read-only rows and norms and check only the query."""
+        nearest_standard(source, lex, 0)
+        prepared = lex._prepared[key]
         rows, norms = prepared.rows, prepared.norms
         assert not rows.flags.writeable and not norms.flags.writeable
         checked = []
         monkeypatch.setattr(evalharness, "check_finite", lambda v, what: checked.append(what))
         monkeypatch.setattr(evalharness, "nonzero_norms", lambda rows: pytest.fail("norms again"))
-        for q in range(len(small_lexicon)):
-            nearest_standard(model, small_lexicon, q)
-        assert model.net._candidates[self.key(small_lexicon)] is prepared
+        for q in range(len(lex)):
+            nearest_standard(source, lex, q)
+        assert lex._prepared[key] is prepared
         assert prepared.rows is rows and prepared.norms is norms
-        assert checked == ["the query's vector"] * len(small_lexicon)
+        assert checked == ["the query's vector"] * len(lex)
 
-    def test_one_entry_per_candidate_set(self, small_lexicon):
-        model, _ = trained_model(small_lexicon, epochs=5)
+    def test_repeated_calls_reuse_the_prepared_arrays(self, lex, monkeypatch):
+        self.assert_prepared_once(*self.source("Da", lex), lex, monkeypatch)
+
+    @pytest.mark.parametrize("name", ["Dc-array", "Dc-embedding"])
+    def test_read_only_dc_rows_are_prepared_once(self, lex, monkeypatch, name):
+        self.assert_prepared_once(*self.source(name, lex), lex, monkeypatch)
+
+    @pytest.mark.parametrize("form", ["writeable", "view", "embedding"])
+    def test_a_writeable_array_or_a_view_is_prepared_per_call(self, lex, monkeypatch, form):
+        rows = np.random.default_rng(3).normal(size=(len(lex), 5))
+        if form == "view":
+            rows.flags.writeable = False
+            rows = rows[:]
+        source = EmbeddingMatrix(rows, lex.fingerprint()) if form == "embedding" else rows
+        prepared = []
+        monkeypatch.setattr(evalharness, "nonzero_norms", lambda rows: prepared.append(rows) or norms(rows))
+        for q in range(3):
+            nearest_standard(source, lex, q)
+        assert len(prepared) == 3
+        assert not lex._prepared
+
+    def test_alternating_da_and_dc_keep_both_entries(self, lex):
+        (model, da_key), (rows, dc_key) = self.source("Da", lex), self.source("Dc-array", lex)
+        nearest_standard(model, lex, 0)
+        nearest_standard(rows, lex, 0)
+        entries = dict(lex._prepared)
+        assert set(entries) == {da_key, dc_key}
+        for q in range(len(lex)):
+            nearest_standard(model, lex, q)
+            nearest_standard(rows, lex, q)
+        assert all(lex._prepared[key] is entry for key, entry in entries.items())
+
+    def test_a_new_read_only_array_is_prepared_again(self, lex):
+        rows, key = self.source("Dc-array", lex)
+        first = nearest_standard(rows, lex, 0)
+        prepared = lex._prepared[key]
+        again = read_only_rows(lex)
+        assert nearest_standard(again, lex, 0) == first
+        assert lex._prepared[key] is not prepared and lex._prepared[key].vectors is again
+
+    def test_one_entry_per_candidate_set(self, lex):
+        model, _ = trained_model(lex, epochs=5)
         spec = MetricSpec("Da", "learned-Da", {"model": model})
-        nearest_standard(model, small_lexicon, 0)
-        nearest_standard(model, small_lexicon, 1, vec_metric="L1")
-        evaluate_accuracy(spec, small_lexicon)
-        qualitative_neighbors(spec, small_lexicon, ["apple", "pple"])
-        assert list(model.net._candidates) == [self.key(small_lexicon)]
-        scores(spec, small_lexicon, [0], [3, 1])
-        scores(spec, small_lexicon, [2], np.array([3, 1]))
-        assert len(model.net._candidates) == 2
+        nearest_standard(model, lex, 0)
+        nearest_standard(model, lex, 1, vec_metric="L1")
+        evaluate_accuracy(spec, lex)
+        qualitative_neighbors(spec, lex, ["apple", "pple"])
+        assert list(lex._prepared) == [self.key(lex)]
+        scores(spec, lex, [0], [3, 1])
+        scores(spec, lex, [2], np.array([3, 1]))
+        assert len(lex._prepared) == 2
 
     @pytest.mark.parametrize("step", ["sgd_step", "train_autoencoder"])
-    def test_a_stepped_model_ranks_as_its_reloaded_copy(self, small_lexicon, tmp_path, step):
-        model, _ = trained_model(small_lexicon, epochs=5)
-        before = [nearest_standard(model, small_lexicon, q) for q in range(len(small_lexicon))]
+    def test_a_stepped_model_ranks_as_its_reloaded_copy(self, lex, tmp_path, step):
+        model, _ = trained_model(lex, epochs=5)
+        before = [nearest_standard(model, lex, q) for q in range(len(lex))]
+        prepared = lex._prepared[self.key(lex)]
         if step == "sgd_step":
             grads, _ = neural.backward(model.net, np.array([0, 3]), np.array([1, 2]))
             neural.sgd_step(model.net, grads, 0.5)
         else:
-            train_autoencoder(model, small_lexicon, TrainConfig(batch_size=4, learning_rate=0.5, epochs=2))
-        assert model.net._candidates is None
+            train_autoencoder(model, lex, TrainConfig(batch_size=4, learning_rate=0.5, epochs=2))
+        assert model.net._codes is None
+        after = [nearest_standard(model, lex, q) for q in range(len(lex))]
+        assert lex._prepared[self.key(lex)] is not prepared
+        assert after != before
         save_autoencoder(model, tmp_path / "ae.json")
         reloaded = load_autoencoder(tmp_path / "ae.json")
         for metric in VECTOR_METRICS:
-            for q in range(len(small_lexicon)):
-                got = nearest_standard(model, small_lexicon, q, k=4, vec_metric=metric)
-                assert got == nearest_standard(reloaded, small_lexicon, q, k=4, vec_metric=metric)
-        assert [nearest_standard(model, small_lexicon, q) for q in range(len(small_lexicon))] != before
+            for q in range(len(lex)):
+                got = nearest_standard(model, lex, q, k=4, vec_metric=metric)
+                assert got == nearest_standard(reloaded, lex, q, k=4, vec_metric=metric)
 
-    def test_codes_computed_again_are_prepared_again(self, small_lexicon):
-        model, _ = trained_model(small_lexicon, epochs=5)
-        nearest_standard(model, small_lexicon, 0)
-        prepared = model.net._candidates[self.key(small_lexicon)]
+    def test_codes_computed_again_are_prepared_again(self, lex):
+        model, _ = trained_model(lex, epochs=5)
+        nearest_standard(model, lex, 0)
+        prepared = lex._prepared[self.key(lex)]
         model.net._codes = None
-        nearest_standard(model, small_lexicon, 0)
-        assert model.net._candidates[self.key(small_lexicon)] is not prepared
+        nearest_standard(model, lex, 0)
+        assert lex._prepared[self.key(lex)] is not prepared
+
+    @pytest.mark.parametrize("metric", sorted(VECTOR_METRICS))
+    @pytest.mark.parametrize("name", ["Da", "Dc-array", "Dc-embedding"])
+    def test_warm_listings_equal_fresh_ones_bit_for_bit(self, small_lexicon, metric, name):
+        warm = dataclasses.replace(small_lexicon)
+        source, _ = self.source(name, warm)
+        spec = MetricSpec(name[:2], f"learned-{name[:2]}", {"model": source, "vec_metric": metric})
+
+        def bits(pairs):
+            return [(i, d.hex()) for i, d in pairs]
+
+        def fresh():
+            return dataclasses.replace(small_lexicon)
+
+        n, words = len(warm.standard_ids), list(warm.words)
+        for _ in range(2):  # the first round prepares the entries, the second reads them
+            for q in range(len(warm)):
+                for k in (1, 5, n):
+                    got = nearest_standard(source, warm, q, k=k, vec_metric=metric)
+                    assert bits(got) == bits(nearest_standard(source, fresh(), q, k=k, vec_metric=metric))
+            listing = qualitative_neighbors(spec, warm, words, k=len(warm))
+            assert listing == qualitative_neighbors(spec, fresh(), words, k=len(warm))
+        assert warm._prepared
 
     @pytest.mark.parametrize("metric", sorted(VECTOR_METRICS))
     @pytest.mark.parametrize("source", ["Da", "Dc-array", "Dc-embedding"])

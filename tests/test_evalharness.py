@@ -89,6 +89,13 @@ class TestEvaluateAccuracy:
         with pytest.raises(ValueError, match="k must be >= 1"):
             evaluate_accuracy(MetricSpec(name="levenshtein"), lex, ks=ks)
 
+    @pytest.mark.parametrize("ks", [(1, 2.5), (2.0,), (True,), ("2",), (None,)])
+    def test_k_that_is_not_an_integer_rejected(self, ks):
+        lex = build_lexicon([("thng", "thing")])
+        with pytest.raises(TypeError, match="^k must be an integer, got "):
+            evaluate_accuracy(MetricSpec(name="levenshtein"), lex, ks=ks)
+        assert evaluate_accuracy(MetricSpec(name="levenshtein"), lex, ks=(np.int64(1),)) == {1: 100.0}
+
     def test_exact_ngram_tie_ranks_by_word_id(self):
         # at n=3 both candidates are exactly 3/4 from the query; the one of
         # lower id ranks first, whatever the rounding of the two values
@@ -268,6 +275,12 @@ class TestQualitativeNeighbors:
     def test_k_below_one_rejected(self, k):
         lex = build_lexicon([("thng", "thing"), ("nite", "night"), ("wat", "what")])
         with pytest.raises(ValueError, match="k must be >= 1"):
+            qualitative_neighbors(MetricSpec(name="levenshtein"), lex, ["thng"], k=k)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+    def test_k_that_is_not_an_integer_rejected(self, k):
+        lex = build_lexicon([("thng", "thing"), ("nite", "night"), ("wat", "what")])
+        with pytest.raises(TypeError, match="^k must be an integer, got "):
             qualitative_neighbors(MetricSpec(name="levenshtein"), lex, ["thng"], k=k)
 
     def test_query_words_are_looked_up_normalised(self, toy_lexicon):

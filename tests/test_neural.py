@@ -154,12 +154,12 @@ class TestSgdStep:
             sgd_step(net, grads, 0.05)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    def test_step_empties_both_memos(self):
+    def test_step_empties_the_codes(self):
         net = init_network([3, 2], ["softmax"], np.random.default_rng(5))
-        net._codes, net._candidates = np.zeros((3, 2)), {b"ids": "prepared"}
+        net._codes = np.zeros((3, 2))
         grads, _ = backward(net, np.ones(3), np.array([1.0, 0.0]))
         sgd_step(net, grads, 0.1)
-        assert net._codes is None and net._candidates is None
+        assert net._codes is None
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_lr_changes_nothing(self, lr):
@@ -488,6 +488,6 @@ class TestPersistence:
 
     def test_built_and_loaded_networks_start_without_memos(self):
         net = init_network([4, 2, 4], ["identity", "softmax"], np.random.default_rng(0))
-        assert net._codes is None and net._candidates is None
+        assert net._codes is None
         loaded = network_from_dict(json.loads(json.dumps(network_to_dict(net))))
-        assert loaded._codes is None and loaded._candidates is None
+        assert loaded._codes is None
