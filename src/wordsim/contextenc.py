@@ -240,7 +240,7 @@ def load_embedding(path) -> EmbeddingMatrix:
     """The embedding saved at path; ConfigError if its stored n_embed disagrees with the rows.
 
     U is read-only and owns its data, so scoring keeps its candidates'
-    rows prepared (see evalharness._candidate_rows). Edit a copy.
+    rows prepared (see evalharness._prepared). Edit a copy.
     """
     data = neural._read_json(path)
     if data.get("kind") != "embedding":

@@ -167,14 +167,16 @@ def nearest_standard(source, lex, query_id: int, k: int = 5, vec_metric: str = "
     row is formed. When the source's vectors are a read-only array that
     owns its data (the codes of encode_all, the U of a loaded or trained
     EmbeddingMatrix, or a raw matrix made so), the candidates' rows and,
-    for cosine, their norms are prepared once and kept on the lexicon,
-    so a query pays only for its own vector, one vector-metric call and
-    the top k. Such an array is taken as fixed: making it writeable again
-    and editing it leaves the old prepared rows in place. neural.sgd_step
-    gives the next encode_all a new array, which is prepared again. A
-    writeable array or a view is gathered again on each call. The top k
-    is found by selection (np.partition), and only the distances at or
-    below the k-th are sorted.
+    for cosine, their norms are prepared once and kept in the lexicon's
+    memo, one entry per (metric kind, candidate set), so a query pays only
+    for its own vector, one vector-metric call and the top k. The memo
+    holds evalharness.MEMO_ENTRIES entries, the least recently used
+    dropped first. Such an array is taken as fixed: making it writeable
+    again and editing it leaves the old prepared rows in place.
+    neural.sgd_step gives the next encode_all a new array, which is
+    prepared again. A writeable array or a view is gathered again on each
+    call. The top k is found by selection (np.partition), and only the
+    distances at or below the k-th are sorted.
     """
     # evalharness imports this module, so its scoring path is imported here
     from .evalharness import MetricSpec, _check_k, _rows, _top_k

@@ -93,15 +93,6 @@ def _metric_params(name, params):
     return {k: v for k, v in params.items() if k in allowed}
 
 
-def _candidate_table(lex: Lexicon, candidate_ids: np.ndarray) -> CandidateTable:
-    """The table of one candidate id array, built on first use and kept with the lexicon."""
-    key = candidate_ids.tobytes()
-    table = lex._tables.get(key)
-    if table is None:
-        table = lex._tables[key] = CandidateTable(lex.word_of(c) for c in candidate_ids.tolist())
-    return table
-
-
 def _learned_vectors(spec: MetricSpec, lex: Lexicon) -> np.ndarray:
     """One vector per lexicon word id, after checking the model's lexicon binding."""
     model = spec.params.get("model")
@@ -140,25 +131,35 @@ class _CandidateRows:
         return norms
 
 
-def _candidate_rows(spec: MetricSpec, lex: Lexicon, vectors: np.ndarray, candidate_ids: np.ndarray):
-    """The _CandidateRows of candidate_ids under spec.
+# entries in a lexicon's memo: each kind on both candidate sets the program's entry points
+# use (the standard words and every word), so no CLI command or bench pass evicts one
+MEMO_ENTRIES = 6
 
-    A read-only vectors array that owns its data is taken as fixed: the
-    codes of denoise.encode_all, the U of a loaded or trained
-    EmbeddingMatrix, or any raw matrix made so. Its rows are kept on the
-    lexicon, one entry per (metric kind, candidate set), and an entry
-    prepared from another array is prepared again. Making such an array
-    writeable again and editing it leaves the old rows in place. A
-    writeable array, or a view, is prepared on each call.
+
+def _prepared(lex: Lexicon, kind: str, candidate_ids: np.ndarray, vectors=None):
+    """The candidates of candidate_ids prepared for kind, from the lexicon's memo or built.
+
+    A "classical" entry is the CandidateTable of their words, a learned one
+    the _CandidateRows of vectors. The memo keys an entry by (kind,
+    candidate id bytes) and drops the least recently used past
+    MEMO_ENTRIES. Learned rows are kept only when vectors is read-only and
+    owns its data (encode_all's codes, a loaded or trained
+    EmbeddingMatrix's U, a raw matrix made so), and count only while built
+    from that very array; a writeable array or a view is prepared on each
+    call. A kept array is taken as fixed: editing it after making it
+    writeable again leaves the old rows in place.
     """
-    if vectors.flags.writeable or vectors.base is not None:
+    if vectors is not None and (vectors.flags.writeable or vectors.base is not None):
         return _CandidateRows(vectors, candidate_ids)
-    # the kind keeps Da and Dc apart, so queries that alternate them each keep their entry
-    key = (spec.kind, candidate_ids.tobytes())
-    prepared = lex._prepared.get(key)
-    if prepared is None or prepared.vectors is not vectors:
-        prepared = lex._prepared[key] = _CandidateRows(vectors, candidate_ids)
-    return prepared
+    key = (kind, candidate_ids.tobytes())
+    entry = lex._prepared.pop(key, None)  # put back last: the memo runs from least to most recent
+    if entry is None or (vectors is not None and entry.vectors is not vectors):
+        entry = (CandidateTable(lex.word_of(c) for c in candidate_ids.tolist()) if vectors is None
+                 else _CandidateRows(vectors, candidate_ids))
+    lex._prepared[key] = entry
+    if len(lex._prepared) > MEMO_ENTRIES:
+        del lex._prepared[next(iter(lex._prepared))]
+    return entry
 
 
 def _scorer(spec: MetricSpec, lex: Lexicon, candidate_ids: np.ndarray, table):
@@ -175,7 +176,7 @@ def _scorer(spec: MetricSpec, lex: Lexicon, candidate_ids: np.ndarray, table):
     vectors = _learned_vectors(spec, lex)
     metric = spec.params.get("vec_metric", "cosine")
     d = vector_metric(metric)
-    candidates = _candidate_rows(spec, lex, vectors, candidate_ids)
+    candidates = _prepared(lex, spec.kind, candidate_ids, vectors)
     rows = candidates.rows
     norms = (candidates.norms,) if metric == "cosine" else ()
 
@@ -200,7 +201,7 @@ def _rows(specs, lex: Lexicon, query_ids, candidate_ids):
     must be valid ids (see lexicon.word_ids).
     """
     classical = any(spec.kind == "classical" for spec in specs)
-    table = _candidate_table(lex, candidate_ids) if classical else None
+    table = _prepared(lex, "classical", candidate_ids) if classical else None
     scorers = [_scorer(spec, lex, candidate_ids, table) for spec in specs]
 
     def rows():

@@ -9,7 +9,6 @@ import codecs
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -24,7 +23,8 @@ class Lexicon:
     """Ordered vocabulary with standard-word flags and variant mapping.
 
     ``standard_of`` maps each non-standard word id to the id of its unique
-    standard form; standard words never appear as keys.
+    standard form; standard words never appear as keys. _prepared is the
+    one bounded memo of what scoring prepares per candidate set.
     """
 
     words: tuple
@@ -32,17 +32,12 @@ class Lexicon:
     standard_of: dict
     _index: dict = field(default=None, repr=False, compare=False)
     _fingerprint: str = field(default=None, init=False, repr=False, compare=False)
-    # scoring tables derived from the words, keyed by candidate id bytes (see evalharness)
-    _tables: dict = field(default=None, init=False, repr=False, compare=False)
-    # learned candidates' rows prepared from read-only vectors, keyed by
-    # (metric kind, candidate id bytes) (see evalharness._candidate_rows)
-    _prepared: dict = field(default=None, init=False, repr=False, compare=False)
+    # (metric kind, candidate id bytes) -> entry, least recently used first (evalharness._prepared)
+    _prepared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self._index is None:
             object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.words)})
-        object.__setattr__(self, "_tables", {})
-        object.__setattr__(self, "_prepared", {})
 
     def __len__(self):
         return len(self.words)

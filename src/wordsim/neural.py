@@ -47,7 +47,6 @@ __all__ = [
     "loss_value",
     "backward",
     "sgd_step",
-    "gradient_check",
     "train_epochs",
     "train_supervised",
     "network_to_dict",
@@ -123,14 +122,14 @@ class Network:
 
     A network also keeps the bottleneck codes that denoise.encode_all
     last computed from its weights, one read-only array per weight state;
-    scoring keeps the candidates' rows of that array on the lexicon (see
-    evalharness._candidate_rows). sgd_step, the one function that writes
-    weights in place, empties the codes, so the next encode_all returns a
-    new array, whose candidates are then prepared again; a network that
-    is built or loaded starts without codes. Edit a layer's W, b or
-    activation by hand only before the first encode_all, or on a fresh
-    or reloaded network: a hand edit leaves stale codes, and the rows
-    prepared from them, in place.
+    scoring keeps the candidates' rows of that array in the lexicon's
+    bounded memo (see evalharness._prepared). sgd_step, the one function
+    that writes weights in place, empties the codes, so the next
+    encode_all returns a new array, whose candidates are then prepared
+    again; a network that is built or loaded starts without codes. Edit a
+    layer's W, b or activation by hand only before the first encode_all,
+    or on a fresh or reloaded network: a hand edit leaves stale codes, and
+    the rows prepared from them, in place.
     """
 
     layers: List[DenseLayer]
@@ -347,31 +346,6 @@ def sgd_step(net: Network, grads, lr: float) -> Network:
     if not (err["over"] == "raise" and err["invalid"] == "raise"):
         net.check_finite()
     return net
-
-
-def gradient_check(net, x, target, epsilon=1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    grads, _ = backward(net, x, target)
-    worst = 0.0
-    for layer, (dW, db) in zip(net.layers, grads):
-        if isinstance(dW, ColumnGrad):
-            dW = dW.dense(layer.in_dim)
-        for param, grad in ((layer.W, dW), (layer.b, db)):
-            flat = param.reshape(-1)
-            gflat = grad.reshape(-1)
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + epsilon
-                hi = loss_value(forward(net, x)[-1], target)
-                flat[k] = orig - epsilon
-                lo = loss_value(forward(net, x)[-1], target)
-                flat[k] = orig
-                numeric = (hi - lo) / (2 * epsilon)
-                denom = max(abs(gflat[k]), abs(numeric), 1e-12)
-                worst = max(worst, abs(gflat[k] - numeric) / denom)
-    return worst
 
 
 @contextmanager

@@ -1,14 +1,17 @@
-"""Independent oracles used to check the DP string metrics.
+"""Independent oracles used to check the DP string metrics and backprop.
 
-These deliberately avoid the dynamic-programming formulation used by the
-library: distances come from explicit edit-script search (BFS over the
-string space, or branch-and-bound over scripts) or from enumerating
-every alignment.
+The string oracles deliberately avoid the dynamic-programming
+formulation used by the library: distances come from explicit
+edit-script search (BFS over the string space, or branch-and-bound over
+scripts) or from enumerating every alignment. gradient_check compares
+neural.backward with central differences of the loss.
 """
 
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
+
+from wordsim.neural import ColumnGrad, backward, forward, loss_value
 
 
 def all_strings(alphabet, max_len):
@@ -115,3 +118,28 @@ def kondrak_alignment_search(x, y, n):
                 if best is None or cost < best:
                     best = cost
     return best / max(len(x), len(y))
+
+
+def gradient_check(net, x, target, epsilon=1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be > 0")
+    grads, _ = backward(net, x, target)
+    worst = 0.0
+    for layer, (dW, db) in zip(net.layers, grads):
+        if isinstance(dW, ColumnGrad):
+            dW = dW.dense(layer.in_dim)
+        for param, grad in ((layer.W, dW), (layer.b, db)):
+            flat = param.reshape(-1)
+            gflat = grad.reshape(-1)
+            for k in range(flat.size):
+                orig = flat[k]
+                flat[k] = orig + epsilon
+                hi = loss_value(forward(net, x)[-1], target)
+                flat[k] = orig - epsilon
+                lo = loss_value(forward(net, x)[-1], target)
+                flat[k] = orig
+                numeric = (hi - lo) / (2 * epsilon)
+                denom = max(abs(gflat[k]), abs(numeric), 1e-12)
+                worst = max(worst, abs(gflat[k] - numeric) / denom)
+    return worst

@@ -18,10 +18,10 @@ from wordsim.candidates import CandidateTable
 from wordsim.cli import main as cli_main
 from wordsim.evalharness import MetricSpec, evaluate_accuracy
 from wordsim.lexicon import build_lexicon
-from wordsim.neural import TrainConfig, gradient_check, softmax
+from wordsim.neural import TrainConfig, softmax
 
 from conftest import TOY_STANDARD, make_context_corpus, toy_variants
-from oracles import all_strings, bfs_script_distances, osa_script_search
+from oracles import all_strings, bfs_script_distances, gradient_check, osa_script_search
 
 
 def verdict(num, ok, detail):

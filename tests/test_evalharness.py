@@ -1,17 +1,25 @@
+import dataclasses
+import gc
+import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordsim import evalharness
+from wordsim.candidates import CandidateTable
 from wordsim.contextenc import EmbeddingMatrix
-from wordsim.denoise import build_autoencoder, train_autoencoder
+from wordsim.denoise import build_autoencoder, nearest_standard, train_autoencoder
 from wordsim.errors import BindingError, ConfigError, NumericError
 from wordsim.evalharness import (
     EvalReport,
     CLASSICAL_METRICS,
+    MEMO_ENTRIES,
     MetricSpec,
+    _rows,
     _top_k,
     evaluate_accuracies,
     evaluate_accuracy,
@@ -289,6 +297,127 @@ class TestQualitativeNeighbors:
         assert list(out) == ["THNG", " thng ", "thng"]
         assert out["THNG"] == out[" thng "] == out["thng"]
         assert "thng" not in [n["word"] for n in out["THNG"]["neighbors"]]
+
+
+class TestCandidateMemo:
+    """The lexicon's one memo of classical tables and learned rows, keyed by (metric kind,
+    candidate id bytes): MEMO_ENTRIES entries, the least recently used dropped first.
+    """
+
+    @pytest.fixture
+    def lex(self, toy_lexicon):
+        """toy_lexicon's words in a lexicon of its own, so that its memo starts empty."""
+        return dataclasses.replace(toy_lexicon)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The CandidateTables scoring builds, in order."""
+        tables = []
+
+        def counting(words):
+            tables.append(CandidateTable(words))
+            return tables[-1]
+
+        monkeypatch.setattr(evalharness, "CandidateTable", counting)
+        return tables
+
+    @staticmethod
+    def read_only_rows(lex):
+        rows = np.random.default_rng(3).normal(size=(len(lex), 5))
+        rows.flags.writeable = False
+        return rows
+
+    @staticmethod
+    def all_but(lex, q):
+        """Every word id but q: one candidate set per query, as a leave-one-out listing scores."""
+        return np.delete(np.arange(len(lex)), q)
+
+    def test_scores_and_eval_on_one_candidate_set_build_one_table(self, lex, built):
+        spec = MetricSpec("levenshtein")
+        first = scores(spec, lex, [0, 1], lex.standard_ids)
+        assert scores(spec, lex, [0, 1], lex.standard_array).tobytes() == first.tobytes()
+        evaluate_accuracies([spec, MetricSpec("dice")], lex)
+        assert len(built) == 1
+        assert lex._prepared == {("classical", lex.standard_array.tobytes()): built[0]}
+
+    def test_classical_specs_of_one_rows_call_share_the_table_and_queries(self, lex, built, monkeypatch):
+        seen = {}
+        for name in ("levenshtein", "ngram"):
+            kernel = CLASSICAL_METRICS[name]
+
+            def spy(query, table, _name=name, _kernel=kernel, **params):
+                seen.setdefault(_name, []).append((query, table))
+                return _kernel(query, table, **params)
+
+            monkeypatch.setitem(CLASSICAL_METRICS, name, spy)
+        specs = [MetricSpec("levenshtein"), MetricSpec("ngram", params={"n": 3})]
+        rows = list(_rows(specs, lex, lex.nonstandard_ids, lex.standard_array))
+        assert len(rows) == len(lex.nonstandard_ids) and len(built) == 1
+        assert seen["levenshtein"] == seen["ngram"]
+        assert {id(table) for _, table in seen["ngram"]} == {id(built[0])}
+        assert len({id(query) for query, _ in seen["ngram"]}) == len(lex.nonstandard_ids)
+
+    def test_warm_reports_and_listings_equal_fresh_ones_byte_for_byte(self, toy_lexicon, tmp_path):
+        warm = dataclasses.replace(toy_lexicon)
+        specs = [MetricSpec(name) for name in CLASSICAL_METRICS]
+        words = list(warm.words)
+
+        def outputs(lex, path):
+            export_report(EvalReport(dict(zip(CLASSICAL_METRICS, evaluate_accuracies(specs, lex)))), path)
+            listings = [qualitative_neighbors(spec, lex, words, k=len(lex)) for spec in specs]
+            return path.read_bytes(), json.dumps(listings).encode()
+
+        fresh = outputs(dataclasses.replace(toy_lexicon), tmp_path / "fresh.json")
+        for n in range(2):  # the first round builds the tables, the second reads them
+            assert outputs(warm, tmp_path / f"warm{n}.json") == fresh
+        assert len(warm._prepared) == 2
+
+    @pytest.mark.parametrize("name", ["levenshtein", "Dc"])
+    def test_many_candidate_sets_leave_the_memo_at_its_bound(self, lex, name):
+        if name == "Dc":
+            spec = MetricSpec(name, "learned-Dc", {"model": self.read_only_rows(lex)})
+        else:
+            spec = MetricSpec(name)
+        first = scores(spec, lex, [0], self.all_but(lex, 0))
+        entry = lex._prepared[(spec.kind, self.all_but(lex, 0).tobytes())]
+        assert len(lex) > 2 * MEMO_ENTRIES
+        for q in range(1, len(lex)):
+            scores(spec, lex, [q], self.all_but(lex, q))
+            assert len(lex._prepared) == min(q + 1, MEMO_ENTRIES)
+        assert list(lex._prepared) == [(spec.kind, self.all_but(lex, q).tobytes())
+                                       for q in range(len(lex) - MEMO_ENTRIES, len(lex))]
+        again = scores(spec, lex, [0], self.all_but(lex, 0))
+        rebuilt = lex._prepared[(spec.kind, self.all_but(lex, 0).tobytes())]
+        assert rebuilt is not entry and again.tobytes() == first.tobytes()
+        if name == "Dc":
+            assert rebuilt.rows.tobytes() == entry.rows.tobytes()
+            assert rebuilt.norms.tobytes() == entry.norms.tobytes()
+
+    def test_alternating_da_and_dc_stay_warm_while_other_sets_come_and_go(self, lex, trained_da):
+        rows = self.read_only_rows(lex)
+        nearest_standard(trained_da, lex, 0)
+        nearest_standard(rows, lex, 0)
+        key = lex.standard_array.tobytes()
+        da, dc = lex._prepared[("learned-Da", key)], lex._prepared[("learned-Dc", key)]
+        spec = MetricSpec("levenshtein")
+        for q in range(len(lex)):
+            scores(spec, lex, [q], self.all_but(lex, q))
+            nearest_standard(trained_da, lex, q)
+            nearest_standard(rows, lex, q)
+            assert lex._prepared[("learned-Da", key)] is da and lex._prepared[("learned-Dc", key)] is dc
+        assert len(lex._prepared) == MEMO_ENTRIES
+
+    def test_an_entry_does_not_keep_a_replaced_array_alive(self, lex):
+        old = self.read_only_rows(lex)
+        first = nearest_standard(old, lex, 0)
+        kept = weakref.ref(old)
+        del old
+        gc.collect()
+        assert kept() is not None  # the memo's entry holds it
+        assert nearest_standard(self.read_only_rows(lex), lex, 0) == first
+        gc.collect()
+        assert kept() is None
+        assert len(lex._prepared) == 1
 
 
 class TestExportReport:

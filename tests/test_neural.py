@@ -13,7 +13,6 @@ from wordsim.neural import (
     decode_array,
     encode_array,
     forward,
-    gradient_check,
     init_network,
     loss_value,
     network_from_dict,
@@ -22,6 +21,8 @@ from wordsim.neural import (
     softmax,
     train_supervised,
 )
+
+from oracles import gradient_check
 
 rng = np.random.default_rng(7)
 
