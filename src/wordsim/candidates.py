@@ -6,10 +6,11 @@ length (longest first, so the candidates longer than any bound form a
 prefix) with all their characters in one flat array of alphabet indices
 and, built on first use from that array, the candidates as bit-parallel
 patterns, as the cells of one flat DP row, and an inverted index of
-integer gram counts per gram length. A Query is one query string
-prepared against one table: what the kernels derive from the query
-alone is built once, on first use, and shared by every kernel given that
-Query. Kernels return one value per candidate in the caller's order.
+integer gram counts per gram length. A Query(table, text) is one query
+string prepared against one table: what the kernels derive from the
+query alone is built once, on first use, and shared by every kernel
+given that Query. A kernel returns its row in the table's length-sorted
+order; ``evalharness`` restores the caller's order (``unsort``).
 """
 
 import numpy as np
@@ -208,11 +209,11 @@ class GramIndex:
 class Query:
     """One query string prepared for scoring against one CandidateTable.
 
-    Made by ``CandidateTable.query``. Each part the kernels derive from
-    the query alone is built on first use and kept for the life of the
-    Query: its alphabet symbols, the match masks of its characters, its
-    gram postings per gram length, and any pass whose result more than
-    one kernel reads (see ``shared``). Kept arrays are read-only.
+    Each part the kernels derive from the query alone is built on first
+    use and kept for the life of the Query: its alphabet symbols, the
+    match masks of its characters, its gram postings per gram length, and
+    any pass whose result more than one kernel reads (see ``shared``).
+    Kept arrays are read-only.
     """
 
     def __init__(self, table, text: str):
@@ -296,17 +297,6 @@ class CandidateTable:
         found = pos < len(self.alphabet)
         found[found] = self.alphabet[pos[found]] == codes[found]
         return np.where(found, pos, MISSING).astype(np.int32)
-
-    def query(self, x) -> Query:
-        """x prepared against this table: a str, or a Query, kept as it is if it is of this table.
-
-        A Query of another table is prepared again from its text.
-        """
-        if isinstance(x, Query):
-            if x.table is self:
-                return x
-            x = x.text
-        return Query(self, x)
 
     def patterns(self) -> PatternIndex:
         """The candidates as bit-parallel patterns, built on first use."""

@@ -3,20 +3,20 @@
 All functions treat strings as sequences of Unicode scalar values and are
 pure; empty strings are legal inputs unless stated otherwise.
 
-The scalar functions are the reference. Each ``*_many`` kernel scores one
-query against every candidate of a CandidateTable and returns exactly
-what the scalar function returns for each pair, as float64 in the
-table's caller order. The edit and LCS kernels are bit-parallel with
+The scalar functions are the reference. Each ``*_many`` kernel scores
+the text of a ``candidates.Query`` against every candidate of its table
+and returns exactly what the scalar function returns for each pair, as
+a new float64 row in the table's length-sorted order (``evalharness``
+restores caller order). The edit and LCS kernels are bit-parallel with
 every candidate as its own pattern (``CandidateTable.patterns``): a
 candidate y holds ceil(|y| / LANE_BITS) uint64 words, additions and
 shifts carry from one word into the next, and the kernel takes one step
 per query character over all candidates at once, so a query of m
 characters costs m steps whatever the longest candidate.
 
-Every kernel takes the query x as a str or as a ``candidates.Query`` of
-the same table. Given one Query, the kernels share its match masks and
-one pass each of Myers (Levenshtein and its normalised form), OSA and
-LCS (LCS distance and metric-LCS), kept read-only on the Query.
+Given one Query, the kernels share its match masks and one pass each of
+Myers (Levenshtein and its normalised form), OSA and LCS (LCS distance
+and metric-LCS), kept read-only on the Query.
 """
 
 import math
@@ -125,9 +125,9 @@ def _myers(query, transpositions):
     return (len(x) + patterns.count(vp) - patterns.count(vn)).astype(np.float64)
 
 
-def levenshtein_many(x: str, table) -> np.ndarray:
+def levenshtein_many(query) -> np.ndarray:
     """Unit-cost levenshtein(x, y) for every candidate y."""
-    return table.unsort(_edit_distances(table.query(x), transpositions=False))
+    return _edit_distances(query, transpositions=False).copy()
 
 
 def normalized_levenshtein(x: str, y: str) -> float:
@@ -137,12 +137,11 @@ def normalized_levenshtein(x: str, y: str) -> float:
     return levenshtein(x, y) / max(len(x), len(y))
 
 
-def normalized_levenshtein_many(x: str, table) -> np.ndarray:
+def normalized_levenshtein_many(query) -> np.ndarray:
     """normalized_levenshtein(x, y) for every candidate y."""
-    query = table.query(x)
     dist = _edit_distances(query, transpositions=False)
     # both empty: the distance is 0, and 0 / 1 gives the scalar 0.0
-    return table.unsort(dist / np.maximum(table.lengths, max(len(query.text), 1)))
+    return dist / np.maximum(query.table.lengths, max(len(query.text), 1))
 
 
 def damerau_levenshtein(x: str, y: str) -> int:
@@ -172,9 +171,9 @@ def damerau_levenshtein(x: str, y: str) -> int:
     return d[m][n]
 
 
-def damerau_levenshtein_many(x: str, table) -> np.ndarray:
+def damerau_levenshtein_many(query) -> np.ndarray:
     """damerau_levenshtein(x, y) for every candidate y, as float64."""
-    return table.unsort(_edit_distances(table.query(x), transpositions=True))
+    return _edit_distances(query, transpositions=True).copy()
 
 
 def hamming(x: str, y: str) -> int:
@@ -233,11 +232,10 @@ def _bit_parallel_lcs(query):
     return patterns.count(~state)
 
 
-def lcs_distance_many(x: str, table) -> np.ndarray:
+def lcs_distance_many(query) -> np.ndarray:
     """lcs_distance(x, y) for every candidate y, as float64."""
-    query = table.query(x)
-    dist = len(query.text) + table.lengths - 2 * _lcs_lengths(query)
-    return table.unsort(dist.astype(np.float64))
+    dist = len(query.text) + query.table.lengths - 2 * _lcs_lengths(query)
+    return dist.astype(np.float64)
 
 
 def metric_lcs(x: str, y: str) -> float:
@@ -247,12 +245,11 @@ def metric_lcs(x: str, y: str) -> float:
     return 1.0 - lcs_length(x, y) / max(len(x), len(y))
 
 
-def metric_lcs_many(x: str, table) -> np.ndarray:
+def metric_lcs_many(query) -> np.ndarray:
     """metric_lcs(x, y) for every candidate y."""
-    query = table.query(x)
-    longest = np.maximum(table.lengths, len(query.text))
+    longest = np.maximum(query.table.lengths, len(query.text))
     share = _lcs_lengths(query) / np.maximum(longest, 1)
-    return table.unsort(np.where(longest == 0, 0.0, 1.0 - share))
+    return np.where(longest == 0, 0.0, 1.0 - share)
 
 
 def episode_distance(x: str, y: str) -> float:

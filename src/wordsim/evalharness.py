@@ -14,7 +14,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import editfam, gramfam, neural
-from .candidates import CandidateTable
+from .candidates import CandidateTable, Query
 from .denoise import AutoencoderModel, encode_all
 from .contextenc import EmbeddingMatrix, embedding_rows
 from .errors import BindingError, ConfigError
@@ -36,9 +36,9 @@ __all__ = [
 
 REPORT_VERSION = 1
 
-# name -> the batched kernel of that distance: one query against a
-# CandidateTable, +inf wherever the scalar editfam/gramfam function raises
-# ValueError; Dice similarity is flipped to a distance
+# name -> the batched kernel of that distance: a candidates.Query against
+# its table, in length-sorted order, +inf wherever the scalar editfam/gramfam
+# function raises ValueError; Dice similarity is flipped to a distance
 CLASSICAL_METRICS = {
     "levenshtein": editfam.levenshtein_many,
     "normalized-levenshtein": editfam.normalized_levenshtein_many,
@@ -81,16 +81,26 @@ class EvalReport:
 
 
 def classical_distance(name: str, x: str, y: str, **params) -> float:
-    """What eval ranks y by for query x (+inf if undefined); params may hold n and q."""
-    return float(CLASSICAL_METRICS[name](x, CandidateTable([y]), **_metric_params(name, params))[0])
+    """What eval ranks y by for query x (+inf if undefined); params may hold n and q.
+
+    ConfigError if name is not a classical metric.
+    """
+    score = _classical(MetricSpec(name, params=params))
+    return float(score(Query(CandidateTable([y]), x))[0])
 
 
 _METRIC_PARAMS = {"qgram": ("q",), "ngram": ("n",), "dice": ("n",), "jaccard": ("n",)}
 
 
-def _metric_params(name, params):
-    allowed = _METRIC_PARAMS.get(name, ())
-    return {k: v for k, v in params.items() if k in allowed}
+def _classical(spec: MetricSpec):
+    """score(query) -> a classical spec's row for a Query, in its table's caller order.
+
+    Binds the kernel's gram length once; the one place a kernel's row is unsorted.
+    """
+    allowed = _METRIC_PARAMS.get(spec.name, ())
+    params = {k: v for k, v in spec.params.items() if k in allowed}
+    kernel = partial(CLASSICAL_METRICS[spec.name], **params)
+    return lambda query: query.table.unsort(kernel(query))
 
 
 def _learned_vectors(spec: MetricSpec, lex: Lexicon) -> np.ndarray:
@@ -162,8 +172,8 @@ def _prepared(lex: Lexicon, kind: str, candidate_ids: np.ndarray, vectors=None):
     return entry
 
 
-def _scorer(spec: MetricSpec, lex: Lexicon, candidate_ids: np.ndarray, table):
-    """score(query id, its Query of table) -> its distance to every candidate under spec.
+def _scorer(spec: MetricSpec, lex: Lexicon, candidate_ids: np.ndarray):
+    """score(query id, its Query of the candidates) -> its distance to every candidate under spec.
 
     A learned spec is resolved here, before any query is scored: the
     model's lexicon binding is checked and the candidates' rows (and, for
@@ -171,8 +181,8 @@ def _scorer(spec: MetricSpec, lex: Lexicon, candidate_ids: np.ndarray, table):
     raises NumericError.
     """
     if spec.kind == "classical":
-        kernel = partial(CLASSICAL_METRICS[spec.name], **_metric_params(spec.name, spec.params))
-        return lambda qid, query: kernel(query, table)
+        score = _classical(spec)
+        return lambda qid, query: score(query)
     vectors = _learned_vectors(spec, lex)
     metric = spec.params.get("vec_metric", "cosine")
     d = vector_metric(metric)
@@ -202,11 +212,11 @@ def _rows(specs, lex: Lexicon, query_ids, candidate_ids):
     """
     classical = any(spec.kind == "classical" for spec in specs)
     table = _prepared(lex, "classical", candidate_ids) if classical else None
-    scorers = [_scorer(spec, lex, candidate_ids, table) for spec in specs]
+    scorers = [_scorer(spec, lex, candidate_ids) for spec in specs]
 
     def rows():
         for qid in query_ids:
-            query = table.query(lex.word_of(qid)) if classical else None
+            query = Query(table, lex.word_of(qid)) if classical else None
             yield [score(qid, query) for score in scorers]
 
     return rows()
@@ -358,4 +368,8 @@ def load_report(path) -> EvalReport:
             raise ConfigError(
                 f"report field 'accuracies.{name}' has a key that is not an integer k: {path}"
             ) from None
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in accs.values()):
+            raise ConfigError(
+                f"report field 'accuracies.{name}' has a value that is not a number: {path}"
+            )
     return EvalReport(accuracies=parsed, metadata=data.get("metadata", {}))

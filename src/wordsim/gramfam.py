@@ -4,16 +4,16 @@ Profiles are multisets of contiguous length-n substrings. Dice, Jaccard
 and the q-gram distance use raw (unpadded) grams; the Kondrak N-gram
 distance head-pads with a reserved boundary character.
 
-The scalar functions are the reference. Each ``*_many`` kernel scores one
-query against every candidate of a CandidateTable and returns exactly
-what the scalar distance returns for each pair, as float64 in the table's
-caller order, with +inf wherever the scalar function raises ValueError.
-Gram metrics read the table's integer gram counts. The Kondrak distance
-runs its DP in integers, costs scaled by n, so both its forms give the
-exact distance rounded once to float64; the kernel takes one step per
-query character over the cells of all candidates. Every kernel takes the
-query x as a str or as a ``candidates.Query`` of the same table; given
-one Query, the kernels share its symbols and its gram postings per n.
+The scalar functions are the reference. Each ``*_many`` kernel scores
+the text of a ``candidates.Query`` against every candidate of its table
+and returns exactly what the scalar distance returns for each pair, with
++inf wherever the scalar function raises ValueError, as a new float64
+row in the table's length-sorted order (``evalharness`` restores caller
+order). Gram metrics read the table's integer gram counts. The Kondrak
+distance runs its DP in integers, costs scaled by n, so both its forms
+give the exact distance rounded once to float64; the kernel takes one
+step per query character over the cells of all candidates. Given one
+Query, the kernels share its symbols and its gram postings per n.
 """
 
 import math
@@ -71,15 +71,14 @@ def _shared(query, n, combine) -> np.ndarray:
     return acc
 
 
-def qgram_distance_many(x: str, table, q: int = 2) -> np.ndarray:
+def qgram_distance_many(query, q: int = 2) -> np.ndarray:
     """qgram_distance(x, y, q) for every candidate y, as float64."""
     if q < 1:
-        return _undefined(table)
-    query = table.query(x)
+        return _undefined(query.table)
     # sum |px - py| over grams = |px| + |py| - 2 * sum min(px, py)
     common = _shared(query, q, np.minimum)
-    total = max(0, len(query.text) - q + 1) + table.grams(q).total
-    return table.unsort((total - 2 * common).astype(np.float64))
+    total = max(0, len(query.text) - q + 1) + query.table.grams(q).total
+    return (total - 2 * common).astype(np.float64)
 
 
 def kondrak_ngram_distance(x: str, y: str, n: int = 2) -> float:
@@ -117,7 +116,7 @@ def kondrak_ngram_distance(x: str, y: str, n: int = 2) -> float:
     return d[m][k] / (n * max(m, k))
 
 
-def kondrak_ngram_distance_many(x: str, table, n: int = 2) -> np.ndarray:
+def kondrak_ngram_distance_many(query, n: int = 2) -> np.ndarray:
     """kondrak_ngram_distance(x, y, n) for every candidate y.
 
     The integer DP of the scalar function, one row (position i of x) at a
@@ -129,8 +128,7 @@ def kondrak_ngram_distance_many(x: str, table, n: int = 2) -> np.ndarray:
     n * i shifted, and so does the diagonal from the last of them: column
     0 needs no case of its own and no minimum runs across candidates.
     """
-    query = table.query(x)
-    x = query.text
+    x, table = query.text, query.table
     if n < 1 or not x or BOUNDARY in x:
         return _undefined(table)
     m = len(x)
@@ -159,7 +157,7 @@ def kondrak_ngram_distance_many(x: str, table, n: int = 2) -> np.ndarray:
     out[lengths == 0] = np.inf
     if len(table.alphabet) and table.alphabet[0] == ord(BOUNDARY):
         out[table.lanes[table.chars == 0]] = np.inf
-    return table.unsort(out)
+    return out
 
 
 def dice_coefficient(x: str, y: str, n: int = 2) -> float:
@@ -178,17 +176,16 @@ def dice_coefficient(x: str, y: str, n: int = 2) -> float:
     return 2.0 * nt / (nx + ny)
 
 
-def dice_distance_many(x: str, table, n: int = 2) -> np.ndarray:
+def dice_distance_many(query, n: int = 2) -> np.ndarray:
     """1 - dice_coefficient(x, y, n) for every candidate y."""
     if n < 1:
-        return _undefined(table)
-    query = table.query(x)
+        return _undefined(query.table)
     nt = _shared(query, n, np.minimum)
-    grams = max(0, len(query.text) - n + 1) + table.grams(n).total
+    grams = max(0, len(query.text) - n + 1) + query.table.grams(n).total
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 1.0 - 2.0 * nt / grams
     out[grams == 0] = np.inf
-    return table.unsort(out)
+    return out
 
 
 def jaccard_distance(x: str, y: str, n: int = 2) -> float:
@@ -201,19 +198,18 @@ def jaccard_distance(x: str, y: str, n: int = 2) -> float:
     return 1.0 - len(sx & sy) / len(union)
 
 
-def jaccard_distance_many(x: str, table, n: int = 2) -> np.ndarray:
+def jaccard_distance_many(query, n: int = 2) -> np.ndarray:
     """jaccard_distance(x, y, n) for every candidate y."""
     if n < 1:
-        return _undefined(table)
-    query = table.query(x)
+        return _undefined(query.table)
     x = query.text
     inter = _shared(query, n, lambda counts, cq: 1)
     distinct = len({x[i : i + n] for i in range(len(x) - n + 1)})
-    union = distinct + table.grams(n).distinct - inter
+    union = distinct + query.table.grams(n).distinct - inter
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 1.0 - inter / union
     out[union == 0] = np.inf
-    return table.unsort(out)
+    return out
 
 
 def char_cosine_distance(x: str, y: str) -> float:
@@ -230,17 +226,16 @@ def char_cosine_distance(x: str, y: str) -> float:
     return 1.0 - dot / (nx * ny)
 
 
-def char_cosine_distance_many(x: str, table) -> np.ndarray:
+def char_cosine_distance_many(query) -> np.ndarray:
     """char_cosine_distance(x, y) for every candidate y."""
-    query = table.query(x)
     x = query.text
     if not x:
-        return _undefined(table)
-    index = table.grams(1)
+        return _undefined(query.table)
+    index = query.table.grams(1)
     dot = _shared(query, 1, np.multiply)
     nx = math.sqrt(sum(v * v for v in Counter(x).values()))
     ny = np.sqrt(index.sumsq)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 1.0 - dot / (nx * ny)
     out[index.total == 0] = np.inf
-    return table.unsort(out)
+    return out

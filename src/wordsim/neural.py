@@ -163,12 +163,6 @@ class ColumnGrad:
     cols: np.ndarray  # (k,) distinct column indices, ascending
     rows: np.ndarray  # (k, out_dim)
 
-    def dense(self, in_dim) -> np.ndarray:
-        """The full (out_dim, in_dim) gradient."""
-        full = np.zeros((in_dim, self.rows.shape[1]))
-        full[self.cols] = self.rows
-        return full.T
-
 
 def check_int(name: str, value, least: Optional[int] = None):
     """ConfigError unless value is an int, not a bool, of at least least if given; name names it."""
@@ -471,18 +465,24 @@ def network_to_dict(net: Network, seed: Optional[int] = None) -> dict:
 
 
 def network_from_dict(data: dict) -> Network:
+    """The network of a network_to_dict container; ConfigError naming a malformed field."""
+    if not isinstance(data, dict):
+        raise ConfigError("network is not an object")
     check_format_version(data, "model")
     try:
-        layers = [
+        layers, topology = data["layers"], data["topology"]
+        if not isinstance(layers, list) or not all(isinstance(l, dict) for l in layers):
+            raise ConfigError("network field 'layers' is not a list of objects")
+        if not isinstance(topology, list):
+            raise ConfigError("network field 'topology' is not a list")
+        net = Network([
             DenseLayer(
                 W=decode_array(l["weights"], f"layers[{i}].weights", 2),
                 b=decode_array(l["biases"], f"layers[{i}].biases", 1),
                 activation=l["activation"],
             )
-            for i, l in enumerate(data["layers"])
-        ]
-        topology = list(data["topology"])
-        net = Network(layers)
+            for i, l in enumerate(layers)
+        ])
     except KeyError as exc:
         raise ConfigError(f"network lacks the field {exc}") from None
     except ValueError as exc:  # layer shapes or activation that DenseLayer and Network reject

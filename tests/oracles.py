@@ -4,12 +4,15 @@ The string oracles deliberately avoid the dynamic-programming
 formulation used by the library: distances come from explicit
 edit-script search (BFS over the string space, or branch-and-bound over
 scripts) or from enumerating every alignment. gradient_check compares
-neural.backward with central differences of the loss.
+neural.backward with central differences of the loss; dense_gradient
+writes a ColumnGrad out as the full weight gradient it stands for.
 """
 
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
+
+import numpy as np
 
 from wordsim.neural import ColumnGrad, backward, forward, loss_value
 
@@ -120,6 +123,15 @@ def kondrak_alignment_search(x, y, n):
     return best / max(len(x), len(y))
 
 
+def dense_gradient(dW, in_dim):
+    """dW as the full (out_dim, in_dim) weight gradient: a ColumnGrad written out, else dW."""
+    if not isinstance(dW, ColumnGrad):
+        return dW
+    full = np.zeros((in_dim, dW.rows.shape[1]))
+    full[dW.cols] = dW.rows
+    return full.T
+
+
 def gradient_check(net, x, target, epsilon=1e-5) -> float:
     """Max relative error between analytic and central-difference gradients."""
     if epsilon <= 0:
@@ -127,8 +139,7 @@ def gradient_check(net, x, target, epsilon=1e-5) -> float:
     grads, _ = backward(net, x, target)
     worst = 0.0
     for layer, (dW, db) in zip(net.layers, grads):
-        if isinstance(dW, ColumnGrad):
-            dW = dW.dense(layer.in_dim)
+        dW = dense_gradient(dW, layer.in_dim)
         for param, grad in ((layer.W, dW), (layer.b, db)):
             flat = param.reshape(-1)
             gflat = grad.reshape(-1)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from wordsim import contextenc, denoise, editfam, gramfam, neural
-from wordsim.candidates import CandidateTable
+from wordsim.candidates import CandidateTable, Query
 from wordsim.cli import main as cli_main
 from wordsim.evalharness import MetricSpec, evaluate_accuracy
 from wordsim.lexicon import build_lexicon
@@ -48,14 +48,14 @@ def test_criterion_1_oracle_equivalence():
                 mismatches += 1
             if editfam.damerau_levenshtein(x, y) != osa_oracle[y]:
                 mismatches += 1
-        query = table.query(x)
+        query = Query(table, x)
         for kernel, oracle in (
             (editfam.damerau_levenshtein_many, osa_oracle),
             (editfam.lcs_distance_many, lcs_oracle),
             (editfam.levenshtein_many, lev_oracle),
         ):
             want = [oracle[y] for y in universe]
-            mismatches += int(np.count_nonzero(kernel(query, table) != want))
+            mismatches += int(np.count_nonzero(table.unsort(kernel(query)) != want))
     elapsed = time.monotonic() - start
     verdict(
         1,
@@ -99,10 +99,10 @@ def test_criterion_2_metric_axioms():
     table = CandidateTable(words)
     kernels = [editfam.levenshtein_many, editfam.damerau_levenshtein_many,
                editfam.lcs_distance_many, partial(gramfam.qgram_distance_many, q=2)]
-    queries = [table.query(x) for x in words]
+    queries = [Query(table, x) for x in words]
     same = np.array([[x == y for y in words] for x in words])
     for i, kernel in enumerate(kernels):
-        d = np.array([kernel(query, table) for query in queries])
+        d = np.array([table.unsort(kernel(query)) for query in queries])
         violations += int(np.count_nonzero(d < 0) + np.count_nonzero(d != d.T))
         if i < 3:
             violations += int(np.count_nonzero((d == 0) != same))

@@ -1,9 +1,10 @@
 """Batched kernels against their scalar reference functions.
 
-Every ``*_many`` kernel must return, bit for bit, what the scalar
-distance returns for each candidate, with +inf where the scalar function
-raises ValueError; evaluation and listings built on them must match a
-ranking computed pair by pair with the scalar functions.
+Every ``*_many`` kernel, given a Query, must return, bit for bit, what
+the scalar distance returns for each candidate in the table's
+length-sorted order, with +inf where the scalar function raises
+ValueError; evaluation and listings built on them must match a ranking
+computed pair by pair with the scalar functions.
 """
 
 import numpy as np
@@ -12,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordsim import editfam, gramfam
-from wordsim.candidates import CandidateTable
+from wordsim.candidates import CandidateTable, Query
 from wordsim.evalharness import (
     CLASSICAL_METRICS,
     MetricSpec,
+    classical_distance,
     evaluate_accuracy,
     qualitative_neighbors,
+    scores,
 )
 from wordsim.gramfam import BOUNDARY
 
@@ -58,9 +61,15 @@ def scalar_row(name, x, words, **params):
     return np.array(out, dtype=np.float64)
 
 
+def caller_row(kernel, x, table, **params):
+    """kernel's row for the query x, put back in the table's caller order."""
+    return table.unsort(kernel(Query(table, x), **params))
+
+
 def assert_kernel_matches(name, x, words, **params):
-    got = CLASSICAL_METRICS[name](x, CandidateTable(words), **params)
-    want = scalar_row(name, x, words, **params)
+    table = CandidateTable(words)
+    got = CLASSICAL_METRICS[name](Query(table, x), **params)
+    want = scalar_row(name, x, [table.words[i] for i in table.order.tolist()], **params)
     assert got.dtype == np.float64
     # equal as float64 bits, so that -0.0/0.0 and every last ulp count
     assert got.tobytes() == want.tobytes(), (name, x, params)
@@ -72,6 +81,30 @@ def assert_kernel_matches(name, x, words, **params):
 def test_kernel_equals_scalar(name, x, words, n):
     params = {PARAMS[name]: n} if name in PARAMS else {}
     assert_kernel_matches(name, x, words, **params)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICAL_METRICS))
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(x=strings, y=strings, n=st.integers(1, 3))
+def test_classical_distance_equals_scalar(name, x, y, n):
+    # as the CLI's dist passes them: both gram lengths, the one the metric takes used
+    got = classical_distance(name, x, y, n=n, q=n)
+    want = scalar_row(name, x, [y], **({PARAMS[name]: n} if name in PARAMS else {}))
+    assert np.float64(got).tobytes() == want.tobytes(), (name, x, y, n)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICAL_METRICS))
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_classical_distance_equals_the_scores_entry(name, toy_lexicon, data, n):
+    lex = toy_lexicon
+    q = data.draw(st.sampled_from(lex.nonstandard_ids))
+    j = data.draw(st.integers(0, len(lex.standard_ids) - 1))
+    params = {PARAMS[name]: n} if name in PARAMS else {}
+    # the row eval ranks the standard words by for this query
+    row = scores(MetricSpec(name, params=params), lex, [q], lex.standard_ids)[0]
+    got = classical_distance(name, lex.word_of(q), lex.word_of(lex.standard_ids[j]), **params)
+    assert np.float64(got).tobytes() == row[j].tobytes(), (name, q, j, n)
 
 
 @pytest.mark.parametrize("name", sorted(CLASSICAL_METRICS))
@@ -104,13 +137,13 @@ def test_astral_and_surrogate_characters(name):
 
 def test_undefined_pairs_score_inf():
     table = CandidateTable(["", "a", "ab", "a" + BOUNDARY])
-    assert list(gramfam.dice_distance_many("a", table, 2)[:2]) == [np.inf, np.inf]
-    assert np.isinf(gramfam.jaccard_distance_many("", table, 2)[0])
-    assert np.isinf(gramfam.char_cosine_distance_many("ab", table)[0])
-    ngram = gramfam.kondrak_ngram_distance_many("ab", table, 2)
+    assert list(caller_row(gramfam.dice_distance_many, "a", table, n=2)[:2]) == [np.inf, np.inf]
+    assert np.isinf(caller_row(gramfam.jaccard_distance_many, "", table, n=2)[0])
+    assert np.isinf(caller_row(gramfam.char_cosine_distance_many, "ab", table)[0])
+    ngram = caller_row(gramfam.kondrak_ngram_distance_many, "ab", table, n=2)
     assert np.isinf(ngram[[0, 3]]).all() and np.isfinite(ngram[[1, 2]]).all()
-    assert np.isinf(gramfam.kondrak_ngram_distance_many(BOUNDARY + "a", table, 2)).all()
-    assert np.isinf(gramfam.qgram_distance_many("ab", table, 0)).all()
+    assert np.isinf(caller_row(gramfam.kondrak_ngram_distance_many, BOUNDARY + "a", table, n=2)).all()
+    assert np.isinf(caller_row(gramfam.qgram_distance_many, "ab", table, q=0)).all()
 
 
 EDIT_METRICS = [
@@ -197,9 +230,9 @@ def test_long_queries_take_the_batched_path(monkeypatch):
     for n in (65, 128, 129, 200):
         x = "ab" * (n // 2) + "a" * (n % 2)
         for name in EDIT_METRICS:
-            CLASSICAL_METRICS[name](x, table)
+            CLASSICAL_METRICS[name](Query(table, x))
     table = CandidateTable(["abc", "b" * 70])
-    assert list(editfam.levenshtein_many("a" * 65, table)) == [64.0, 70.0]
+    assert list(caller_row(editfam.levenshtein_many, "a" * 65, table)) == [64.0, 70.0]
 
 
 # call orders of the ten kernels on one shared Query: the normalised and
@@ -223,38 +256,26 @@ SHARED_PARAMS = [
 @given(x=strings, words=st.lists(strings, max_size=6), p=st.sampled_from(SHARED_PARAMS))
 def test_shared_query_equals_fresh_strings(order, x, words, p):
     table = CandidateTable(words)
-    query = table.query(x)
+    query = Query(table, x)
     for name in order:
-        got = CLASSICAL_METRICS[name](query, table, **p.get(name, {}))
-        want = CLASSICAL_METRICS[name](x, CandidateTable(words), **p.get(name, {}))
+        got = CLASSICAL_METRICS[name](query, **p.get(name, {}))
+        want = CLASSICAL_METRICS[name](Query(CandidateTable(words), x), **p.get(name, {}))
         assert got.tobytes() == want.tobytes(), (name, x, p)
 
 
 def test_shared_passes_are_read_only():
     table = CandidateTable(["abc", "b" * 70, ""])
-    query = table.query("abd")
-    editfam.normalized_levenshtein_many(query, table)
-    editfam.metric_lcs_many(query, table)
-    editfam.damerau_levenshtein_many(query, table)
+    query = Query(table, "abd")
+    editfam.normalized_levenshtein_many(query)
+    editfam.metric_lcs_many(query)
+    editfam.damerau_levenshtein_many(query)
     for raw in (editfam._edit_distances(query, False), editfam._edit_distances(query, True),
                 editfam._lcs_lengths(query), query.masks()[0], query.symbols):
         assert not raw.flags.writeable
     # a kernel's result is the caller's own to write
-    row = editfam.levenshtein_many(query, table)
+    row = editfam.levenshtein_many(query)
     row[:] = -1
-    assert list(editfam.levenshtein_many(query, table)) == [1.0, 69.0, 3.0]
-
-
-def test_query_of_another_table_is_prepared_again():
-    first, second = CandidateTable(["ab", "ba"]), CandidateTable(["abc", "xyz", "b" * 70])
-    query = first.query("abd")
-    assert first.query(query) is query
-    again = second.query(query)
-    assert again is not query and again.table is second and again.text == "abd"
-    for name in sorted(CLASSICAL_METRICS):
-        CLASSICAL_METRICS[name](query, first)  # fill the first table's shared parts
-        got = CLASSICAL_METRICS[name](query, second)
-        assert got.tobytes() == CLASSICAL_METRICS[name]("abd", second).tobytes(), name
+    assert list(table.unsort(editfam.levenshtein_many(query))) == [1.0, 69.0, 3.0]
 
 
 def scalar_accuracy(name, lex, ks):

@@ -739,6 +739,17 @@ class TestLearnedScoring:
         assert rc == 3
         assert capsys.readouterr().err == "error: layers[0].weights.f8le is not valid base64\n"
 
+    def test_model_with_malformed_container_exit_3(self, trained, tmp_path, capsys):
+        pairs, models = trained
+        with open(models["Da"], encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["network"]["layers"] = "abc"
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(data), encoding="utf-8")
+        rc = main(["nearest", "--model", str(broken), "--lexicon", pairs, "--query", "thng"])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: network field 'layers' is not a list of objects\n"
+
     def test_model_not_json_exit_3(self, trained, tmp_path):
         pairs, _ = trained
         broken = tmp_path / "broken.json"

@@ -27,6 +27,18 @@ from wordsim.neural import TrainConfig, forward
 
 from conftest import MALFORMED_ARRAYS, identity_codes, wide_lexicon
 
+# a model container's network broken outside its arrays, and the message naming the field
+MALFORMED_CONTAINERS = {
+    "network-a-list": (lambda data: data.update(network=[1, 2]), "network is not an object"),
+    "layers-a-string": (
+        lambda data: data["network"].update(layers="abc"), "'layers' is not a list of objects"
+    ),
+    "layers-numbers": (
+        lambda data: data["network"].update(layers=[1, 2]), "'layers' is not a list of objects"
+    ),
+    "topology-an-int": (lambda data: data["network"].update(topology=4), "'topology' is not a list"),
+}
+
 
 def trained_model(lex, seed=0, epochs=100):
     model = build_autoencoder(lex, code_size=4, depth=5, seed=seed)
@@ -673,6 +685,18 @@ class TestPersistence:
         breaks(data["network"]["layers"][1][field])
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match=f"layers\\[1\\].{field}") as exc:
+            load_autoencoder(path)
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONTAINERS))
+    def test_malformed_container_rejected(self, small_lexicon, tmp_path, case):
+        path = tmp_path / "ae.json"
+        save_autoencoder(build_autoencoder(small_lexicon, code_size=4, depth=5), path)
+        data = json.loads(path.read_text())
+        breaks, message = MALFORMED_CONTAINERS[case]
+        breaks(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError) as exc:
             load_autoencoder(path)
         assert message in str(exc.value)
 

@@ -50,6 +50,10 @@ class TestMetricSpec:
         with pytest.raises(ConfigError):
             MetricSpec(name="soundex")
 
+    def test_classical_distance_of_an_unknown_name(self):
+        with pytest.raises(ConfigError, match="unknown classical metric: 'nope'"):
+            evalharness.classical_distance("nope", "a", "b")
+
 
 class TestEvaluateAccuracy:
     def test_degenerate_single_pair(self):
@@ -345,9 +349,9 @@ class TestCandidateMemo:
         for name in ("levenshtein", "ngram"):
             kernel = CLASSICAL_METRICS[name]
 
-            def spy(query, table, _name=name, _kernel=kernel, **params):
-                seen.setdefault(_name, []).append((query, table))
-                return _kernel(query, table, **params)
+            def spy(query, _name=name, _kernel=kernel, **params):
+                seen.setdefault(_name, []).append((query, query.table))
+                return _kernel(query, **params)
 
             monkeypatch.setitem(CLASSICAL_METRICS, name, spy)
         specs = [MetricSpec("levenshtein"), MetricSpec("ngram", params={"n": 3})]
@@ -482,6 +486,14 @@ class TestExportReport:
             (
                 '{"report_version": 1, "accuracies": {"lev": {"x": 1}}}',
                 "'accuracies.lev' has a key that is not an integer",
+            ),
+            (
+                '{"report_version": 1, "accuracies": {"lev": {"1": "x"}}}',
+                "'accuracies.lev' has a value that is not a number",
+            ),
+            (
+                '{"report_version": 1, "accuracies": {"lev": {"1": true}}}',
+                "'accuracies.lev' has a value that is not a number",
             ),
         ],
     )

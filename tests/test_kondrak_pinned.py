@@ -9,7 +9,7 @@ letters.
 
 import pytest
 
-from wordsim.candidates import CandidateTable
+from wordsim.candidates import CandidateTable, Query
 from wordsim.gramfam import kondrak_ngram_distance, kondrak_ngram_distance_many
 
 L66 = "dtwyuqhixijxcvojovmmydihklzilzuuqefrvvifaucdtkacigmmsotduvdssuulfd"
@@ -71,5 +71,5 @@ def test_kernel_is_bit_identical(n):
     for x in {x for x, _, _ in PINNED}:
         rows = [(y, pinned[column]) for x2, y, pinned in PINNED if x2 == x]
         table = CandidateTable([y for y, _ in rows])
-        got = kondrak_ngram_distance_many(x, table, n)
+        got = table.unsort(kondrak_ngram_distance_many(Query(table, x), n))
         assert [d.hex() for d in got.tolist()] == [want for _, want in rows], x

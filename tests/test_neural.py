@@ -5,7 +5,6 @@ import pytest
 
 from wordsim.errors import ConfigError, NumericError
 from wordsim.neural import (
-    ColumnGrad,
     DenseLayer,
     Network,
     TrainConfig,
@@ -22,7 +21,7 @@ from wordsim.neural import (
     train_supervised,
 )
 
-from oracles import gradient_check
+from oracles import dense_gradient, gradient_check
 
 rng = np.random.default_rng(7)
 
@@ -271,10 +270,7 @@ def assert_same_bytes(a, b):
 
 def dense_grads(net, grads):
     """grads with a first-layer ColumnGrad written out as the full one-hot dW."""
-    return [
-        (dW.dense(layer.in_dim) if isinstance(dW, ColumnGrad) else dW, db)
-        for layer, (dW, db) in zip(net.layers, grads)
-    ]
+    return [(dense_gradient(dW, layer.in_dim), db) for layer, (dW, db) in zip(net.layers, grads)]
 
 
 class TestWordIds:
@@ -379,7 +375,7 @@ class TestColumnStep:
         np.add.at(dW.T, ids, delta / len(ids))
         expected = net.layers[0].W - lr * dW
         grads, _ = backward(net, ids, tids)
-        assert_same_bytes(grads[0][0].dense(7), dW)
+        assert_same_bytes(dense_gradient(grads[0][0], 7), dW)
         sgd_step(net, grads, lr)
         assert_same_bytes(net.layers[0].W, expected)
 
