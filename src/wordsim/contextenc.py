@@ -8,7 +8,6 @@ epochs and blends embedding rows toward the autoencoder codes, yielding
 the mapping behind D_c.
 """
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -231,9 +230,9 @@ def save_embedding(emb: EmbeddingMatrix, path):
         "lexicon_fingerprint": emb.lexicon_fingerprint,
         "n_embed": emb.n_embed,
         "metadata": emb.metadata,
-        "rows": neural.encode_array(emb.U),
+        "rows": emb.U,
     }
-    neural._write_text(path, json.dumps(container))
+    neural._write_text(path, neural._json_pieces(container))
 
 
 def load_embedding(path) -> EmbeddingMatrix:

@@ -4,7 +4,6 @@ The network reconstructs the standard word from a non-standard spelling;
 its bottleneck activation is the learned code used by the distance D_a.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,9 +200,9 @@ def save_autoencoder(model: AutoencoderModel, path, extra_metadata=None):
         "lexicon_fingerprint": model.lexicon_fingerprint,
         **{key: getattr(model, key) for key in _SHAPE_KEYS},
         "metadata": extra_metadata or {},
-        "network": neural.network_to_dict(model.net, seed=model.seed),
+        "network": neural._network_container(model.net, seed=model.seed),
     }
-    neural._write_text(path, json.dumps(container))
+    neural._write_text(path, neural._json_pieces(container))
 
 
 def load_autoencoder(path) -> AutoencoderModel:

@@ -344,7 +344,7 @@ def export_report(report: EvalReport, path, format: str = "json"):
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown report format: {format!r}")
-    neural._write_text(path, text)
+    neural._write_text(path, [text])
 
 
 def load_report(path) -> EvalReport:
@@ -362,14 +362,23 @@ def load_report(path) -> EvalReport:
     for name, accs in accuracies.items():
         if not isinstance(accs, dict):
             raise ConfigError(f"report field 'accuracies.{name}' is not an object: {path}")
-        try:
-            parsed[name] = {int(k): v for k, v in accs.items()}
-        except ValueError:
-            raise ConfigError(
-                f"report field 'accuracies.{name}' has a key that is not an integer k: {path}"
-            ) from None
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in accs.values()):
-            raise ConfigError(
-                f"report field 'accuracies.{name}' has a value that is not a number: {path}"
-            )
+        parsed[name] = {}
+        for key, value in accs.items():
+            try:
+                k = int(key)
+            except ValueError:  # also a key past int's digit limit
+                k = 0
+            # only the str(k) that export_report writes: no sign, space, underscore or leading zero
+            if k < 1 or str(k) != key:
+                raise ConfigError(
+                    f"report field 'accuracies.{name}' has a key that is not an integer k >= 1 "
+                    f"written as str(k): {key!r}: {path}"
+                )
+            # the range test also turns away NaN and the infinities
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 100:
+                raise ConfigError(
+                    f"report field 'accuracies.{name}' has a value that is not a number "
+                    f"in [0, 100]: {value!r}: {path}"
+                )
+            parsed[name][k] = value
     return EvalReport(accuracies=parsed, metadata=data.get("metadata", {}))

@@ -62,6 +62,10 @@ FORMAT_VERSIONS = (1, 2)
 
 ACTIVATIONS = ("sigmoid", "identity", "softmax")
 
+# array bytes per base64 piece of a written file: a multiple of 3, so the
+# pieces join without padding, and of 8, so each piece holds whole floats
+PIECE_BYTES = 3 * 8 * 2048
+
 
 def sigmoid(z):
     out = np.empty_like(z, dtype=float)
@@ -447,21 +451,32 @@ def check_format_version(data: dict, what: str):
         raise ConfigError(f"unsupported {what} format version: {version!r}")
 
 
-def network_to_dict(net: Network, seed: Optional[int] = None) -> dict:
-    """Versioned JSON-ready container; floats round-trip bit-exactly."""
+def _network_container(net: Network, seed: Optional[int] = None) -> dict:
+    """network_to_dict's container with the arrays left as arrays, for _json_pieces to write."""
     return {
         "format_version": FORMAT_VERSION,
         "topology": net.topology,
         "seed": seed,
         "layers": [
-            {
-                "activation": l.activation,
-                "weights": encode_array(l.W),
-                "biases": encode_array(l.b),
-            }
-            for l in net.layers
+            {"activation": l.activation, "weights": l.W, "biases": l.b} for l in net.layers
         ],
     }
+
+
+def _json_ready(value):
+    """value with every array in it, however deep, replaced by its encode_array object."""
+    if isinstance(value, np.ndarray):
+        return encode_array(value)
+    if isinstance(value, dict):
+        return {key: _json_ready(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(item) for item in value]
+    return value
+
+
+def network_to_dict(net: Network, seed: Optional[int] = None) -> dict:
+    """Versioned JSON-ready container; floats round-trip bit-exactly."""
+    return _json_ready(_network_container(net, seed))
 
 
 def network_from_dict(data: dict) -> Network:
@@ -504,14 +519,52 @@ def _read_json(path) -> dict:
     return data
 
 
-def _write_text(path, text: str):
-    """Write text to path as UTF-8; the one writer of model, embedding and report files.
+def _json_pieces(value):
+    """The text of json.dumps(_json_ready(value)), in pieces.
 
-    An existing file stays until a temp file beside it holds all of text
-    and then replaces it with the old mode; a new path is written in
-    place. On any failure the file being written is removed.
+    Dicts, lists and tuples are walked; an array is written as its
+    encode_array object, whose base64 is made from PIECE_BYTES at a time of
+    the C-ordered little-endian float64 values, so no piece holds more than
+    about PIECE_BYTES of an array. Any other value is one json.dumps piece
+    and raises as json.dumps does, TypeError for an object json cannot hold.
     """
-    data = text.encode("utf-8")
+    if isinstance(value, np.ndarray):
+        a = np.asarray(value, dtype="<f8")
+        step = PIECE_BYTES // 8
+        yield f'{{"shape": {json.dumps(list(a.shape))}, "f8le": "'
+        for start in range(0, a.size, step):
+            # flat slices copy one piece in C order, whatever the array's layout
+            yield base64.b64encode(a.flat[start : start + step]).decode("ascii")
+        yield '"}'
+    elif isinstance(value, dict) and value:
+        opening = "{"
+        for key, item in value.items():
+            # a one-key dict renders its key as json.dumps does, whatever the key's type
+            yield opening + json.dumps({key: 0})[1:-4] + ": "
+            yield from _json_pieces(item)
+            opening = ", "
+        yield "}"
+    elif isinstance(value, (list, tuple)) and value:
+        opening = "["
+        for item in value:
+            yield opening
+            yield from _json_pieces(item)
+            opening = ", "
+        yield "]"
+    else:
+        yield json.dumps(value)
+
+
+def _write_text(path, pieces):
+    """Write the text of the pieces to path as UTF-8, one piece at a time.
+
+    This is the one writer of model, embedding and report files, and a
+    file costs no more memory than its largest piece. An existing file
+    stays until a temp file beside it holds all of the text and then
+    replaces it with the old mode; a new path is written in place. On any
+    failure, one that the pieces raise included, the file being written
+    is removed.
+    """
     replace = os.path.exists(path)
     target = path
     if replace:
@@ -520,7 +573,8 @@ def _write_text(path, text: str):
         os.close(fd)
     try:
         with open(target, "wb") as fh:
-            fh.write(data)
+            for piece in pieces:
+                fh.write(piece.encode("utf-8"))
         if replace:
             shutil.copymode(path, target)
             os.replace(target, path)

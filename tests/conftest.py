@@ -1,6 +1,7 @@
 import base64
 import errno
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -121,10 +122,11 @@ MALFORMED_ARRAYS = {
 
 
 class _FullDisk:
-    """A file whose write stores half the data, then fails as on a full disk."""
+    """A file whose write number fail_at stores half the data, then fails as on a full disk."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, fail_at):
         self.fh = fh
+        self.writes_left = fail_at
 
     def __enter__(self):
         return self
@@ -133,16 +135,40 @@ class _FullDisk:
         self.fh.close()
 
     def write(self, data):
+        self.writes_left -= 1
+        if self.writes_left:
+            return self.fh.write(data)
         self.fh.write(data[: len(data) // 2])
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
-def _open_on_full_disk(file, mode="r", *args, **kwargs):
-    fh = open(file, mode, *args, **kwargs)
-    return _FullDisk(fh) if "w" in mode else fh
-
-
 @pytest.fixture()
 def full_disk(monkeypatch):
-    """Every file wordsim.neural opens for writing fails halfway through the write."""
-    monkeypatch.setattr(neural, "open", _open_on_full_disk, raising=False)
+    """Every file wordsim.neural opens for writing fails halfway through write number full_disk.fail_at.
+
+    fail_at counts from 1 and is 1 unless a test sets it.
+    """
+    disk = types.SimpleNamespace(fail_at=1)
+
+    def open_on_full_disk(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return _FullDisk(fh, disk.fail_at) if "w" in mode else fh
+
+    monkeypatch.setattr(neural, "open", open_on_full_disk, raising=False)
+    return disk
+
+
+def second_piece_write(save):
+    """The number of the write, counted from 1, that holds the first array's second piece.
+
+    save() is run once with neural._write_text only collecting its pieces,
+    each of which the writer writes with one call.
+    """
+    pieces = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(neural, "_write_text", lambda path, stream: pieces.extend(stream))
+        save()
+    opening = next(i for i, piece in enumerate(pieces) if piece.endswith('"f8le": "'))
+    assert len(pieces[opening + 1]) == 4 * neural.PIECE_BYTES // 3, "the array fills no first piece"
+    assert not pieces[opening + 2].startswith('"'), "the array has no second piece"
+    return opening + 3

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from wordsim import neural
 from wordsim.contextenc import (
     EmbeddingMatrix,
     PAD,
@@ -22,7 +23,7 @@ from wordsim.errors import BindingError, ConfigError, NumericError
 from wordsim.lexicon import Corpus
 from wordsim.neural import TrainConfig, init_network
 
-from conftest import MALFORMED_ARRAYS, identity_codes, wide_lexicon
+from conftest import MALFORMED_ARRAYS, identity_codes, second_piece_write, wide_lexicon
 
 
 def zeroed(model):
@@ -489,11 +490,31 @@ class TestEmbeddingPersistence:
     @pytest.mark.parametrize("old", [b"an earlier embedding\n", None])
     def test_failed_save_leaves_the_path_as_it_was(self, context_lexicon, tmp_path, full_disk, old):
         path = tmp_path / "emb.json"
-        if old is not None:
-            path.write_bytes(old)
-        emb = EmbeddingMatrix(U=np.ones((3, 2)), lexicon_fingerprint=context_lexicon.fingerprint())
-        with pytest.raises(OSError, match="No space left"):
-            save_embedding(emb, path)
-        assert list(tmp_path.iterdir()) == ([] if old is None else [path])
-        if old is not None:
-            assert path.read_bytes() == old
+        # 700 x 11 rows fill more than one piece
+        emb = EmbeddingMatrix(U=np.ones((700, 11)), lexicon_fingerprint=context_lexicon.fingerprint())
+        # the first write, then the write after the rows' first piece
+        for fail_at in (1, second_piece_write(lambda: save_embedding(emb, path))):
+            full_disk.fail_at = fail_at
+            if old is not None:
+                path.write_bytes(old)
+            with pytest.raises(OSError, match="No space left"):
+                save_embedding(emb, path)
+            assert list(tmp_path.iterdir()) == ([] if old is None else [path])
+            if old is not None:
+                assert path.read_bytes() == old
+
+    def test_file_is_json_dumps_of_the_reference_container(self, context_lexicon, tmp_path):
+        U = np.random.default_rng(4).normal(size=(700, 11))[:, ::2]  # a strided view
+        metadata = {"window": 4, "blend": 0.5, "bläsi": [float("inf"), None]}
+        emb = EmbeddingMatrix(U=U, lexicon_fingerprint=context_lexicon.fingerprint(), metadata=metadata)
+        path = tmp_path / "emb.json"
+        save_embedding(emb, path)
+        reference = {
+            "kind": "embedding",
+            "format_version": 2,
+            "lexicon_fingerprint": context_lexicon.fingerprint(),
+            "n_embed": 6,
+            "metadata": metadata,
+            "rows": neural.encode_array(U),
+        }
+        assert path.read_bytes() == json.dumps(reference).encode("utf-8")

@@ -9,6 +9,7 @@ import pytest
 from wordsim import evalharness, neural
 from wordsim.contextenc import EmbeddingMatrix
 from wordsim.denoise import (
+    AutoencoderModel,
     build_autoencoder,
     distance_Da,
     encode,
@@ -25,7 +26,7 @@ from wordsim.lexicon import build_lexicon
 from wordsim.vecdist import VECTOR_METRICS, nonzero_norms as norms
 from wordsim.neural import TrainConfig, forward
 
-from conftest import MALFORMED_ARRAYS, identity_codes, wide_lexicon
+from conftest import MALFORMED_ARRAYS, identity_codes, second_piece_write, wide_lexicon
 
 # a model container's network broken outside its arrays, and the message naming the field
 MALFORMED_CONTAINERS = {
@@ -754,15 +755,68 @@ class TestPersistence:
             load_autoencoder(path)
 
     @pytest.mark.parametrize("old", [b"an earlier model\n", None])
-    def test_failed_save_leaves_the_path_as_it_was(self, small_lexicon, tmp_path, full_disk, old):
+    def test_failed_save_leaves_the_path_as_it_was(self, tmp_path, full_disk, old):
+        path = tmp_path / "ae.json"
+        # the first layer's weights, 35 x 300, fill more than one piece
+        model = build_autoencoder(wide_lexicon(), code_size=4, depth=5)
+        # the first write, then the write after the first array's first piece
+        for fail_at in (1, second_piece_write(lambda: save_autoencoder(model, path))):
+            full_disk.fail_at = fail_at
+            if old is not None:
+                path.write_bytes(old)
+            with pytest.raises(OSError, match="No space left"):
+                save_autoencoder(model, path)
+            assert list(tmp_path.iterdir()) == ([] if old is None else [path])
+            if old is not None:
+                assert path.read_bytes() == old
+
+    @pytest.mark.parametrize("old", [b"an earlier model\n", None])
+    def test_metadata_json_cannot_hold_leaves_the_path_as_it_was(self, small_lexicon, tmp_path, old):
         path = tmp_path / "ae.json"
         if old is not None:
             path.write_bytes(old)
-        with pytest.raises(OSError, match="No space left"):
-            save_autoencoder(build_autoencoder(small_lexicon, code_size=4, depth=5), path)
+        model = build_autoencoder(small_lexicon, code_size=4, depth=5)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_autoencoder(model, path, extra_metadata={"x": object()})
         assert list(tmp_path.iterdir()) == ([] if old is None else [path])
         if old is not None:
             assert path.read_bytes() == old
+
+    def test_file_is_json_dumps_of_the_reference_container(self, tmp_path):
+        model = build_autoencoder(wide_lexicon(), code_size=4, depth=5, seed=3)
+        metadata = {"final_loss": 1.5, "épochs": (1, 2), "nan": float("nan"), "empty": {}}
+        path = tmp_path / "ae.json"
+        save_autoencoder(model, path, extra_metadata=metadata)
+        reference = {
+            "kind": "autoencoder",
+            "lexicon_fingerprint": model.lexicon_fingerprint,
+            "code_size": 4,
+            "depth": 5,
+            "bottleneck_index": 1,
+            "metadata": metadata,
+            "network": neural.network_to_dict(model.net, seed=3),
+        }
+        assert path.read_bytes() == json.dumps(reference).encode("utf-8")
+
+    def test_save_holds_no_copy_of_the_weights(self, tmp_path):
+        rng = np.random.default_rng(0)
+        wide = 40_000
+        net = neural.Network([
+            neural.DenseLayer(rng.normal(size=(8, wide)), np.zeros(8), "identity"),
+            neural.DenseLayer(rng.normal(size=(wide, 8)), np.zeros(wide), "softmax"),
+        ])
+        assert sum(l.W.nbytes + l.b.nbytes for l in net.layers) >= 4_000_000
+        model = AutoencoderModel(net, lexicon_fingerprint="0" * 64)
+        path = tmp_path / "ae.json"
+        tracemalloc.start()
+        try:
+            save_autoencoder(model, path)  # a new path
+            save_autoencoder(model, path)  # and over the file just written
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert load_autoencoder(path).net.layers[1].W.tobytes() == net.layers[1].W.tobytes()
 
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "ae.json"

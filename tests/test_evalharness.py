@@ -495,6 +495,22 @@ class TestExportReport:
                 '{"report_version": 1, "accuracies": {"lev": {"1": true}}}',
                 "'accuracies.lev' has a value that is not a number",
             ),
+            *(
+                pytest.param(
+                    '{"report_version": 1, "accuracies": {"lev": {"%s": 5.0}}}' % key,
+                    "'accuracies.lev' has a key that is not an integer k >= 1",
+                    id=f"key={key[:8]}",
+                )
+                for key in ["-3", "0", " 2", "+4", "1_0", "01", "\\u0663", "1e2", "", "9" * 5000]
+            ),
+            *(
+                pytest.param(
+                    '{"report_version": 1, "accuracies": {"lev": {"1": %s}}}' % value,
+                    "'accuracies.lev' has a value that is not a number in \\[0, 100\\]",
+                    id=f"accuracy={value}",
+                )
+                for value in ["NaN", "Infinity", "-Infinity", "1e308", "-4.0", "100.5", "101"]
+            ),
         ],
     )
     def test_malformed_report_rejected(self, tmp_path, text, message):

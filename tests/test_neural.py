@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wordsim import neural
 from wordsim.errors import ConfigError, NumericError
 from wordsim.neural import (
     DenseLayer,
@@ -488,3 +491,69 @@ class TestPersistence:
         assert net._codes is None
         loaded = network_from_dict(json.loads(json.dumps(network_to_dict(net))))
         assert loaded._codes is None
+
+
+FLOATS_PER_PIECE = neural.PIECE_BYTES // 8
+
+# the empty shapes, one float, and byte counts at a piece boundary and one float either side
+PIECE_SHAPES = [
+    (0,), (0, 5), (1, 1), (3, 4),
+    (FLOATS_PER_PIECE - 1,), (FLOATS_PER_PIECE,), (FLOATS_PER_PIECE + 1,),
+    (2, FLOATS_PER_PIECE // 2), (3, FLOATS_PER_PIECE // 2 + 1),
+]
+
+
+@st.composite
+def stored_arrays(draw):
+    """A float64 array in any layout: C- or F-ordered, a strided view, or read-only."""
+    shape = draw(st.sampled_from(PIECE_SHAPES))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["C", "F", "strided", "read-only"]))
+    if layout == "strided":
+        return r.normal(size=(*shape, 2))[..., 1]
+    a = r.normal(size=shape)
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "read-only":
+        a.flags.writeable = False
+    return a
+
+
+json_keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(json_keys, inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+class TestPieces:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=stored_arrays(), weights=stored_arrays(), metadata=st.dictionaries(json_keys, json_values))
+    def test_pieces_join_to_json_dumps_of_the_reference_container(self, rows, weights, metadata):
+        net = init_network([3, 2], ["softmax"], np.random.default_rng(0))
+        container = {
+            "metadata": metadata,
+            "rows": rows,
+            "more": ({"weights": weights}, [rows]),
+            "network": neural._network_container(net, seed=5),
+        }
+        reference = {
+            "metadata": metadata,
+            "rows": encode_array(rows),
+            "more": ({"weights": encode_array(weights)}, [encode_array(rows)]),
+            "network": network_to_dict(net, seed=5),
+        }
+        assert "".join(neural._json_pieces(container)) == json.dumps(reference)
+
+    def test_an_array_is_written_a_piece_at_a_time(self):
+        a = np.arange(2.5 * FLOATS_PER_PIECE)
+        pieces = list(neural._json_pieces(a))
+        assert [len(p) for p in pieces[1:-1]] == [4 * neural.PIECE_BYTES // 3] * 2 + [
+            4 * neural.PIECE_BYTES // 6
+        ]
+        assert "".join(pieces) == json.dumps(encode_array(a))
