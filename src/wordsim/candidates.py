@@ -10,14 +10,18 @@ integer gram counts per gram length. A Query(table, text) is one query
 string prepared against one table: what the kernels derive from the
 query alone is built once, on first use, and shared by every kernel
 given that Query. A kernel returns its row in the table's length-sorted
-order; ``evalharness`` restores the caller's order (``unsort``).
+order; ``evalharness`` restores the caller's order (``unsort``). Every
+derived part is a cached property, or, where it takes a key, a part of
+``memo``.
 """
+
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "CandidateTable", "CellLayout", "GramIndex", "PatternIndex", "Query",
-    "LANE_BITS", "MISSING", "HEAD",
+    "LANE_BITS", "MISSING", "HEAD", "memo",
 ]
 
 #: Symbol of a query character that no candidate contains.
@@ -29,6 +33,20 @@ HEAD = -3
 #: Width of one word of the bit-parallel patterns: a candidate of n
 #: characters takes ceil(n / LANE_BITS) uint64 words.
 LANE_BITS = 64
+
+
+def memo(owner, key, build):
+    """owner's part named key, made by build() on first use and kept in owner._parts.
+
+    A kept array, alone or in a tuple, is made read-only.
+    """
+    part = owner._parts.get(key)
+    if part is None:
+        part = owner._parts[key] = build()
+        for a in part if isinstance(part, tuple) else (part,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+    return part
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -88,7 +106,7 @@ class PatternIndex:
         all zero for a character no candidate holds.
         """
         distinct = {}
-        rows = [distinct.setdefault(s, len(distinct)) for s in symbols.tolist()]
+        rows = tuple(distinct.setdefault(s, len(distinct)) for s in symbols.tolist())
         masks = np.zeros((len(distinct), self.size), dtype=np.uint64)
         for s, row in distinct.items():
             if s >= 0:
@@ -124,19 +142,20 @@ class CellLayout:
         # cell j >= 1 holds the symbol of character j - 1; cell 0 the head padding
         self.symbols = np.full(self.size, HEAD, dtype=np.int32)
         self.symbols[np.arange(1, len(table.chars) + 1) + table.lanes] = table.chars
-        self._grams = {}
+        self._parts = {}
 
     def gram_symbols(self, n) -> np.ndarray:
         """(n, size) int32: row t is symbol t of each cell's head-padded n-gram."""
-        grams = self._grams.get(n)
-        if grams is None:
-            grams = self._grams[n] = np.full((n, self.size), HEAD, dtype=np.int32)
-            # position j of every cell within its candidate
-            offset = np.arange(self.size) - np.repeat(self.starts, self.lengths + 1)
-            for t in range(n):
-                back = n - 1 - t  # characters before the cell's own
-                cells = np.nonzero(offset > back)[0]
-                grams[t, cells] = self.symbols[cells - back]
+        return memo(self, n, lambda: self._gram_symbols(n))
+
+    def _gram_symbols(self, n):
+        grams = np.full((n, self.size), HEAD, dtype=np.int32)
+        # position j of every cell within its candidate
+        offset = np.arange(self.size) - np.repeat(self.starts, self.lengths + 1)
+        for t in range(n):
+            back = n - 1 - t  # characters before the cell's own
+            cells = np.nonzero(offset > back)[0]
+            grams[t, cells] = self.symbols[cells - back]
         return grams
 
 
@@ -185,13 +204,17 @@ class GramIndex:
         pos = np.minimum(np.searchsorted(sorted_keys, key), len(sorted_keys) - 1)
         return np.where((key >= 0) & (sorted_keys[pos] == key), pos, -1)
 
-    def postings(self, symbols):
-        """(lanes, candidate counts, query count) for each distinct query gram a candidate holds.
+    def overlap(self, symbols) -> tuple:
+        """Per sorted candidate, three int64 sums over the grams it shares with a query.
 
-        ``symbols`` are the query's alphabet indices (see CandidateTable.symbols).
+        ``symbols`` are the query's alphabet indices (see
+        CandidateTable.symbols). With c a candidate's count of a gram and
+        cq the query's, the rows are the sums of min(c, cq), of 1 (the
+        shared grams) and of c * cq, made in one pass over the query's grams.
         """
+        size = len(self.total)
         if len(symbols) < self.n:
-            return
+            return tuple(np.zeros((3, size), dtype=np.int64))
         grams = np.lib.stride_tricks.sliding_window_view(symbols.astype(np.int64), self.n)
         key = grams[:, 0]
         for t, distinct in enumerate(self.prefixes, start=1):
@@ -200,20 +223,25 @@ class GramIndex:
                 (rank >= 0) & (grams[:, t] >= 0), rank * self.alphabet_size + grams[:, t], -1
             )
         found = self._find(self.keys, key)
-        positions, counts = np.unique(found[found >= 0], return_counts=True)
-        for g, cq in zip(positions.tolist(), counts.tolist()):
-            lo, hi = self.indptr[g], self.indptr[g + 1]
-            yield self.lane[lo:hi], self.count[lo:hi], cq
+        positions, cq = np.unique(found[found >= 0], return_counts=True)
+        # the (candidate, count) entries of every gram found, one gram after another
+        lo, held = self.indptr[positions], np.diff(self.indptr)[positions]
+        at = np.arange(held.sum()) + np.repeat(lo - np.cumsum(held) + held, held)
+        lanes, c, cq = self.lane[at], self.count[at], np.repeat(cq, held)
+        return tuple(
+            np.bincount(lanes, weights=w, minlength=size).astype(np.int64)
+            for w in (np.minimum(c, cq), None, c * cq)
+        )
 
 
 class Query:
     """One query string prepared for scoring against one CandidateTable.
 
     Each part the kernels derive from the query alone is built on first
-    use and kept for the life of the Query: its alphabet symbols, the
-    match masks of its characters, its gram postings per gram length, and
-    any pass whose result more than one kernel reads (see ``shared``).
-    Kept arrays are read-only.
+    use and kept for the life of the Query (see ``memo``): its alphabet
+    symbols, the match masks of its characters, its gram overlap with the
+    candidates per gram length, and any pass whose result more than one
+    kernel reads. Kept arrays are read-only.
     """
 
     def __init__(self, table, text: str):
@@ -221,34 +249,18 @@ class Query:
         self.text = text
         self._parts = {}
 
-    def shared(self, key, build):
-        """The part named key, made by build() on first use; an array part is made read-only."""
-        part = self._parts.get(key)
-        if part is None:
-            part = self._parts[key] = build()
-            if isinstance(part, np.ndarray):
-                part.flags.writeable = False
-        return part
-
     @property
     def symbols(self) -> np.ndarray:
         """The alphabet index of each query character (see CandidateTable.symbols)."""
-        return self.shared("symbols", lambda: self.table.symbols(self.text))
+        return memo(self, "symbols", lambda: self.table.symbols(self.text))
 
     def masks(self):
         """(masks, rows): the match masks of the query's characters (see PatternIndex.masks)."""
+        return memo(self, "masks", lambda: self.table.patterns.masks(self.symbols))
 
-        def build():
-            masks, rows = self.table.patterns().masks(self.symbols)
-            masks.flags.writeable = False
-            return masks, tuple(rows)
-
-        return self.shared("masks", build)
-
-    def postings(self, n) -> tuple:
-        """The query's gram postings at gram length n (see GramIndex.postings)."""
-        index = self.table.grams(n)
-        return self.shared(("postings", n), lambda: tuple(index.postings(self.symbols)))
+    def overlap(self, n) -> tuple:
+        """The query's gram overlap with each candidate at gram length n (see GramIndex.overlap)."""
+        return memo(self, ("overlap", n), lambda: self.table.grams(n).overlap(self.symbols))
 
 
 class CandidateTable:
@@ -261,8 +273,8 @@ class CandidateTable:
     one candidate after another, as an index into ``alphabet``; ``lanes``
     and ``positions`` give, per character, its sorted candidate and its
     position within that candidate. Built on first use from these flat
-    arrays, ``patterns()`` holds the candidates as the bit-parallel
-    patterns of the edit and LCS kernels and ``cells()`` as the flat DP
+    arrays, ``patterns`` holds the candidates as the bit-parallel
+    patterns of the edit and LCS kernels and ``cells`` as the flat DP
     row of the Kondrak kernel; both kernels step once per query character
     over all candidates. ``grams(n)`` holds the gram counts. Every layout
     takes memory in proportion to the table's total characters; the cells
@@ -283,9 +295,7 @@ class CandidateTable:
         self.positions = np.arange(len(codes)) - np.repeat(
             np.cumsum(self.lengths) - self.lengths, self.lengths
         )
-        self._patterns = None
-        self._cells = None
-        self._grams = {}
+        self._parts = {}
 
     def __len__(self):
         return len(self.words)
@@ -298,24 +308,19 @@ class CandidateTable:
         found[found] = self.alphabet[pos[found]] == codes[found]
         return np.where(found, pos, MISSING).astype(np.int32)
 
+    @cached_property
     def patterns(self) -> PatternIndex:
         """The candidates as bit-parallel patterns, built on first use."""
-        if self._patterns is None:
-            self._patterns = PatternIndex(self)
-        return self._patterns
+        return PatternIndex(self)
 
+    @cached_property
     def cells(self) -> CellLayout:
         """The candidates as the cells of one flat DP row, built on first use."""
-        if self._cells is None:
-            self._cells = CellLayout(self)
-        return self._cells
+        return CellLayout(self)
 
     def grams(self, n) -> GramIndex:
         """The n-gram index over the candidates, built on first use."""
-        index = self._grams.get(n)
-        if index is None:
-            index = self._grams[n] = GramIndex(self, n)
-        return index
+        return memo(self, n, lambda: GramIndex(self, n))
 
     def unsort(self, values) -> np.ndarray:
         """Values given in length-sorted order, put back in caller order."""

@@ -177,6 +177,7 @@ def train_combined(
         )
     lex.check_binding(ae)
     lex.check_binding(ctx)
+    neural.check_real("blend", blend)
     if not 0.0 <= blend <= 1.0:
         raise ConfigError("blend must be in [0, 1]")
     neural.check_int("rounds", rounds, 1)

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .candidates import LANE_BITS
+from .candidates import LANE_BITS, memo
 
 __all__ = [
     "INFINITE",
@@ -87,7 +87,7 @@ def _shift_up(v, first, patterns):
 
 def _edit_distances(query, transpositions: bool) -> np.ndarray:
     """Unit-cost (or OSA) distance from a Query to each sorted candidate, one pass per Query."""
-    return query.shared(("edit", transpositions), lambda: _myers(query, transpositions))
+    return memo(query, ("edit", transpositions), lambda: _myers(query, transpositions))
 
 
 def _myers(query, transpositions):
@@ -102,7 +102,7 @@ def _myers(query, transpositions):
     x, table = query.text, query.table
     if not x:
         return table.lengths.astype(np.float64)
-    patterns = table.patterns()
+    patterns = table.patterns
     masks, rows = query.masks()
     vp = np.full(patterns.size, ~np.uint64(0))
     vn = np.zeros(patterns.size, dtype=np.uint64)
@@ -206,7 +206,7 @@ def lcs_distance(x: str, y: str) -> int:
 
 def _lcs_lengths(query) -> np.ndarray:
     """LCS length of a Query with each sorted candidate, one pass per Query."""
-    return query.shared("lcs", lambda: _bit_parallel_lcs(query))
+    return memo(query, "lcs", lambda: _bit_parallel_lcs(query))
 
 
 def _bit_parallel_lcs(query):
@@ -221,7 +221,7 @@ def _bit_parallel_lcs(query):
     x, table = query.text, query.table
     if not x:
         return np.zeros(len(table), dtype=np.int64)
-    patterns = table.patterns()
+    patterns = table.patterns
     masks, rows = query.masks()
     state = np.full(patterns.size, ~np.uint64(0))
     for row in rows:

@@ -205,7 +205,7 @@ def _rows(specs, lex: Lexicon, query_ids, candidate_ids):
     memory per spec. Every spec is resolved before the first row. The
     classical specs share one prepared Query per query word, so the work
     their kernels have in common (the query's symbols, match masks and
-    gram postings, and the Myers, OSA and LCS passes) is done once per
+    gram overlap, and the Myers, OSA and LCS passes) is done once per
     query. Undefined classical comparisons, e.g. dice on strings shorter
     than n, score +inf and so rank last. query_ids and candidate_ids
     must be valid ids (see lexicon.word_ids).
@@ -270,7 +270,7 @@ def evaluate_accuracies(specs, lex: Lexicon, ks=(1, 5)) -> list:
     """
     for k in ks:
         _check_k(k)
-    queries, standard = lex.nonstandard_array, lex.standard_array
+    queries, standard = lex.nonstandard_ids, lex.standard_array
     if not len(queries):
         raise ConfigError("lexicon has no non-standard words to evaluate")
     # standard ids ascend, so the candidates of lower id than the truth are those before its column

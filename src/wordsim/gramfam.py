@@ -13,7 +13,9 @@ order). Gram metrics read the table's integer gram counts. The Kondrak
 distance runs its DP in integers, costs scaled by n, so both its forms
 give the exact distance rounded once to float64; the kernel takes one
 step per query character over the cells of all candidates. Given one
-Query, the kernels share its symbols and its gram postings per n.
+Query, the kernels share its symbols and its gram overlap per n (see
+``candidates.GramIndex.overlap``): the q-gram and Dice distances read its
+sum of minimum counts, Jaccard its shared grams, cosine its dot product.
 """
 
 import math
@@ -63,20 +65,12 @@ def _undefined(table) -> np.ndarray:
     return np.full(len(table), np.inf)
 
 
-def _shared(query, n, combine) -> np.ndarray:
-    """Per sorted candidate, the sum over shared grams of combine(its count, the query's count)."""
-    acc = np.zeros(len(query.table), dtype=np.int64)
-    for lanes, counts, cq in query.postings(n):
-        acc[lanes] += combine(counts, cq)
-    return acc
-
-
 def qgram_distance_many(query, q: int = 2) -> np.ndarray:
     """qgram_distance(x, y, q) for every candidate y, as float64."""
     if q < 1:
         return _undefined(query.table)
     # sum |px - py| over grams = |px| + |py| - 2 * sum min(px, py)
-    common = _shared(query, q, np.minimum)
+    common = query.overlap(q)[0]
     total = max(0, len(query.text) - q + 1) + query.table.grams(q).total
     return (total - 2 * common).astype(np.float64)
 
@@ -132,7 +126,7 @@ def kondrak_ngram_distance_many(query, n: int = 2) -> np.ndarray:
     if n < 1 or not x or BOUNDARY in x:
         return _undefined(table)
     m = len(x)
-    cells = table.cells()
+    cells = table.cells
     # the grams of cells 1.., each beside the diagonal from the cell before it
     grams = cells.gram_symbols(n)[:, 1:]
     padded = np.concatenate([np.full(n - 1, HEAD, dtype=np.int32), query.symbols])
@@ -180,7 +174,7 @@ def dice_distance_many(query, n: int = 2) -> np.ndarray:
     """1 - dice_coefficient(x, y, n) for every candidate y."""
     if n < 1:
         return _undefined(query.table)
-    nt = _shared(query, n, np.minimum)
+    nt = query.overlap(n)[0]
     grams = max(0, len(query.text) - n + 1) + query.table.grams(n).total
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 1.0 - 2.0 * nt / grams
@@ -203,7 +197,7 @@ def jaccard_distance_many(query, n: int = 2) -> np.ndarray:
     if n < 1:
         return _undefined(query.table)
     x = query.text
-    inter = _shared(query, n, lambda counts, cq: 1)
+    inter = query.overlap(n)[1]
     distinct = len({x[i : i + n] for i in range(len(x) - n + 1)})
     union = distinct + query.table.grams(n).distinct - inter
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -232,7 +226,7 @@ def char_cosine_distance_many(query) -> np.ndarray:
     if not x:
         return _undefined(query.table)
     index = query.table.grams(1)
-    dot = _shared(query, 1, np.multiply)
+    dot = query.overlap(1)[2]
     nx = math.sqrt(sum(v * v for v in Counter(x).values()))
     ny = np.sqrt(index.sumsq)
     with np.errstate(divide="ignore", invalid="ignore"):

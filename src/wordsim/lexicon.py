@@ -24,20 +24,15 @@ class Lexicon:
 
     ``standard_of`` maps each non-standard word id to the id of its unique
     standard form; standard words never appear as keys. _prepared is the
-    one bounded memo of what scoring prepares per candidate set.
+    one bounded memo of what scoring prepares per candidate set; what the
+    lexicon derives from its own fields is a cached property.
     """
 
     words: tuple
     standard_flags: tuple
     standard_of: dict
-    _index: dict = field(default=None, repr=False, compare=False)
-    _fingerprint: str = field(default=None, init=False, repr=False, compare=False)
     # (metric kind, candidate id bytes) -> entry, least recently used first (evalharness._prepared)
     _prepared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self._index is None:
-            object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.words)})
 
     def __len__(self):
         return len(self.words)
@@ -56,6 +51,11 @@ class Lexicon:
 
     # cached_property stores in the instance dict, past the frozen __setattr__
     @cached_property
+    def _index(self) -> dict:
+        """word -> id."""
+        return {w: i for i, w in enumerate(self.words)}
+
+    @cached_property
     def standard_ids(self) -> tuple:
         """Ids of all standard words (the set C), in lexicon order."""
         return tuple(i for i, f in enumerate(self.standard_flags) if f)
@@ -70,19 +70,16 @@ class Lexicon:
         return _read_only(np.array(self.standard_ids, dtype=np.intp))
 
     @cached_property
-    def nonstandard_array(self) -> np.ndarray:
-        """nonstandard_ids as a read-only index array."""
-        return _read_only(np.array(self.nonstandard_ids, dtype=np.intp))
+    def _digest(self) -> str:
+        text = "".join(
+            f"{w}\t{int(flag)}\t{self.standard_of.get(i, -1)}\n"
+            for i, (w, flag) in enumerate(zip(self.words, self.standard_flags))
+        )
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def fingerprint(self) -> str:
         """Content hash binding trained models to this exact lexicon."""
-        if self._fingerprint is None:
-            text = "".join(
-                f"{w}\t{int(flag)}\t{self.standard_of.get(i, -1)}\n"
-                for i, (w, flag) in enumerate(zip(self.words, self.standard_flags))
-            )
-            object.__setattr__(self, "_fingerprint", hashlib.sha256(text.encode()).hexdigest())
-        return self._fingerprint
+        return self._digest
 
     def check_binding(self, model):
         """Raise BindingError unless model's lexicon_fingerprint is this lexicon's."""
@@ -137,7 +134,7 @@ def _build(pairs) -> Lexicon:
     standard_of = {index[n]: index[s] for n, s in mapping.items() if n not in standard}
     words = tuple(index)
     flags = tuple(map(standard.__contains__, words))
-    return Lexicon(words=words, standard_flags=flags, standard_of=standard_of, _index=index)
+    return Lexicon(words=words, standard_flags=flags, standard_of=standard_of)
 
 
 def _lines(path):

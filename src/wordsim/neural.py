@@ -22,6 +22,7 @@ outside [0, d) raises IndexError.
 import base64
 import json
 import math
+import numbers
 import os
 import shutil
 import tempfile
@@ -176,6 +177,12 @@ def check_int(name: str, value, least: Optional[int] = None):
         raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
+def check_real(name: str, value):
+    """ConfigError unless value is a real number, not a bool; name names it."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 100
@@ -186,6 +193,7 @@ class TrainConfig:
     def __post_init__(self):
         for name, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
             check_int(name, getattr(self, name), least)
+        check_real("learning_rate", self.learning_rate)
         if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 

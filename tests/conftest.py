@@ -23,10 +23,13 @@ def toy_variants(word):
     return [word[:mid] + word[mid + 1 :], word[1] + word[0] + word[2:], word + word[-1]]
 
 
+def make_toy_lexicon():
+    return build_lexicon([(v, w) for w in TOY_STANDARD for v in toy_variants(w)])
+
+
 @pytest.fixture(scope="session")
 def toy_lexicon():
-    pairs = [(v, w) for w in TOY_STANDARD for v in toy_variants(w)]
-    return build_lexicon(pairs)
+    return make_toy_lexicon()
 
 
 # context-run fixture: every standard word has one doubled-letter variant,
@@ -46,9 +49,13 @@ CONTEXT_TEMPLATES = [
 ]
 
 
+def make_context_lexicon():
+    return build_lexicon([(w + w[-1], w) for w in CONTEXT_STANDARD])
+
+
 @pytest.fixture(scope="session")
 def context_lexicon():
-    return build_lexicon([(w + w[-1], w) for w in CONTEXT_STANDARD])
+    return make_context_lexicon()
 
 
 @pytest.fixture(scope="session")

@@ -270,12 +270,34 @@ def test_shared_passes_are_read_only():
     editfam.metric_lcs_many(query)
     editfam.damerau_levenshtein_many(query)
     for raw in (editfam._edit_distances(query, False), editfam._edit_distances(query, True),
-                editfam._lcs_lengths(query), query.masks()[0], query.symbols):
+                editfam._lcs_lengths(query), query.masks()[0], query.symbols, *query.overlap(2)):
         assert not raw.flags.writeable
     # a kernel's result is the caller's own to write
     row = editfam.levenshtein_many(query)
     row[:] = -1
     assert list(table.unsort(editfam.levenshtein_many(query))) == [1.0, 69.0, 3.0]
+
+
+# characters no candidate holds, one of them astral and one the boundary character
+STRANGERS = "z\U0001d538" + BOUNDARY
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(x=st.text(alphabet=ALPHABET + STRANGERS, max_size=10), words=st.lists(strings, max_size=6),
+       n=st.integers(1, 4))
+def test_gram_overlap_equals_profile_sums(x, words, n):
+    """The three rows of GramIndex.overlap, summed over the shared grams of two ngram_profiles."""
+    table = CandidateTable(words)
+    rows = table.grams(n).overlap(Query(table, x).symbols)
+    assert all(row.dtype == np.int64 for row in rows)
+    px = gramfam.ngram_profile(x, n)
+    want = []
+    for i in table.order.tolist():
+        py = gramfam.ngram_profile(words[i], n)
+        shared = px.keys() & py.keys()
+        want.append([sum(min(px[g], py[g]) for g in shared), len(shared),
+                     sum(px[g] * py[g] for g in shared)])
+    assert np.array(rows).T.tolist() == want
 
 
 def scalar_accuracy(name, lex, ks):

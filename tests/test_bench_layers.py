@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from wordsim import cli, contextenc, denoise, editfam, evalharness, gramfam, lexicon, neural
+from wordsim.candidates import GramIndex
 from wordsim.evalharness import CLASSICAL_METRICS
 from wordsim.lexicon import load_lexicon
 from wordsim.vecdist import VECTOR_METRICS
@@ -107,6 +108,22 @@ def test_cli_eval_calls_each_kernel_once_per_query(tmp_path, monkeypatch):
     assert cli.main(["eval", "--lexicon", str(path), "--metrics", "all-classical"]) == 0
     queries = len(load_lexicon(path).nonstandard_ids)
     assert calls == dict.fromkeys(CLASSICAL_METRICS, queries)
+
+
+def test_cli_eval_makes_one_gram_overlap_pass_per_query_and_gram_length(tmp_path, monkeypatch):
+    path = toy_pairs(tmp_path)
+    lengths = []
+    overlap = GramIndex.overlap
+
+    def counted(index, symbols):
+        lengths.append(index.n)
+        return overlap(index, symbols)
+
+    monkeypatch.setattr(GramIndex, "overlap", counted)
+    assert cli.main(["eval", "--lexicon", str(path), "--metrics", "all-classical"]) == 0
+    queries = len(load_lexicon(path).nonstandard_ids)
+    # qgram, dice and jaccard at the default n = 2, cosine at n = 1
+    assert sorted(lengths) == [1] * queries + [2] * queries
 
 
 @pytest.mark.parametrize("vec_metric", sorted(VECTOR_METRICS))

@@ -284,6 +284,22 @@ class TestTrainCombined:
             ctx.U = 0.5 * ctx.U + 0.5 * identity_codes(ae, context_lexicon)
         assert emb.U.tobytes() == ctx.U.tobytes()
 
+    @pytest.mark.parametrize("blend", ["0.5", None, True], ids=["str", "None", "bool"])
+    def test_blend_must_be_a_real_number(self, context_lexicon, context_corpus, blend):
+        ctx = build_context_model(context_lexicon, n_embed=4, window=3, seed=0)
+        ae = build_autoencoder(context_lexicon, code_size=4, depth=3, seed=0)
+        before, got = ctx.U.copy(), re.escape(repr(blend))
+        with pytest.raises(ConfigError, match=f"^blend must be a real number, got {got}$"):
+            train_combined(ctx, ae, context_lexicon, context_corpus, self.cfg(), rounds=1, blend=blend)
+        assert np.array_equal(ctx.U, before)
+
+    @pytest.mark.parametrize("blend", [-0.1, 1.5, float("nan")])
+    def test_blend_outside_the_unit_interval_rejected(self, context_lexicon, context_corpus, blend):
+        ctx = build_context_model(context_lexicon, n_embed=4, window=3, seed=0)
+        ae = build_autoencoder(context_lexicon, code_size=4, depth=3, seed=0)
+        with pytest.raises(ConfigError, match=r"^blend must be in \[0, 1\]$"):
+            train_combined(ctx, ae, context_lexicon, context_corpus, self.cfg(), rounds=1, blend=blend)
+
     def test_width_mismatch(self, context_lexicon, context_corpus):
         ctx = build_context_model(context_lexicon, n_embed=4, window=3)
         ae = build_autoencoder(context_lexicon, code_size=5, depth=3)

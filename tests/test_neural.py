@@ -1,4 +1,6 @@
 import json
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -253,6 +255,16 @@ class TestTraining:
     def test_counts_must_be_ints(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be an int, got "):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", ["0.1", None, [0.1], True], ids=["str", "None", "list", "bool"])
+    def test_learning_rate_must_be_a_real_number(self, value):
+        got = re.escape(repr(value))
+        with pytest.raises(ConfigError, match=f"^learning_rate must be a real number, got {got}$"):
+            TrainConfig(learning_rate=value)
+
+    @pytest.mark.parametrize("value", [1, np.float32(0.5), np.int64(1), Fraction(1, 4)])
+    def test_learning_rate_may_be_any_real_number(self, value):
+        assert TrainConfig(learning_rate=value).learning_rate == value
 
     @pytest.mark.parametrize("form", ["rows", "ids"])
     def test_empty_training_set_is_a_config_error(self, form):

@@ -1,22 +1,50 @@
 """Training results pinned bit for bit on the toy fixtures.
 
-The hex strings and digests below were written by the two trainers as
-they stood before they shared one minibatch loop: the autoencoder's
-loss trace on word ids, a dense-row loss trace, the context encoder's
-log-likelihood trace, and the weights and embedding rows each run
-leaves. Any change to the order of the shuffle, the batches, the loss
-sum or the steps shows here as a changed bit.
+The pins are the autoencoder's loss trace on word ids, a dense-row loss
+trace, the context encoder's log-likelihood trace, and the weights and
+embedding rows each run leaves. Any change to the order of the shuffle,
+the batches, the loss sum or the steps shows here as a changed bit.
+
+The last bits of a training depend on the kernels the CPU is given: a
+BLAS kernel fixes the order in which a matrix product adds, and numpy's
+SIMD loops (AVX-512 among them) round some elementwise functions
+differently from its baseline ones. The pinned trainings therefore run
+in a child Python on one thread of OpenBLAS's ``Prescott`` kernels,
+which every x86-64 CPU executes, with numpy held to its baseline
+instructions, so the pins hold whatever the CPU offers and whatever
+kernels the test process itself uses. The C library's exp and log still
+pick their own code by CPU; the pins were recorded where they use FMA.
+Run as a script, this file prints the child's results as JSON.
 """
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from wordsim.contextenc import build_context_model, train_combined, train_context
 from wordsim.denoise import build_autoencoder, train_autoencoder
 from wordsim.lexicon import Corpus
 from wordsim.neural import TrainConfig, init_network, train_supervised
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env():
+    """The environment of the pinned trainings: one thread of fixed kernels."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_CORETYPE": "Prescott"}
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = "1"
+    # numpy may not be given both; enabling only the baseline switches every SIMD dispatch off
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    env["NPY_ENABLE_CPU_FEATURES"] = " ".join(np.show_config(mode="dicts")["SIMD Extensions"]["baseline"])
+    return env
 
 
 def digest(*arrays):
@@ -31,41 +59,87 @@ def net_digest(net):
     return digest(*[a for layer in net.layers for a in (layer.W, layer.b)])
 
 
-def test_autoencoder_on_word_ids(toy_lexicon):
+def hex_trace(trace):
+    return [x.hex() for x in trace]
+
+
+def autoencoder_on_word_ids(toy_lexicon):
     model = build_autoencoder(toy_lexicon, code_size=4, depth=5, seed=0)
     config = TrainConfig(batch_size=7, learning_rate=0.5, epochs=3, seed=1)
     trace = train_autoencoder(model, toy_lexicon, config)
-    assert [x.hex() for x in trace] == [
-        "0x1.0f57192e89fadp+2", "0x1.ddf7b2744edf8p+1", "0x1.b690cbf52b7bap+1"
-    ]
-    assert net_digest(model.net) == "8b43a462613c1bdb1aebdbdb6bf38a648d13f6052608a9fa46c6ea57e945b929"
+    return {"trace": hex_trace(trace), "net": net_digest(model.net)}
 
 
-def test_supervised_on_dense_rows():
+def supervised_on_dense_rows():
     r = np.random.default_rng(10)
     X = r.normal(size=(45, 6))
     Y = np.eye(3)[r.integers(0, 3, size=45)]
     net = init_network([6, 5, 3], ["sigmoid", "softmax"], r)
     trace = train_supervised(net, X, Y, TrainConfig(batch_size=8, learning_rate=0.3, epochs=3, seed=2))
-    assert [x.hex() for x in trace] == [
-        "0x1.1c578c08fa489p+0", "0x1.15638676609c1p+0", "0x1.146c3910a73efp+0"
-    ]
-    assert net_digest(net) == "f3e4c0e72004635810293001dbe5502c60e75fa533c5c302d3be2b022f2646b8"
+    return {"trace": hex_trace(trace), "net": net_digest(net)}
 
 
-def test_context_encoder(context_lexicon, context_corpus):
+def context_encoder(context_lexicon, context_corpus):
     model = build_context_model(context_lexicon, n_embed=4, window=3, hidden_size=16, seed=0)
     config = TrainConfig(batch_size=32, learning_rate=0.3, epochs=3, seed=2)
     trace = train_context(model, context_corpus, config)
-    assert [x.hex() for x in trace] == [
+    return {"trace": hex_trace(trace), "embedding": digest(model.U, model.pad_vec),
+            "net": net_digest(model.predictor)}
+
+
+def combined_embedding_rows(context_lexicon, context_corpus):
+    ae = build_autoencoder(context_lexicon, code_size=4, depth=5, seed=0)
+    ctx = build_context_model(context_lexicon, n_embed=4, window=3, hidden_size=16, seed=0)
+    config = TrainConfig(batch_size=32, learning_rate=0.3, seed=5)
+    emb = train_combined(ctx, ae, context_lexicon, context_corpus, config, rounds=2)
+    return {"embedding": digest(emb.U), "net": net_digest(ae.net)}
+
+
+def train_all():
+    """Every pinned training's results, by name."""
+    from conftest import make_context_corpus, make_context_lexicon, make_toy_lexicon
+
+    context_lexicon = make_context_lexicon()
+    context_corpus = make_context_corpus(context_lexicon)
+    return {
+        "autoencoder_on_word_ids": autoencoder_on_word_ids(make_toy_lexicon()),
+        "supervised_on_dense_rows": supervised_on_dense_rows(),
+        "context_encoder": context_encoder(context_lexicon, context_corpus),
+        "combined_embedding_rows": combined_embedding_rows(context_lexicon, context_corpus),
+    }
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    done = subprocess.run([sys.executable, __file__], env=child_env(), capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_autoencoder_on_word_ids(pinned):
+    got = pinned["autoencoder_on_word_ids"]
+    assert got["trace"] == [
+        "0x1.0f57192e89fadp+2", "0x1.ddf7b2744edf8p+1", "0x1.b690cbf52b7bap+1"
+    ]
+    assert got["net"] == "40aac4d3d984fccabea675dc5736f20a260b3d2590f36e304400bdeeb0063ed1"
+
+
+def test_supervised_on_dense_rows(pinned):
+    got = pinned["supervised_on_dense_rows"]
+    assert got["trace"] == [
+        "0x1.1c578c08fa489p+0", "0x1.15638676609c1p+0", "0x1.146c3910a73efp+0"
+    ]
+    assert got["net"] == "3941322efedaaab27d67c27966e2782e254d6f9a513466ebd2ee0b5c284ede55"
+
+
+def test_context_encoder(pinned):
+    got = pinned["context_encoder"]
+    assert got["trace"] == [
         "-0x1.76d45b45c15d0p+1", "-0x1.39e26a3dc02a0p+1", "-0x1.dc295edb3eb36p+0"
     ]
-    assert digest(model.U, model.pad_vec) == (
-        "7efd14e71467f30f76481f829a637363b74d46e65b54b9f2aba82cdd057f806d"
-    )
-    assert net_digest(model.predictor) == (
-        "1a4a0ef98b0cb550ce3a0962a5879d35ffbcfc392092d84cb3491b62bc6d8bf1"
-    )
+    assert got["embedding"] == "bf833acdac51d74d60f77b0c7ded429bfd09ac8bfa42736ddf806ad4ab697c38"
+    assert got["net"] == "ddc3ff5283a2bab7ba9a911e552056200224693cb0bc06e7c3a75701ae71b02e"
 
 
 def test_context_trace_of_a_certain_prediction_is_positive_zero(context_lexicon):
@@ -82,10 +156,11 @@ def test_context_trace_of_a_certain_prediction_is_positive_zero(context_lexicon)
     assert all(math.copysign(1.0, x) == 1.0 for x in trace)
 
 
-def test_combined_embedding_rows(context_lexicon, context_corpus):
-    ae = build_autoencoder(context_lexicon, code_size=4, depth=5, seed=0)
-    ctx = build_context_model(context_lexicon, n_embed=4, window=3, hidden_size=16, seed=0)
-    config = TrainConfig(batch_size=32, learning_rate=0.3, seed=5)
-    emb = train_combined(ctx, ae, context_lexicon, context_corpus, config, rounds=2)
-    assert digest(emb.U) == "1b0a9661219c9304db29a246b87b15d1763781a22cdc4adedf0281a52077f827"
-    assert net_digest(ae.net) == "30728e0d63d3135937e84ba289009d7f0535bfc18f48b48a4365f25cb7ab4c03"
+def test_combined_embedding_rows(pinned):
+    got = pinned["combined_embedding_rows"]
+    assert got["embedding"] == "db004d11e85cf1826864be547caa770e43ac8d45940d76edc036a063a787eeb0"
+    assert got["net"] == "e54bce4f3cb4fe3e18a674604b1164498e6684d49420ca6d05734d47abccced1"
+
+
+if __name__ == "__main__":
+    print(json.dumps(train_all()))
