@@ -9,6 +9,7 @@ the mapping behind D_c.
 """
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -97,14 +98,23 @@ def build_context_model(
 
 
 def context_windows(corpus: Corpus, window: int):
-    """(context, target) pairs for every token; contexts left-pad with PAD."""
-    contexts, targets = [], []
-    for sent in corpus.sentences:
-        for t, target in enumerate(sent):
-            ctx = [PAD] * max(0, window - t) + list(sent[max(0, t - window) : t])
-            contexts.append(ctx)
-            targets.append(target)
-    return np.array(contexts, dtype=int), np.array(targets, dtype=int)
+    """(context, target) pairs for every token; contexts left-pad with PAD.
+
+    contexts[i, j] is the token window - j places before token i in its
+    sentence, or PAD before the sentence's start. Both arrays are int; an
+    empty corpus gives two empty 1-D arrays.
+    """
+    lengths = np.fromiter(map(len, corpus.sentences), dtype=np.intp, count=len(corpus.sentences))
+    targets = np.fromiter(chain.from_iterable(corpus.sentences), dtype=int, count=lengths.sum())
+    if not len(targets):
+        return np.array([], dtype=int), targets
+    back = np.arange(-window, 0)
+    # each token's place in its sentence, plus how far back each context slot reads
+    place = np.arange(len(targets)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    inside = (place[:, None] + back) >= 0
+    source = np.arange(len(targets))[:, None] + back
+    contexts = np.where(inside, targets.take(source, mode="clip"), PAD)
+    return contexts, targets
 
 
 def _gather(model: ContextModel, contexts: np.ndarray) -> np.ndarray:
@@ -116,14 +126,26 @@ def _gather(model: ContextModel, contexts: np.ndarray) -> np.ndarray:
 
 
 def context_prob(model: ContextModel, context) -> np.ndarray:
-    """P(next word | context of exactly `window` previous ids)."""
-    ctx = np.asarray(context, dtype=int)
-    if ctx.shape != (model.window,):
+    """P(next word | context of exactly `window` previous ids).
+
+    Each id is PAD or a word id, checked as lexicon.word_id checks one:
+    TypeError for a non-integer or a bool, IndexError for the first id
+    outside [0, |A|).
+    """
+    shape = np.shape(context)
+    if shape != (model.window,):
         raise ValueError(
-            f"context length {ctx.shape} != window ({model.window},)"
+            f"context length {shape} != window ({model.window},)"
         )
+    ctx = np.array(
+        [PAD if _is_pad(i) else word_id(i, len(model.U)) for i in context], dtype=int
+    )
     x = _gather(model, ctx[None, :])
     return neural.forward(model.predictor, x)[-1][0]
+
+
+def _is_pad(i) -> bool:
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and i == PAD
 
 
 def train_context(model: ContextModel, corpus: Corpus, config: TrainConfig) -> list:
@@ -141,12 +163,13 @@ def train_context(model: ContextModel, corpus: Corpus, config: TrainConfig) -> l
         # scatter the input gradient back onto the embedding rows
         dslices = dx.reshape(len(idx), model.window, model.n_embed)
         step = config.learning_rate / len(idx)
+        # position-major, so a row read at several positions moves in position order, then batch order
+        real = ctx_b.T != PAD
+        np.subtract.at(model.U, ctx_b.T[real], step * dslices.transpose(1, 0, 2)[real])
         for pos in range(model.window):
-            ids = ctx_b[:, pos]
-            real = ids != PAD
-            np.subtract.at(model.U, ids[real], step * dslices[real, pos])
-            if np.any(~real):
-                model.pad_vec -= step * dslices[~real, pos].sum(axis=0)
+            pad = ~real[pos]
+            if np.any(pad):
+                model.pad_vec -= step * dslices[pad, pos].sum(axis=0)
         return grads, outs, tgt_b
 
     # 0.0 - loss, not -loss: a loss of +0.0 stays +0.0

@@ -9,6 +9,7 @@ import codecs
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -71,10 +72,11 @@ class Lexicon:
 
     @cached_property
     def _digest(self) -> str:
-        text = "".join(
-            f"{w}\t{int(flag)}\t{self.standard_of.get(i, -1)}\n"
-            for i, (w, flag) in enumerate(zip(self.words, self.standard_flags))
-        )
+        """sha256 of a line per word: the word, its flag and its standard id (-1 if none), tab-separated."""
+        tails = ["\t1\t-1\n" if flag else "\t0\t-1\n" for flag in self.standard_flags]
+        for i, std in self.standard_of.items():
+            tails[i] = f"\t{int(self.standard_flags[i])}\t{std}\n"
+        text = "".join(chain.from_iterable(zip(self.words, tails)))
         return hashlib.sha256(text.encode()).hexdigest()
 
     def fingerprint(self) -> str:
@@ -137,6 +139,25 @@ def _build(pairs) -> Lexicon:
     return Lexicon(words=words, standard_flags=flags, standard_of=standard_of)
 
 
+def _byte_lines(path) -> list:
+    """The lines of a file, split where text-mode reading splits, a leading UTF-8 BOM dropped."""
+    with open(path, "rb") as fh:
+        return fh.read().removeprefix(codecs.BOM_UTF8).splitlines()
+
+
+def _text(path) -> str:
+    """The lines of a UTF-8 file as _lines gives them, joined by line feeds.
+
+    A file that is not UTF-8 raises ParseError with the number of its
+    first line that is not.
+    """
+    lines = _byte_lines(path)
+    try:
+        return b"\n".join(lines).decode("utf-8")
+    except UnicodeDecodeError:
+        return "\n".join(_decoded(lines))  # raises at the first line that is not UTF-8
+
+
 def _lines(path):
     """The lines of a UTF-8 file, split where text-mode reading splits, a leading BOM dropped.
 
@@ -145,8 +166,7 @@ def _lines(path):
     ParseError with its line number, so a fault on an earlier line is
     still the one reported.
     """
-    with open(path, "rb") as fh:
-        lines = fh.read().removeprefix(codecs.BOM_UTF8).splitlines()
+    lines = _byte_lines(path)
     try:
         # no line holds a line break, so the text splits back into exactly these lines
         return b"\n".join(lines).decode("utf-8").split("\n") if lines else []
@@ -203,21 +223,20 @@ def load_corpus(corpus_path, lex: Lexicon) -> Corpus:
     skipped. A line that is not UTF-8 raises ParseError with its line
     number.
     """
+    index = lex._index
     sentences = []
-    oov = 0
-    for line in _lines(corpus_path):
-        ids = []
-        for t in line.split():
-            t = _normalize(t)
-            if t in lex:
-                ids.append(lex.id_of(t))
-            else:
-                oov += 1
+    tokens = 0
+    # casefold maps each character on its own, whitespace to itself and no other
+    # character to whitespace, so each line splits into its casefolded tokens
+    for line in _text(corpus_path).casefold().split("\n"):
+        words = line.split()
+        tokens += len(words)
+        ids = [index[w] for w in words if w in index]
         if ids:
             sentences.append(tuple(ids))
     if not sentences:
         raise WordsimError(f"no usable sentences in {corpus_path}")
-    return Corpus(sentences=tuple(sentences), oov_count=oov)
+    return Corpus(sentences=tuple(sentences), oov_count=tokens - sum(map(len, sentences)))
 
 
 def word_id(i, size: int) -> int:

@@ -78,23 +78,33 @@ def sigmoid(z):
 
 
 def softmax(z):
-    """Numerically stable softmax along the last axis."""
+    """Numerically stable softmax along the last axis; z itself is never written."""
     z = np.asarray(z, dtype=float)
+    return _softmax(z, np.empty_like(z))
+
+
+def _softmax(z, out):
+    """softmax(z) written into out, which may be z; NumericError if z holds NaN/Inf.
+
+    Finite logits give finite outputs: each row's largest logit gives exp(0) = 1,
+    so every row sums to at least 1.
+    """
     if not np.all(np.isfinite(z)):
         raise NumericError("softmax input contains NaN/Inf")
-    e = z - np.max(z, axis=-1, keepdims=True)  # a new array, so z itself is never written
-    np.exp(e, out=e)
-    e /= np.sum(e, axis=-1, keepdims=True)
-    return e
+    np.subtract(z, np.max(z, axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=-1, keepdims=True)
+    return out
 
 
 def _apply(activation, z):
+    """The activation of the fresh logits z; a softmax is written over z."""
     if activation == "sigmoid":
         return sigmoid(z)
     if activation == "identity":
         return z
     if activation == "softmax":
-        return softmax(z)
+        return _softmax(z, z)
     raise ValueError(f"unknown activation: {activation!r}")
 
 
@@ -242,7 +252,8 @@ def forward(net: Network, x) -> list:
     for layer in net.layers:
         a = _apply(layer.activation, _affine(layer, a))
         outs.append(a)
-    if not np.all(np.isfinite(outs[-1])):
+    # a softmax has already refused non-finite logits, and finite ones give finite outputs
+    if net.layers[-1].activation != "softmax" and not np.all(np.isfinite(a)):
         raise NumericError("non-finite network output")
     return outs
 
@@ -301,11 +312,7 @@ def _backward_full(net: Network, x, target):
     grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         if i == 0 and ids:
-            # the columns eye[ids] selects; add.at sums the deltas of a repeated id in batch order
-            cols, where = np.unique(x2, return_inverse=True)
-            rows = np.zeros((len(cols), delta.shape[1]))
-            np.add.at(rows, where, delta / batch)
-            dW = ColumnGrad(cols, rows)
+            dW = _column_grad(x2, delta, batch)
         else:
             inputs = outs[i - 1] if i > 0 else x2
             dW = delta.T @ inputs
@@ -322,6 +329,31 @@ def _backward_full(net: Network, x, target):
     # gradient w.r.t. the input itself, needed by embedding training
     dx = None if ids else delta @ net.layers[0].W
     return grads, outs, dx
+
+
+def _column_grad(ids, delta, batch) -> ColumnGrad:
+    """The first layer's weight gradient for the one-hot inputs eye[ids]: delta.T @ eye[ids] / batch.
+
+    Column c sums the scaled deltas delta[i] / batch of the examples with
+    ids[i] == c in batch order, starting from +0.0 as np.add.at into zeros
+    does, so a lone -0.0 becomes +0.0. A stable argsort brings each id's
+    examples together in batch order; an id's k-th example is added in
+    the k-th pass, one pass per repeat of the most repeated id.
+    """
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    first = np.ones(batch, dtype=bool)
+    first[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    starts = np.flatnonzero(first)
+    scaled = delta[order]
+    scaled /= batch
+    rows = scaled if len(starts) == batch else scaled[starts]
+    rows += 0.0
+    repeats = np.diff(starts, append=batch)
+    for k in range(1, repeats.max(initial=1)):
+        more = repeats > k
+        rows[more] += scaled[starts[more] + k]
+    return ColumnGrad(sorted_ids[starts], rows)
 
 
 def sgd_step(net: Network, grads, lr: float) -> Network:

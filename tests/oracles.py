@@ -6,14 +6,23 @@ edit-script search (BFS over the string space, or branch-and-bound over
 scripts) or from enumerating every alignment. gradient_check compares
 neural.backward with central differences of the loss; dense_gradient
 writes a ColumnGrad out as the full weight gradient it stands for.
+
+The loop and np.add.at builders that the library replaced with array
+passes stay here as the references those passes must equal bit for bit:
+the first layer's column gradient, the context windows, the corpus
+loader and the lexicon fingerprint's text.
 """
 
+import hashlib
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
+from wordsim.contextenc import PAD
+from wordsim.errors import WordsimError
+from wordsim.lexicon import Corpus, _lines, _normalize
 from wordsim.neural import ColumnGrad, backward, forward, loss_value
 
 
@@ -154,3 +163,50 @@ def gradient_check(net, x, target, epsilon=1e-5) -> float:
                 denom = max(abs(gflat[k]), abs(numeric), 1e-12)
                 worst = max(worst, abs(gflat[k] - numeric) / denom)
     return worst
+
+
+def column_grad_reference(ids, delta, batch) -> ColumnGrad:
+    """The ColumnGrad of one-hot inputs eye[ids]: np.add.at of delta / batch into zeros, in batch order."""
+    cols, where = np.unique(ids, return_inverse=True)
+    rows = np.zeros((len(cols), delta.shape[1]))
+    np.add.at(rows, where, delta / batch)
+    return ColumnGrad(cols, rows)
+
+
+def context_windows_reference(corpus, window):
+    """contextenc.context_windows built token by token from lists."""
+    contexts, targets = [], []
+    for sent in corpus.sentences:
+        for t, target in enumerate(sent):
+            ctx = [PAD] * max(0, window - t) + list(sent[max(0, t - window) : t])
+            contexts.append(ctx)
+            targets.append(target)
+    return np.array(contexts, dtype=int), np.array(targets, dtype=int)
+
+
+def load_corpus_reference(corpus_path, lex) -> Corpus:
+    """lexicon.load_corpus, normalising and looking up one token at a time."""
+    sentences = []
+    oov = 0
+    for line in _lines(corpus_path):
+        ids = []
+        for t in line.split():
+            t = _normalize(t)
+            if t in lex:
+                ids.append(lex.id_of(t))
+            else:
+                oov += 1
+        if ids:
+            sentences.append(tuple(ids))
+    if not sentences:
+        raise WordsimError(f"no usable sentences in {corpus_path}")
+    return Corpus(sentences=tuple(sentences), oov_count=oov)
+
+
+def fingerprint_reference(lex) -> str:
+    """Lexicon.fingerprint from one formatted line per word."""
+    text = "".join(
+        f"{w}\t{int(flag)}\t{lex.standard_of.get(i, -1)}\n"
+        for i, (w, flag) in enumerate(zip(lex.words, lex.standard_flags))
+    )
+    return hashlib.sha256(text.encode()).hexdigest()

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wordsim import neural
 from wordsim.contextenc import (
@@ -24,6 +26,7 @@ from wordsim.lexicon import Corpus
 from wordsim.neural import TrainConfig, init_network
 
 from conftest import MALFORMED_ARRAYS, identity_codes, second_piece_write, wide_lexicon
+from oracles import context_windows_reference
 
 
 def zeroed(model):
@@ -95,6 +98,20 @@ class TestContextWindows:
         assert contexts.tolist() == [[PAD, PAD], [PAD, 5], [5, 6]]
         assert targets.tolist() == [5, 6, 7]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sentences=st.lists(st.lists(st.integers(0, 50), max_size=8).map(tuple), max_size=6).map(tuple),
+        window=st.integers(0, 10),
+    )
+    @example(sentences=(), window=4)
+    @example(sentences=((3,), (5,), (3,)), window=2)
+    @example(sentences=((1, 2, 3), (4, 5)), window=9)
+    def test_equal_to_the_list_built_windows(self, sentences, window):
+        corpus = Corpus(sentences=sentences)
+        for got, want in zip(context_windows(corpus, window), context_windows_reference(corpus, window)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
 
 class TestContextProb:
     def test_zero_weights_uniform(self, context_lexicon):
@@ -112,6 +129,29 @@ class TestContextProb:
         model = build_context_model(context_lexicon, n_embed=4, window=3)
         with pytest.raises(ValueError):
             context_prob(model, [0, 1])
+
+    @pytest.mark.parametrize(
+        "context",
+        [[2.5, 1.0, 0.0], [2.0, 1, 0], [True, 1, 0], [1, "0", 2], np.array([2.5, 1.0, 0.0]),
+         np.array([True, False, True]), [-1.0, 1, 2]],
+    )
+    def test_id_that_is_not_an_integer(self, context_lexicon, context):
+        model = build_context_model(context_lexicon, n_embed=4, window=3)
+        with pytest.raises(TypeError, match="word id must be an integer"):
+            context_prob(model, context)
+
+    @pytest.mark.parametrize("context, bad", [([0, -2, 1], -2), ([0, 40, 1], 40), ([41, 40, 1], 41)])
+    def test_id_out_of_range_names_it(self, context_lexicon, context, bad):
+        # PAD (-1) is the only negative id; -2 would otherwise read row |A| - 2
+        model = build_context_model(context_lexicon, n_embed=4, window=3)
+        with pytest.raises(IndexError, match=rf"word id {bad} out of range for \|A\|=40"):
+            context_prob(model, context)
+
+    def test_ids_of_every_integer_kind(self, context_lexicon):
+        model = build_context_model(context_lexicon, n_embed=4, window=3, seed=2)
+        want = context_prob(model, [PAD, 39, 0])
+        for context in (np.array([PAD, 39, 0], dtype=np.int32), (np.int64(PAD), np.uint8(39), 0)):
+            assert context_prob(model, context).tobytes() == want.tobytes()
 
 
 class TestTrainContext:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wordsim.errors import AmbiguityError, ParseError, UnknownWordError, WordsimError
-from wordsim.lexicon import build_lexicon, load_corpus, load_lexicon, one_hot, word_id, word_ids
+from wordsim.lexicon import Lexicon, build_lexicon, load_corpus, load_lexicon, one_hot, word_id, word_ids
 
 from conftest import TOY_STANDARD, toy_variants
+from oracles import fingerprint_reference, load_corpus_reference
 
 BOM = b"\xef\xbb\xbf"
 
@@ -28,6 +31,21 @@ PINNED_LEXICON = (
     "  omg \t oh my god  \n"
     "wter\twater"
 ).encode("utf-8")
+
+
+# letters whose casefold is longer than they are (sharp s, dotted capital I, the
+# ff ligature), combining and astral characters; GAPS adds whitespace beyond ASCII
+WORD = st.lists(
+    st.sampled_from(["a", "z", "\u00e9", "e\u0301", "\u0301", "\u00df", "\u0130", "\ufb00",
+                     "\U0001f600", "\U00010400", "\u03a3"]),
+    min_size=1, max_size=4,
+).map("".join)
+CORPUS_LEXICON = build_lexicon([("stra\u00dfe", "street"), ("\u0130stanbul", "istanbul"),
+                                ("\ufb00ort", "effort"), ("thng", "thing"), ("\u03a3\u03b1", "sa")])
+CORPUS_TOKENS = ["STRASSE", "Stra\u00dfe", "strasse", "\u0130STANBUL", "i\u0307stanbul", "istanbul",
+                 "\ufb00ort", "FFORT", "thing", "THNG", "\u03a3\u0391", "\u03c3\u03b1", "zebra",
+                 "\u00df", "\U0001f600"]
+GAPS = [" ", "", "\t", "\u00a0", "\u3000", "\u2028", "\x0c", "\x85", "  \x0b"]
 
 
 def write(tmp_path, name, text):
@@ -140,14 +158,15 @@ class TestLoadLexicon:
 
     def test_casefold_keeps_tabs_and_whitespace(self):
         # load_lexicon casefolds a whole line before splitting it at the tab
-        # and stripping the fields, which equals _normalize of each field
+        # and stripping the fields, and load_corpus casefolds the whole text
+        # before splitting it into lines and tokens: both equal _normalize of
+        # each field or token
         for c in map(chr, range(0x110000)):
             folded = c.casefold()
             if c.isspace():
                 assert folded == c, hex(ord(c))
             else:
-                assert folded and "\t" not in folded, hex(ord(c))
-                assert not folded[0].isspace() and not folded[-1].isspace(), hex(ord(c))
+                assert folded and not any(f.isspace() for f in folded), hex(ord(c))
 
 
 class TestPinnedFingerprints:
@@ -191,6 +210,23 @@ class TestLexiconInvariants:
     def test_fingerprint_stable_and_discriminating(self, toy_lexicon, small_lexicon):
         assert toy_lexicon.fingerprint() == toy_lexicon.fingerprint()
         assert toy_lexicon.fingerprint() != small_lexicon.fingerprint()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(WORD, WORD), min_size=1, max_size=8),
+        keep=st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    def test_fingerprint_equals_the_line_per_word_reference(self, pairs, keep):
+        # non-ASCII, astral and combining characters, standard words that are also
+        # variants, and a lexicon made by hand that leaves variants without a standard form
+        try:
+            lex = build_lexicon(pairs)
+        except AmbiguityError:
+            assume(False)
+        kept = {i: std for k, (i, std) in zip(keep, lex.standard_of.items()) if k}
+        stripped = Lexicon(words=lex.words, standard_flags=lex.standard_flags, standard_of=kept)
+        for lexicon in (lex, stripped):
+            assert lexicon.fingerprint() == fingerprint_reference(lexicon)
 
     def test_derived_values_computed_once(self):
         lex = build_lexicon([("thng", "thing"), ("wter", "water")])
@@ -294,3 +330,30 @@ class TestLoadCorpus:
         path = write(tmp_path, "c.txt", "zebra\n\n")
         with pytest.raises(WordsimError):
             load_corpus(path, toy_lexicon)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(st.lists(st.sampled_from(CORPUS_TOKENS), max_size=5), max_size=6),
+        gaps=st.lists(st.sampled_from(GAPS), min_size=30, max_size=30),
+        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r", ""]), min_size=6, max_size=6),
+        bom=st.booleans(),
+        bad_line=st.one_of(st.none(), st.integers(0, 5)),
+    )
+    def test_equal_to_the_per_token_loader(self, tmp_path_factory, lines, gaps, ends, bom, bad_line):
+        # casefolds that change a token's length, tokens outside the lexicon, blank
+        # lines, whitespace beyond ASCII, a leading BOM and a line that is not UTF-8
+        gap = iter(gaps)
+        text = [(next(gap) + next(gap).join(line) + next(gap)).encode() for line in lines]
+        if bad_line is not None and bad_line < len(text):
+            text[bad_line] += b"caf\xe9"
+        data = (BOM if bom else b"") + b"".join(t + e.encode() for t, e in zip(text, ends))
+        path = tmp_path_factory.getbasetemp() / "corpus.txt"
+        path.write_bytes(data)
+        try:
+            want = load_corpus_reference(path, CORPUS_LEXICON)
+        except WordsimError as exc:  # ParseError included
+            with pytest.raises(type(exc)) as info:
+                load_corpus(path, CORPUS_LEXICON)
+            assert str(info.value) == str(exc)
+        else:
+            assert load_corpus(path, CORPUS_LEXICON) == want

@@ -26,7 +26,7 @@ from wordsim.neural import (
     train_supervised,
 )
 
-from oracles import dense_gradient, gradient_check
+from oracles import column_grad_reference, dense_gradient, gradient_check
 
 rng = np.random.default_rng(7)
 
@@ -77,6 +77,18 @@ class TestForward:
         for i in range(5):
             assert np.allclose(batch[i], forward(net, X[i])[-1])
 
+    @pytest.mark.parametrize("activation", ["identity", "sigmoid"])
+    def test_non_finite_output_of_a_last_layer_other_than_softmax(self, activation):
+        # a softmax refuses non-finite logits itself; any other last layer is scanned
+        net = Network([DenseLayer(W=np.eye(2), b=np.array([0.0, np.nan]), activation=activation)])
+        with pytest.raises(NumericError, match="^non-finite network output$"):
+            forward(net, np.zeros((3, 2)))
+
+    def test_softmax_output_layer_refuses_non_finite_logits(self):
+        net = Network([DenseLayer(W=np.eye(2), b=np.array([0.0, np.inf]), activation="softmax")])
+        with pytest.raises(NumericError, match="softmax input contains NaN/Inf"):
+            forward(net, np.zeros((3, 2)))
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -100,6 +112,15 @@ class TestSoftmax:
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericError):
             softmax(np.array([1.0, np.nan]))
+
+    def test_argument_is_never_written(self):
+        # the output layer normalises its own fresh logits in place; the public function copies
+        z = rng.normal(size=(4, 6))
+        before = z.copy()
+        out = softmax(z)
+        assert_same_bytes(z, before)
+        net = Network([DenseLayer(W=np.eye(6), b=np.zeros(6), activation="softmax")])
+        assert_same_bytes(forward(net, z)[-1], out)
 
 
 class TestBackward:
@@ -283,6 +304,20 @@ def assert_same_bytes(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def batch_ids(d):
+    """Id batches over [0, d): B = 1, repeated ids, and one id repeated B times."""
+    return st.one_of(
+        st.lists(st.integers(0, d - 1), min_size=1, max_size=12),
+        st.tuples(st.integers(0, d - 1), st.integers(1, 12)).map(lambda t: [t[0]] * t[1]),
+    )
+
+
+def assert_same_column_grad(got, want):
+    assert got.cols.dtype == want.cols.dtype
+    assert_same_bytes(got.cols, want.cols)
+    assert_same_bytes(got.rows, want.rows)
+
+
 def dense_grads(net, grads):
     """grads with a first-layer ColumnGrad written out as the full one-hot dW."""
     return [(dense_gradient(dW, layer.in_dim), db) for layer, (dW, db) in zip(net.layers, grads)]
@@ -379,20 +414,36 @@ class TestColumnStep:
         untouched = np.setdiff1d(np.arange(9), ids)
         assert_same_bytes(net.layers[0].W[:, untouched], before[:, untouched])
 
-    def test_repeated_ids_sum_in_batch_order(self):
-        # one softmax layer: its output delta is known, so the reference is the dense
-        # scatter of delta / batch into a zero dW, in batch order
-        net = init_network([7, 7], ["softmax"], np.random.default_rng(12))
-        ids, tids, lr = np.array([2, 6, 2, 2, 0, 6, 2]), np.array([1, 3, 3, 0, 6, 5, 2]), 0.7
+    @settings(max_examples=100, deadline=None)
+    @given(batch=batch_ids(7), data=st.data())
+    def test_repeated_ids_sum_in_batch_order(self, batch, data):
+        # one softmax layer: its output delta is known, so the reference is
+        # np.add.at of delta / batch into zeros, in batch order
+        ids = np.array(batch)
+        tids = np.array(data.draw(st.lists(st.integers(0, 6), min_size=len(ids), max_size=len(ids))))
+        net, lr = init_network([7, 7], ["softmax"], np.random.default_rng(12)), 0.7
         delta = forward(net, ids)[-1]
         delta[np.arange(len(ids)), tids] -= 1.0
-        dW = np.zeros_like(net.layers[0].W)
-        np.add.at(dW.T, ids, delta / len(ids))
-        expected = net.layers[0].W - lr * dW
+        reference = column_grad_reference(ids, delta, len(ids))
+        expected = net.layers[0].W - lr * dense_gradient(reference, 7)
         grads, _ = backward(net, ids, tids)
-        assert_same_bytes(dense_gradient(grads[0][0], 7), dW)
+        assert_same_column_grad(grads[0][0], reference)
         sgd_step(net, grads, lr)
         assert_same_bytes(net.layers[0].W, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch=batch_ids(6), width=st.integers(1, 4), data=st.data())
+    def test_column_grad_equals_the_add_at_reference(self, batch, width, data):
+        # summands far apart in size, so another order of adding a repeated id's rows
+        # shows in the bits; a row of -0.0 must come out +0.0, as add.at into zeros gives
+        ids = np.array(batch)
+        value = st.one_of(
+            st.floats(-1e17, 1e17, allow_nan=False), st.sampled_from([1e16, -1e16, 1.0, 0.1, -0.0])
+        )
+        row = st.one_of(st.just([-0.0] * width), st.lists(value, min_size=width, max_size=width))
+        delta = np.array(data.draw(st.lists(row, min_size=len(ids), max_size=len(ids))))
+        got = neural._column_grad(ids, delta.copy(), len(ids))
+        assert_same_column_grad(got, column_grad_reference(ids, delta, len(ids)))
 
 
 class TestNumericAborts:
