@@ -155,7 +155,7 @@ def _unknown_metric(name):
 def _cmd_dist(args):
     name = args.metric
     if name in CLASSICAL_METRICS:
-        value = evalharness.classical_distance(name, args.x, args.y, n=args.n, q=args.n)
+        value = evalharness.classical_distance(name, args.x, args.y, n=args.n)
     elif name in ("Da", "Dc"):
         if not args.lexicon:
             raise WordsimError("--lexicon is required for learned metrics")
@@ -280,7 +280,7 @@ def _cmd_eval(args):
         if name in ("Da", "Dc"):
             specs.append(_learned_spec(name, args))
         else:
-            specs.append(MetricSpec(name=name, params={"n": args.n, "q": args.n}))
+            specs.append(MetricSpec(name=name, params={"n": args.n}))
     # every spec is resolved and scored before the first line is printed
     results = evalharness.evaluate_accuracies(specs, lex, ks=args.ks)
     for spec, acc in zip(specs, results):

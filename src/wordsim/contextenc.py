@@ -16,7 +16,7 @@ import numpy as np
 from . import neural
 from .denoise import AutoencoderModel, encode_all, train_autoencoder
 from .errors import ConfigError
-from .lexicon import Corpus, Lexicon, word_id
+from .lexicon import Corpus, Lexicon, word_id, word_ids
 from .neural import Network, TrainConfig
 from .vecdist import check_finite, vector_metric
 
@@ -156,6 +156,8 @@ def train_context(model: ContextModel, corpus: Corpus, config: TrainConfig) -> l
     if not (np.all(np.isfinite(model.U)) and np.all(np.isfinite(model.pad_vec))):
         raise neural.NumericError("non-finite embedding rows")
     contexts, targets = context_windows(corpus, model.window)
+    # every sentence id is the target of its own window, so this checks them all before any step
+    word_ids(targets, len(model.U))
 
     def batch(idx):
         ctx_b, tgt_b = contexts[idx], targets[idx]

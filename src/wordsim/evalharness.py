@@ -52,6 +52,12 @@ CLASSICAL_METRICS = {
     "cosine": gramfam.char_cosine_distance_many,
 }
 
+# kind -> the params a MetricSpec of that kind reads; of the classical metrics, the gram ones read n
+_PARAMS = {"classical": frozenset({"n"}),
+           "learned-Da": frozenset({"model", "vec_metric"}),
+           "learned-Dc": frozenset({"model", "vec_metric"})}
+_GRAM_METRICS = ("qgram", "ngram", "dice", "jaccard")
+
 
 @dataclass
 class MetricSpec:
@@ -59,8 +65,9 @@ class MetricSpec:
 
     kind is one of: classical, learned-Da, learned-Dc. For learned kinds,
     params must carry the in-memory model under "model" plus an optional
-    "vec_metric" (default cosine); for classical, params are forwarded to
-    the metric function (n, q, ...).
+    "vec_metric" (default cosine); for classical, params may hold the
+    gram length "n" (an int, default 2) of qgram, ngram, dice and
+    jaccard. ConfigError names any other key.
     """
 
     name: str
@@ -68,10 +75,18 @@ class MetricSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("classical", "learned-Da", "learned-Dc"):
+        if self.kind not in _PARAMS:
             raise ConfigError(f"unknown metric kind: {self.kind!r}")
         if self.kind == "classical" and self.name not in CLASSICAL_METRICS:
             raise ConfigError(f"unknown classical metric: {self.name!r}")
+        reads = _PARAMS[self.kind]
+        if not self.params.keys() <= reads:
+            raise ConfigError(
+                f"metric {self.name!r} of kind {self.kind} does not read "
+                f"{sorted(self.params.keys() - reads)}; it reads {sorted(reads)}"
+            )
+        if "n" in self.params:
+            neural.check_int("gram length n", self.params["n"])
 
 
 @dataclass
@@ -80,26 +95,23 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
 
-def classical_distance(name: str, x: str, y: str, **params) -> float:
-    """What eval ranks y by for query x (+inf if undefined); params may hold n and q.
+def classical_distance(name: str, x: str, y: str, n: int = 2) -> float:
+    """What eval ranks y by for query x (+inf if undefined); n is a gram metric's gram length.
 
     ConfigError if name is not a classical metric.
     """
-    score = _classical(MetricSpec(name, params=params))
+    score = _classical(MetricSpec(name, params={"n": n}))
     return float(score(Query(CandidateTable([y]), x))[0])
-
-
-_METRIC_PARAMS = {"qgram": ("q",), "ngram": ("n",), "dice": ("n",), "jaccard": ("n",)}
 
 
 def _classical(spec: MetricSpec):
     """score(query) -> a classical spec's row for a Query, in its table's caller order.
 
-    Binds the kernel's gram length once; the one place a kernel's row is unsorted.
+    Binds a gram metric's gram length once; the one place a kernel's row is unsorted.
     """
-    allowed = _METRIC_PARAMS.get(spec.name, ())
-    params = {k: v for k, v in spec.params.items() if k in allowed}
-    kernel = partial(CLASSICAL_METRICS[spec.name], **params)
+    kernel = CLASSICAL_METRICS[spec.name]
+    if spec.name in _GRAM_METRICS:
+        kernel = partial(kernel, **spec.params)
     return lambda query: query.table.unsort(kernel(query))
 
 

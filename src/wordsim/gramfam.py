@@ -51,13 +51,13 @@ def ngram_profile(s: str, n: int) -> Counter:
     return Counter(s[i : i + n] for i in range(len(s) - n + 1))
 
 
-def qgram_distance(x: str, y: str, q: int = 2) -> int:
-    """Ukkonen's q-gram distance: L1 distance between q-gram profiles.
+def qgram_distance(x: str, y: str, n: int = 2) -> int:
+    """Ukkonen's q-gram distance: L1 distance between the profiles of grams of length n.
 
     Not a metric: distinct strings with equal profiles get distance 0.
     """
-    px = ngram_profile(x, q)
-    py = ngram_profile(y, q)
+    px = ngram_profile(x, n)
+    py = ngram_profile(y, n)
     return sum(abs(px[g] - py[g]) for g in px.keys() | py.keys())
 
 
@@ -65,13 +65,13 @@ def _undefined(table) -> np.ndarray:
     return np.full(len(table), np.inf)
 
 
-def qgram_distance_many(query, q: int = 2) -> np.ndarray:
-    """qgram_distance(x, y, q) for every candidate y, as float64."""
-    if q < 1:
+def qgram_distance_many(query, n: int = 2) -> np.ndarray:
+    """qgram_distance(x, y, n) for every candidate y, as float64."""
+    if n < 1:
         return _undefined(query.table)
     # sum |px - py| over grams = |px| + |py| - 2 * sum min(px, py)
-    common = query.overlap(q)[0]
-    total = max(0, len(query.text) - q + 1) + query.table.grams(q).total
+    common = query.overlap(n)[0]
+    total = max(0, len(query.text) - n + 1) + query.table.grams(n).total
     return (total - 2 * common).astype(np.float64)
 
 

@@ -139,25 +139,6 @@ def _build(pairs) -> Lexicon:
     return Lexicon(words=words, standard_flags=flags, standard_of=standard_of)
 
 
-def _byte_lines(path) -> list:
-    """The lines of a file, split where text-mode reading splits, a leading UTF-8 BOM dropped."""
-    with open(path, "rb") as fh:
-        return fh.read().removeprefix(codecs.BOM_UTF8).splitlines()
-
-
-def _text(path) -> str:
-    """The lines of a UTF-8 file as _lines gives them, joined by line feeds.
-
-    A file that is not UTF-8 raises ParseError with the number of its
-    first line that is not.
-    """
-    lines = _byte_lines(path)
-    try:
-        return b"\n".join(lines).decode("utf-8")
-    except UnicodeDecodeError:
-        return "\n".join(_decoded(lines))  # raises at the first line that is not UTF-8
-
-
 def _lines(path):
     """The lines of a UTF-8 file, split where text-mode reading splits, a leading BOM dropped.
 
@@ -166,7 +147,8 @@ def _lines(path):
     ParseError with its line number, so a fault on an earlier line is
     still the one reported.
     """
-    lines = _byte_lines(path)
+    with open(path, "rb") as fh:
+        lines = fh.read().removeprefix(codecs.BOM_UTF8).splitlines()
     try:
         # no line holds a line break, so the text splits back into exactly these lines
         return b"\n".join(lines).decode("utf-8").split("\n") if lines else []
@@ -228,7 +210,7 @@ def load_corpus(corpus_path, lex: Lexicon) -> Corpus:
     tokens = 0
     # casefold maps each character on its own, whitespace to itself and no other
     # character to whitespace, so each line splits into its casefolded tokens
-    for line in _text(corpus_path).casefold().split("\n"):
+    for line in "\n".join(_lines(corpus_path)).casefold().split("\n"):
         words = line.split()
         tokens += len(words)
         ids = [index[w] for w in words if w in index]

@@ -601,14 +601,16 @@ def _write_text(path, pieces):
     This is the one writer of model, embedding and report files, and a
     file costs no more memory than its largest piece. An existing file
     stays until a temp file beside it holds all of the text and then
-    replaces it with the old mode; a new path is written in place. On any
-    failure, one that the pieces raise included, the file being written
-    is removed.
+    replaces it with the old mode; a new path is written in place. A
+    symbolic link stays, and the file it points to is the one replaced.
+    On any failure, one that the pieces raise included, the file being
+    written is removed.
     """
     replace = os.path.exists(path)
     target = path
     if replace:
-        directory, name = os.path.split(os.path.abspath(path))
+        path = os.path.realpath(path)
+        directory, name = os.path.split(path)
         fd, target = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
         os.close(fd)
     try:

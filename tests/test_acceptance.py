@@ -98,7 +98,7 @@ def test_criterion_2_metric_axioms():
     words = [rand_word() for _ in range(300)]
     table = CandidateTable(words)
     kernels = [editfam.levenshtein_many, editfam.damerau_levenshtein_many,
-               editfam.lcs_distance_many, partial(gramfam.qgram_distance_many, q=2)]
+               editfam.lcs_distance_many, partial(gramfam.qgram_distance_many, n=2)]
     queries = [Query(table, x) for x in words]
     same = np.array([[x == y for y in words] for x in words])
     for i, kernel in enumerate(kernels):

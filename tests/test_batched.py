@@ -32,7 +32,7 @@ SCALAR_METRICS = {
     "damerau-levenshtein": lambda x, y: float(editfam.damerau_levenshtein(x, y)),
     "lcs": lambda x, y: float(editfam.lcs_distance(x, y)),
     "metric-lcs": editfam.metric_lcs,
-    "qgram": lambda x, y, q=2: float(gramfam.qgram_distance(x, y, q)),
+    "qgram": lambda x, y, n=2: float(gramfam.qgram_distance(x, y, n)),
     "ngram": lambda x, y, n=2: gramfam.kondrak_ngram_distance(x, y, n),
     "dice": lambda x, y, n=2: 1.0 - gramfam.dice_coefficient(x, y, n),
     "jaccard": lambda x, y, n=2: gramfam.jaccard_distance(x, y, n),
@@ -48,7 +48,7 @@ long = st.one_of(
     st.text(alphabet="abé", min_size=126, max_size=130),
 )
 strings = st.one_of(short, short, short, long)
-PARAMS = {"qgram": "q", "ngram": "n", "dice": "n", "jaccard": "n"}
+GRAM_METRICS = ("qgram", "ngram", "dice", "jaccard")
 
 
 def scalar_row(name, x, words, **params):
@@ -79,7 +79,7 @@ def assert_kernel_matches(name, x, words, **params):
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(x=strings, words=st.lists(strings, max_size=6), n=st.integers(1, 3))
 def test_kernel_equals_scalar(name, x, words, n):
-    params = {PARAMS[name]: n} if name in PARAMS else {}
+    params = {"n": n} if name in GRAM_METRICS else {}
     assert_kernel_matches(name, x, words, **params)
 
 
@@ -87,9 +87,9 @@ def test_kernel_equals_scalar(name, x, words, n):
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(x=strings, y=strings, n=st.integers(1, 3))
 def test_classical_distance_equals_scalar(name, x, y, n):
-    # as the CLI's dist passes them: both gram lengths, the one the metric takes used
-    got = classical_distance(name, x, y, n=n, q=n)
-    want = scalar_row(name, x, [y], **({PARAMS[name]: n} if name in PARAMS else {}))
+    # as the CLI's dist passes it: the gram length to every metric, read by the gram metrics
+    got = classical_distance(name, x, y, n=n)
+    want = scalar_row(name, x, [y], **({"n": n} if name in GRAM_METRICS else {}))
     assert np.float64(got).tobytes() == want.tobytes(), (name, x, y, n)
 
 
@@ -100,7 +100,7 @@ def test_classical_distance_equals_the_scores_entry(name, toy_lexicon, data, n):
     lex = toy_lexicon
     q = data.draw(st.sampled_from(lex.nonstandard_ids))
     j = data.draw(st.integers(0, len(lex.standard_ids) - 1))
-    params = {PARAMS[name]: n} if name in PARAMS else {}
+    params = {"n": n} if name in GRAM_METRICS else {}
     # the row eval ranks the standard words by for this query
     row = scores(MetricSpec(name, params=params), lex, [q], lex.standard_ids)[0]
     got = classical_distance(name, lex.word_of(q), lex.word_of(lex.standard_ids[j]), **params)
@@ -112,7 +112,7 @@ def test_edge_cases(name):
     lane = "ab" * 32  # exactly one 64-bit lane
     words = ["", "a", "ab", lane, lane + "a", "a" + BOUNDARY + "b", "é" * 3]
     for x in ["", "a", "ba", lane, lane + "b", BOUNDARY, "éa"]:
-        params = [{PARAMS[name]: n} for n in (0, 3)] if name in PARAMS else [{}]
+        params = [{"n": n} for n in (0, 3)] if name in GRAM_METRICS else [{}]
         for p in params:
             assert_kernel_matches(name, x, words, **p)
 
@@ -129,7 +129,7 @@ def test_astral_and_surrogate_characters(name):
     queries = [
         "", smile, "a" + smile + "b", lone, lone + low, low + "a", smile * 66, "ab" * 40 + smile,
     ]
-    params = [{PARAMS[name]: n} for n in (1, 2, 3)] if name in PARAMS else [{}]
+    params = [{"n": n} for n in (1, 2, 3)] if name in GRAM_METRICS else [{}]
     for x in queries:
         for p in params:
             assert_kernel_matches(name, x, words, **p)
@@ -143,7 +143,7 @@ def test_undefined_pairs_score_inf():
     ngram = caller_row(gramfam.kondrak_ngram_distance_many, "ab", table, n=2)
     assert np.isinf(ngram[[0, 3]]).all() and np.isfinite(ngram[[1, 2]]).all()
     assert np.isinf(caller_row(gramfam.kondrak_ngram_distance_many, BOUNDARY + "a", table, n=2)).all()
-    assert np.isinf(caller_row(gramfam.qgram_distance_many, "ab", table, q=0)).all()
+    assert np.isinf(caller_row(gramfam.qgram_distance_many, "ab", table, n=0)).all()
 
 
 EDIT_METRICS = [
@@ -246,8 +246,8 @@ SHARED_ORDERS = [
     sorted(CLASSICAL_METRICS),
 ]
 SHARED_PARAMS = [
-    {"qgram": {"q": 3}, "dice": {"n": 2}, "jaccard": {"n": 2}, "ngram": {"n": 2}},
-    {"qgram": {"q": 2}, "dice": {"n": 3}, "jaccard": {"n": 1}, "ngram": {"n": 3}},
+    {"qgram": {"n": 3}, "dice": {"n": 2}, "jaccard": {"n": 2}, "ngram": {"n": 2}},
+    {"qgram": {"n": 2}, "dice": {"n": 3}, "jaccard": {"n": 1}, "ngram": {"n": 3}},
 ]
 
 

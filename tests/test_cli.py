@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wordsim import cli, contextenc, denoise
+from wordsim import cli, contextenc, denoise, gramfam
 from wordsim.cli import main
 from wordsim.lexicon import load_lexicon
 
@@ -97,6 +97,10 @@ class TestDist:
             main([command, "--n", "0", *rest[command]])
         assert exc.value.code == 2
         assert "gram length must be >= 1" in capsys.readouterr().err
+
+    def test_gram_length_of_qgram_is_the_scalar_one(self, capsys):
+        assert main(["dist", "--metric", "qgram", "--n", "3", "abcab", "abcabc"]) == 0
+        assert capsys.readouterr().out == f"qgram: {float(gramfam.qgram_distance('abcab', 'abcabc', 3))}\n"
 
     def test_q_option_removed(self):
         with pytest.raises(SystemExit):
@@ -234,6 +238,25 @@ class TestOutputFiles:
         assert json.loads(out.read_text())["kind"] == "autoencoder"
         assert out.stat().st_mode & 0o777 == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ae.json", "pairs.tsv"]
+
+    @pytest.mark.parametrize("lr, code", [("0.05", 0), ("1e300", 4)])
+    def test_out_through_a_symlink_writes_its_target(self, pairs_file, tmp_path, lr, code):
+        models = tmp_path / "models"
+        models.mkdir()
+        target = models / "ae.json"
+        target.write_text("old", encoding="utf-8")
+        target.chmod(0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert self.train_ae(pairs_file, link, lr) == code
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        if code == 0:
+            assert json.loads(target.read_text())["kind"] == "autoencoder"
+        else:
+            assert target.read_text() == "old"
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "models", "pairs.tsv"]
+        assert [p.name for p in models.iterdir()] == ["ae.json"]
 
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])

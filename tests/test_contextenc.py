@@ -196,6 +196,20 @@ class TestTrainContext:
             train_context(model, context_corpus, TrainConfig(batch_size=32, epochs=1))
         assert snapshot() == before
 
+    @pytest.mark.parametrize("bad", [-2, -1, "|A|"])
+    def test_out_of_range_corpus_id_rejected_before_any_step(self, context_lexicon, bad):
+        bad = len(context_lexicon) if bad == "|A|" else bad
+        corpus = Corpus(((3, bad, 5, 6),) + ((1, 2, 3, 4, 5),) * 40)
+        for seed in range(6):
+            model = build_context_model(context_lexicon, n_embed=4, window=3, seed=seed)
+            snapshot = lambda: [model.U.tobytes(), model.pad_vec.tobytes()] + [  # noqa: E731
+                a.tobytes() for l in model.predictor.layers for a in (l.W, l.b)
+            ]
+            before = snapshot()
+            with pytest.raises(IndexError, match=f"word id {bad} out of range"):
+                train_context(model, corpus, TrainConfig(batch_size=8, epochs=1, seed=seed))
+            assert snapshot() == before, seed
+
     def test_repeated_sentence_memorized(self, context_lexicon):
         sent = tuple(context_lexicon.id_of(w) for w in ["the", "dog", "is", "very", "happy"])
         corpus = Corpus(sentences=(sent,) * 30)

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import re
 import tracemalloc
 import weakref
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordsim import evalharness
+from wordsim import evalharness, gramfam
 from wordsim.candidates import CandidateTable
 from wordsim.contextenc import EmbeddingMatrix
 from wordsim.denoise import build_autoencoder, nearest_standard, train_autoencoder
@@ -50,6 +51,28 @@ class TestMetricSpec:
         with pytest.raises(ConfigError):
             MetricSpec(name="soundex")
 
+    @pytest.mark.parametrize("name, kind, params, unread", [
+        ("ngram", "classical", {"q": 3}, "['q']"),
+        ("levenshtein", "classical", {"n": 2, "model": None}, "['model']"),
+        ("Dc", "learned-Dc", {"model": np.ones((2, 2)), "vec_metrc": "L1"}, "['vec_metrc']"),
+        ("Da", "learned-Da", {"model": None, "n": 2}, "['n']"),
+    ])
+    def test_a_parameter_the_kind_does_not_read(self, name, kind, params, unread):
+        with pytest.raises(ConfigError, match=re.escape(f"does not read {unread}")):
+            MetricSpec(name, kind, params)
+
+    @pytest.mark.parametrize("n", [2.0, True, "2", None])
+    def test_a_gram_length_that_is_not_an_int(self, n):
+        with pytest.raises(ConfigError, match="gram length n must be an int"):
+            evalharness.classical_distance("qgram", "abcd", "abce", n=n)
+
+    def test_classical_distance_reads_the_gram_length(self):
+        got = evalharness.classical_distance("ngram", "abcd", "abce", n=3)
+        assert got == gramfam.kondrak_ngram_distance("abcd", "abce", 3)
+        assert got != evalharness.classical_distance("ngram", "abcd", "abce")  # the n=2 value
+        # the metrics without a gram length take n and leave it unread
+        assert evalharness.classical_distance("levenshtein", "ab", "ba", n=3) == 2.0
+
     def test_classical_distance_of_an_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown classical metric: 'nope'"):
             evalharness.classical_distance("nope", "a", "b")
@@ -80,7 +103,7 @@ class TestEvaluateAccuracy:
             evaluate_accuracy(spec, small_lexicon, ks=(1,))
 
     def test_deterministic_tie_breaking(self, toy_lexicon):
-        spec = MetricSpec(name="qgram", params={"q": 2})
+        spec = MetricSpec(name="qgram", params={"n": 2})
         a = evaluate_accuracy(spec, toy_lexicon, ks=(1, 5))
         b = evaluate_accuracy(spec, toy_lexicon, ks=(1, 5))
         assert a == b
@@ -212,7 +235,7 @@ class TestScores:
     def test_out_of_range_ids(self, toy_lexicon, kind):
         rows = np.ones((len(toy_lexicon), 3))
         spec = MetricSpec(name="levenshtein" if kind == "classical" else "Dc", kind=kind,
-                          params={"model": rows})
+                          params={} if kind == "classical" else {"model": rows})
         for bad in (-1, len(toy_lexicon)):
             with pytest.raises(IndexError, match=f"word id {bad} out of range"):
                 scores(spec, toy_lexicon, [0, bad], [1])
