@@ -8,6 +8,7 @@ non-standard words whose true standard form appears in the top k.
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -19,7 +20,7 @@ from .denoise import AutoencoderModel, encode_all
 from .contextenc import EmbeddingMatrix, embedding_rows
 from .errors import BindingError, ConfigError
 from .lexicon import Lexicon, _normalize, word_ids
-from .vecdist import check_finite, nonzero_norms, vector_metric
+from .vecdist import VECTOR_METRICS, check_finite, nonzero_norms, norm, vector_metric
 
 __all__ = [
     "MetricSpec",
@@ -65,9 +66,10 @@ class MetricSpec:
 
     kind is one of: classical, learned-Da, learned-Dc. For learned kinds,
     params must carry the in-memory model under "model" plus an optional
-    "vec_metric" (default cosine); for classical, params may hold the
-    gram length "n" (an int, default 2) of qgram, ngram, dice and
-    jaccard. ConfigError names any other key.
+    "vec_metric", a name in vecdist.VECTOR_METRICS (default cosine); for
+    classical, params may hold the gram length "n" (an int, default 2) of
+    qgram, ngram, dice and jaccard. ConfigError names any other key, and
+    the choices for any other vec_metric.
     """
 
     name: str
@@ -87,6 +89,13 @@ class MetricSpec:
             )
         if "n" in self.params:
             neural.check_int("gram length n", self.params["n"])
+        if "vec_metric" in self.params:
+            vec_metric = self.params["vec_metric"]
+            if not isinstance(vec_metric, str) or vec_metric not in VECTOR_METRICS:
+                raise ConfigError(
+                    f"metric {self.name!r} has unknown vec_metric {vec_metric!r}; "
+                    f"choose from {sorted(VECTOR_METRICS)}"
+                )
 
 
 @dataclass
@@ -137,7 +146,10 @@ def _learned_vectors(spec: MetricSpec, lex: Lexicon) -> np.ndarray:
 class _CandidateRows:
     """The vectors of one candidate set, gathered once, read-only and checked finite.
 
-    Their norms, checked nonzero, are computed on the first cosine use.
+    Their norms, checked nonzero, are computed on the first cosine use,
+    and the norm of a query word's vector the first time a cosine query
+    asks for that word (query_norm). A word never asked has no norm
+    computed, so its vector may be anything.
     """
 
     def __init__(self, vectors: np.ndarray, candidate_ids: np.ndarray):
@@ -145,6 +157,18 @@ class _CandidateRows:
         check_finite(rows, "a candidate's vector")
         rows.flags.writeable = False
         self.vectors, self.rows = vectors, rows
+        self._query_norms = {}  # word id -> norm of its vector, as vecdist.cosine computes it
+
+    def query_norm(self, qid: int):
+        """norm(vectors[qid]) as a float vector, computed on the first ask of qid and kept.
+
+        Unchecked: it is 0 for a zero vector and NaN or inf for a
+        non-finite one (or one whose square overflows); cosine refuses 0.
+        """
+        a_norm = self._query_norms.get(qid)
+        if a_norm is None:
+            a_norm = self._query_norms[qid] = norm(np.asarray(self.vectors[qid], dtype=float))
+        return a_norm
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -168,8 +192,10 @@ def _prepared(lex: Lexicon, kind: str, candidate_ids: np.ndarray, vectors=None):
     owns its data (encode_all's codes, a loaded or trained
     EmbeddingMatrix's U, a raw matrix made so), and count only while built
     from that very array; a writeable array or a view is prepared on each
-    call. A kept array is taken as fixed: editing it after making it
-    writeable again leaves the old rows in place.
+    call. A kept entry also keeps the norm of each query word's vector
+    from that word's first cosine ask, while a per-call entry computes it
+    on every ask. A kept array is taken as fixed: editing it after making
+    it writeable again leaves the old rows and norms in place.
     """
     if vectors is not None and (vectors.flags.writeable or vectors.base is not None):
         return _CandidateRows(vectors, candidate_ids)
@@ -189,8 +215,10 @@ def _scorer(spec: MetricSpec, lex: Lexicon, candidate_ids: np.ndarray):
 
     A learned spec is resolved here, before any query is scored: the
     model's lexicon binding is checked and the candidates' rows (and, for
-    cosine, their norms) prepared. A non-finite query or candidate vector
-    raises NumericError.
+    cosine, their norms) prepared. A cosine query's norm comes from the
+    prepared entry (_CandidateRows.query_norm), and only a query whose
+    norm is not finite needs its vector checked. A non-finite query or
+    candidate vector raises NumericError.
     """
     if spec.kind == "classical":
         score = _classical(spec)
@@ -200,12 +228,20 @@ def _scorer(spec: MetricSpec, lex: Lexicon, candidate_ids: np.ndarray):
     d = vector_metric(metric)
     candidates = _prepared(lex, spec.kind, candidate_ids, vectors)
     rows = candidates.rows
-    norms = (candidates.norms,) if metric == "cosine" else ()
+    if metric != "cosine":
+        def score(qid, query):
+            vector = vectors[qid]
+            check_finite(vector, "the query's vector")
+            return d(vector, rows)
+
+        return score
+    norms = candidates.norms
 
     def score(qid, query):
-        vector = vectors[qid]
-        check_finite(vector, "the query's vector")
-        return d(vector, rows, *norms)
+        vector, a_norm = vectors[qid], candidates.query_norm(qid)
+        if not math.isfinite(a_norm):  # a sum of squares is finite only when every term is
+            check_finite(vector, "the query's vector")
+        return d(vector, rows, norms, a_norm=a_norm)
 
     return score
 
@@ -266,8 +302,8 @@ def _top_k(distances, ids, k):
     """
     if k < len(distances):
         kth = np.partition(distances, k - 1)[k - 1]
-        if not np.isnan(kth):
-            near = np.flatnonzero(distances <= kth)
+        if not math.isnan(kth):
+            near = np.nonzero(distances <= kth)[0]
             return near[np.lexsort((ids[near], distances[near]))[:k]]
     return np.lexsort((ids, distances))[:k]
 

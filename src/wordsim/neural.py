@@ -69,12 +69,16 @@ PIECE_BYTES = 3 * 8 * 2048
 
 
 def sigmoid(z):
-    out = np.empty_like(z, dtype=float)
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) otherwise, so no exp overflows.
+
+    One exp serves both branches, with no gathers or scatters. Its
+    argument is picked by np.where rather than taken as -|z|, which would
+    flip the sign bit of a NaN.
+    """
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    d = 1.0 + e
+    return np.where(pos, 1.0 / d, e / d)
 
 
 def softmax(z):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericError
 
-__all__ = ["l1", "l2", "cosine", "nonzero_norms", "check_finite", "VECTOR_METRICS", "vector_metric"]
+__all__ = ["l1", "l2", "cosine", "norm", "nonzero_norms", "check_finite", "VECTOR_METRICS", "vector_metric"]
 
 # subscripts by the operands' ranks; explicit, so a 3-D operand is refused, never broadcast
 _DOT_SUBSCRIPTS = {(1, 1): "j,j->", (2, 1): "ij,j->i", (2, 2): "ij,ij->i"}
@@ -54,22 +54,29 @@ def l2(a, b):
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
+def norm(a):
+    """The Euclidean norm of the float vector a, or of each of its rows, as cosine computes it."""
+    return np.sqrt(_dots(a, a))
+
+
 def nonzero_norms(b):
     """The Euclidean norm of the float vector b, or of each of its rows; NumericError if one is 0."""
-    nb = np.sqrt(_dots(b, b))
+    nb = norm(b)
     if np.any(nb == 0.0):
         raise NumericError("cosine distance undefined for zero vectors")
     return nb
 
 
-def cosine(a, b, b_norms=None):
+def cosine(a, b, b_norms=None, a_norm=None):
     """1 - cosine similarity; a zero-norm query or candidate is a numeric abort.
 
-    b_norms, if given, is nonzero_norms(b) kept from an earlier call, so
-    only the query's norm is computed; the result is the same bit for bit.
+    b_norms, if given, is nonzero_norms(b) and a_norm norm(a) of the
+    float vector a, each kept from an earlier call, so neither is
+    computed again; the result is the same bit for bit. A zero a_norm
+    still raises.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    na = np.sqrt(_dots(a, a))
+    na = norm(a) if a_norm is None else a_norm
     if na == 0.0:
         raise NumericError("cosine distance undefined for zero vectors")
     nb = nonzero_norms(b) if b_norms is None else b_norms

@@ -2,11 +2,12 @@ import dataclasses
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from wordsim import evalharness, neural
+from wordsim import evalharness, neural, vecdist
 from wordsim.contextenc import EmbeddingMatrix
 from wordsim.denoise import (
     AutoencoderModel,
@@ -23,7 +24,7 @@ from wordsim.denoise import (
 from wordsim.errors import BindingError, ConfigError, NumericError
 from wordsim.evalharness import MetricSpec, evaluate_accuracy, qualitative_neighbors, scores
 from wordsim.lexicon import build_lexicon
-from wordsim.vecdist import VECTOR_METRICS, nonzero_norms as norms
+from wordsim.vecdist import VECTOR_METRICS, cosine, nonzero_norms as norms
 from wordsim.neural import TrainConfig, forward
 
 from conftest import MALFORMED_ARRAYS, identity_codes, second_piece_write, wide_lexicon
@@ -479,19 +480,25 @@ class TestPreparedCandidates:
         assert lex._prepared[self.key(lex)].vectors is encode_all(loaded, lex)
 
     def assert_prepared_once(self, source, key, lex, monkeypatch):
-        """Repeated queries reuse one entry's read-only rows and norms and check only the query."""
+        """Repeated queries reuse one entry's read-only rows and norms, and each query's norm.
+
+        Nothing is checked again: a query whose kept norm is finite has only finite values.
+        """
         nearest_standard(source, lex, 0)
         prepared = lex._prepared[key]
         rows, norms = prepared.rows, prepared.norms
         assert not rows.flags.writeable and not norms.flags.writeable
-        checked = []
+        checked, normed = [], []
         monkeypatch.setattr(evalharness, "check_finite", lambda v, what: checked.append(what))
         monkeypatch.setattr(evalharness, "nonzero_norms", lambda rows: pytest.fail("norms again"))
-        for q in range(len(lex)):
-            nearest_standard(source, lex, q)
+        monkeypatch.setattr(evalharness, "norm", lambda a: normed.append(a) or vecdist.norm(a))
+        for _ in range(2):
+            for q in range(len(lex)):
+                nearest_standard(source, lex, q)
         assert lex._prepared[key] is prepared
         assert prepared.rows is rows and prepared.norms is norms
-        assert checked == ["the query's vector"] * len(lex)
+        assert len(normed) == len(lex) - 1  # word 0's norm was kept by the first call
+        assert not checked
 
     def test_repeated_calls_reuse_the_prepared_arrays(self, lex, monkeypatch):
         self.assert_prepared_once(*self.source("Da", lex), lex, monkeypatch)
@@ -507,12 +514,60 @@ class TestPreparedCandidates:
             rows.flags.writeable = False
             rows = rows[:]
         source = EmbeddingMatrix(rows, lex.fingerprint()) if form == "embedding" else rows
-        prepared = []
+        kept = np.array(rows)  # a read-only array that owns its data
+        kept.flags.writeable = False
+        want = [nearest_standard(kept, dataclasses.replace(lex), q) for q in range(3)] * 2
+        prepared, normed = [], []
         monkeypatch.setattr(evalharness, "nonzero_norms", lambda rows: prepared.append(rows) or norms(rows))
-        for q in range(3):
-            nearest_standard(source, lex, q)
-        assert len(prepared) == 3
+        monkeypatch.setattr(evalharness, "norm", lambda a: normed.append(a) or vecdist.norm(a))
+        assert [nearest_standard(source, lex, q) for q in [0, 1, 2] * 2] == want
+        assert len(prepared) == len(normed) == 6
         assert not lex._prepared
+
+    @pytest.mark.parametrize("name", ["Da", "Dc-array"])
+    def test_kept_query_norms_give_the_cosine_of_the_prepared_rows(self, lex, name):
+        source, key = self.source(name, lex)
+        n = len(lex.standard_ids)
+        for _ in range(2):  # the first round keeps each query's norm, the second reads it
+            for q in range(len(lex)):
+                got = nearest_standard(source, lex, q, k=n)
+                entry = lex._prepared[key]
+                row = cosine(entry.vectors[q], entry.rows)
+                order = np.lexsort((lex.standard_array, row))
+                assert got == list(zip(lex.standard_array[order].tolist(), row[order].tolist()))
+
+    def kept_rows_with(self, lex, word, value):
+        """read_only_rows(lex) with the row of word set to value."""
+        rows = np.array(read_only_rows(lex))
+        rows[word] = value
+        rows.flags.writeable = False
+        return rows
+
+    def test_a_zero_query_raises_on_every_ask(self, lex):
+        query = lex.nonstandard_ids[0]
+        rows = self.kept_rows_with(lex, query, 0.0)
+        for _ in range(2):
+            with pytest.raises(NumericError, match="undefined for zero vectors"):
+                nearest_standard(rows, lex, query)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_query_raises_on_every_ask(self, lex, bad):
+        query = lex.nonstandard_ids[0]
+        rows = self.kept_rows_with(lex, query, [0.5, bad, 0.0, 1.0, 2.0])
+        for _ in range(3):
+            with pytest.raises(NumericError, match="^non-finite value in the query's vector$"):
+                nearest_standard(rows, lex, query)
+
+    @pytest.mark.parametrize("value", [0.0, 1e200])
+    def test_a_word_never_asked_may_hold_any_finite_row(self, lex, value):
+        never = lex.nonstandard_ids[0]
+        rows = self.kept_rows_with(lex, never, value)  # 1e200 squared overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                for q in range(len(lex)):
+                    if q != never:
+                        nearest_standard(rows, lex, q)
 
     def test_alternating_da_and_dc_keep_both_entries(self, lex):
         (model, da_key), (rows, dc_key) = self.source("Da", lex), self.source("Dc-array", lex)

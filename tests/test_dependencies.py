@@ -30,6 +30,7 @@ def test_every_module_imports_only_the_stdlib_numpy_or_wordsim():
 
 
 def test_pyproject_declares_numpy_alone():
+    """numpy from 2.0, which added the np.bitwise_count that the edit and LCS kernels call."""
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        assert tomllib.load(fh)["project"]["dependencies"] == ["numpy"]
+        assert tomllib.load(fh)["project"]["dependencies"] == ["numpy>=2.0"]

@@ -31,6 +31,7 @@ from wordsim.evalharness import (
 )
 from wordsim.lexicon import build_lexicon
 from wordsim.neural import TrainConfig
+from wordsim.vecdist import VECTOR_METRICS
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,18 @@ class TestMetricSpec:
     def test_a_parameter_the_kind_does_not_read(self, name, kind, params, unread):
         with pytest.raises(ConfigError, match=re.escape(f"does not read {unread}")):
             MetricSpec(name, kind, params)
+
+    @pytest.mark.parametrize("kind", ["learned-Da", "learned-Dc"])
+    @pytest.mark.parametrize("vec_metric", ["cosin", "l2", None, ["L1"]])
+    def test_an_unknown_vec_metric_is_refused_at_construction(self, toy_lexicon, kind, vec_metric):
+        message = f"unknown vec_metric {vec_metric!r}; choose from {sorted(VECTOR_METRICS)}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            MetricSpec(kind[-2:], kind, {"model": None, "vec_metric": vec_metric})
+        rows = np.ones((len(toy_lexicon), 2))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            nearest_standard(rows, toy_lexicon, 0, vec_metric=vec_metric)
+        for name in VECTOR_METRICS:
+            MetricSpec(kind[-2:], kind, {"model": None, "vec_metric": name})
 
     @pytest.mark.parametrize("n", [2.0, True, "2", None])
     def test_a_gram_length_that_is_not_an_int(self, n):

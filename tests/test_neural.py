@@ -22,6 +22,7 @@ from wordsim.neural import (
     network_from_dict,
     network_to_dict,
     sgd_step,
+    sigmoid,
     softmax,
     train_supervised,
 )
@@ -64,6 +65,22 @@ class TestForward:
         net = Network([DenseLayer(W=np.zeros((3, 2)), b=np.zeros(3), activation="sigmoid")])
         out = forward(net, np.ones(2))[-1]
         assert np.allclose(out, 0.5)
+
+    def test_sigmoid_equals_the_two_branch_form_bit_for_bit(self):
+        def two_branch(z):
+            out = np.empty_like(z, dtype=float)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        edges = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, 1e-320, -1e-320, np.nan, -np.nan]
+        for z in (np.array(edges), np.random.default_rng(5).normal(scale=30, size=(100, 32))):
+            with np.errstate(over="raise", invalid="raise", under="ignore"):
+                got = sigmoid(z)
+            assert got.dtype == np.float64 and got.shape == z.shape
+            assert got.tobytes() == two_branch(z).tobytes()
 
     def test_dimension_mismatch(self):
         net = Network([identity_layer(3)])
