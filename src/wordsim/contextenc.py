@@ -18,7 +18,7 @@ from .denoise import AutoencoderModel, encode_all, train_autoencoder
 from .errors import ConfigError
 from .lexicon import Corpus, Lexicon, word_id, word_ids
 from .neural import Network, TrainConfig
-from .vecdist import check_finite, vector_metric
+from .vecdist import VECTOR_METRICS, check_finite, check_vec_metric
 
 __all__ = [
     "PAD",
@@ -240,12 +240,15 @@ def embedding_rows(source) -> np.ndarray:
 
 
 def distance_Dc(U, a_i: int, a_j: int, vec_metric: str = "cosine") -> float:
-    """Vector distance between the embedding rows of two words; NumericError if one is not finite."""
+    """Vector distance between the embedding rows of two words; NumericError if one is not finite.
+
+    ConfigError, naming the choices, for a vec_metric not in vecdist.VECTOR_METRICS.
+    """
     rows = embedding_rows(U)
     i, j = word_id(a_i, len(rows)), word_id(a_j, len(rows))
-    d = vector_metric(vec_metric)
+    check_vec_metric("Dc", vec_metric)
     check_finite(rows[[i, j]], "the words' vectors")
-    return float(d(rows[i], rows[j]))
+    return float(VECTOR_METRICS[vec_metric](rows[i], rows[j]))
 
 
 def save_embedding(emb: EmbeddingMatrix, path):

@@ -12,6 +12,7 @@ from . import neural
 from .errors import ConfigError
 from .lexicon import Lexicon, one_hot, word_id
 from .neural import Network, TrainConfig
+from .vecdist import check_vec_metric
 
 __all__ = [
     "AutoencoderModel",
@@ -156,39 +157,24 @@ def nearest_standard(source, lex, query_id: int, k: int = 5, vec_metric: str = "
 
     ``source`` is either a trained AutoencoderModel (distance D_a), or an
     EmbeddingMatrix or raw matrix with one row per word id (distance D_c).
-    Ties break by ascending word id; k beyond |C| truncates. k must be an
-    integer >= 1 and the query id an integer in [0, |A|) (TypeError,
-    ValueError, IndexError), a vec_metric not in vecdist.VECTOR_METRICS
-    raises ConfigError, and a NaN or infinite query or candidate vector
+    The query is scored against the lexicon's standard words by their
+    prepared entry (evalharness._CandidateRows, which says what is kept
+    between asks). Ties break by ascending word id; k beyond |C|
+    truncates. k must be an integer >= 1 (TypeError, ValueError), a
+    vec_metric not in vecdist.VECTOR_METRICS raises ConfigError, the
+    query id must be an integer in [0, |A|) (TypeError, IndexError), a
+    source bound to another lexicon raises BindingError, and a NaN or
+    infinite query or candidate vector, or a zero one under cosine,
     raises NumericError.
-
-    The query is scored by the scoring core's per-spec scorer
-    (evalharness._scorer) against the lexicon's standard ids, which need
-    no check, and only the query's row is formed. When the source's
-    vectors are a read-only array that owns its data (the codes of
-    encode_all, the U of a loaded or trained EmbeddingMatrix, or a raw
-    matrix made so), the candidates' rows and, for cosine, their norms
-    are prepared once and kept in the lexicon's memo, one entry per
-    (metric kind, candidate set), and the entry keeps the norm of each
-    query word's vector from that word's first ask, so a repeated query
-    pays only for its dot products, one vector-metric call and the top k,
-    and a query whose kept norm is finite needs no check. The memo
-    holds evalharness.MEMO_ENTRIES entries, the least recently used
-    dropped first. Such an array is taken as fixed: making it writeable
-    again and editing it leaves the old prepared rows and norms in place.
-    neural.sgd_step gives the next encode_all a new array, which is
-    prepared again. A writeable array or a view is gathered again on each
-    call. The top k is found by selection (np.partition), and only the
-    distances at or below the k-th are sorted.
     """
     # evalharness imports this module, so its scoring path is imported here
-    from .evalharness import MetricSpec, _check_k, _scorer, _top_k
+    from .evalharness import _check_k, _learned_rows, _top_k
     _check_k(k)
     name = "Da" if isinstance(source, AutoencoderModel) else "Dc"
-    spec = MetricSpec(name, f"learned-{name}", {"model": source, "vec_metric": vec_metric})
+    check_vec_metric(name, vec_metric)
     qid = word_id(query_id, len(lex))
     candidates = lex.standard_array
-    row = _scorer(spec, lex, candidates)(qid, None)
+    row = _learned_rows(name, f"learned-{name}", source, lex, candidates).score(qid, vec_metric)
     top = _top_k(row, candidates, k)
     return list(zip(candidates[top].tolist(), row[top].tolist()))
 

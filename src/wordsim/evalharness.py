@@ -20,7 +20,7 @@ from .denoise import AutoencoderModel, encode_all
 from .contextenc import EmbeddingMatrix, embedding_rows
 from .errors import BindingError, ConfigError
 from .lexicon import Lexicon, _normalize, word_ids
-from .vecdist import VECTOR_METRICS, check_finite, nonzero_norms, norm, vector_metric
+from .vecdist import VECTOR_METRICS, check_finite, check_vec_metric, nonzero_norms, norm
 
 __all__ = [
     "MetricSpec",
@@ -90,12 +90,7 @@ class MetricSpec:
         if "n" in self.params:
             neural.check_int("gram length n", self.params["n"])
         if "vec_metric" in self.params:
-            vec_metric = self.params["vec_metric"]
-            if not isinstance(vec_metric, str) or vec_metric not in VECTOR_METRICS:
-                raise ConfigError(
-                    f"metric {self.name!r} has unknown vec_metric {vec_metric!r}; "
-                    f"choose from {sorted(VECTOR_METRICS)}"
-                )
+            check_vec_metric(self.name, self.params["vec_metric"])
 
 
 @dataclass
@@ -124,32 +119,14 @@ def _classical(spec: MetricSpec):
     return lambda query: query.table.unsort(kernel(query))
 
 
-def _learned_vectors(spec: MetricSpec, lex: Lexicon) -> np.ndarray:
-    """One vector per lexicon word id, after checking the model's lexicon binding."""
-    model = spec.params.get("model")
-    if model is None:
-        raise ConfigError(f"metric {spec.name!r} needs a model in params")
-    if spec.kind == "learned-Da":
-        if not isinstance(model, AutoencoderModel):
-            raise ConfigError("learned-Da expects an AutoencoderModel")
-        return encode_all(model, lex)  # checks the lexicon binding
-    if isinstance(model, EmbeddingMatrix):
-        lex.check_binding(model)
-    rows = embedding_rows(model)
-    if rows.shape[0] != len(lex):
-        raise BindingError(
-            f"embedding has {rows.shape[0]} rows, but the lexicon has {len(lex)} words"
-        )
-    return rows
-
-
 class _CandidateRows:
-    """The vectors of one candidate set, gathered once, read-only and checked finite.
+    """One learned source's vectors resolved against one candidate set: the scorer of its queries.
 
-    Their norms, checked nonzero, are computed on the first cosine use,
-    and the norm of a query word's vector the first time a cosine query
-    asks for that word (query_norm). A word never asked has no norm
-    computed, so its vector may be anything.
+    The candidates' rows are gathered once, read-only and checked finite.
+    The first cosine use adds their norms, checked nonzero, and the norm
+    of every word's vector, from one vecdist.norm pass over the source
+    that is left unchecked, so a word never asked may hold any finite row.
+    A word's norm is checked when the word is asked (see score).
     """
 
     def __init__(self, vectors: np.ndarray, candidate_ids: np.ndarray):
@@ -157,24 +134,40 @@ class _CandidateRows:
         check_finite(rows, "a candidate's vector")
         rows.flags.writeable = False
         self.vectors, self.rows = vectors, rows
-        self._query_norms = {}  # word id -> norm of its vector, as vecdist.cosine computes it
-
-    def query_norm(self, qid: int):
-        """norm(vectors[qid]) as a float vector, computed on the first ask of qid and kept.
-
-        Unchecked: it is 0 for a zero vector and NaN or inf for a
-        non-finite one (or one whose square overflows); cosine refuses 0.
-        """
-        a_norm = self._query_norms.get(qid)
-        if a_norm is None:
-            a_norm = self._query_norms[qid] = norm(np.asarray(self.vectors[qid], dtype=float))
-        return a_norm
 
     @cached_property
     def norms(self) -> np.ndarray:
         norms = nonzero_norms(self.rows)
         norms.flags.writeable = False
         return norms
+
+    @cached_property
+    def word_norms(self) -> np.ndarray:
+        """Every word's norm as vecdist.cosine computes it, unchecked: 0, NaN or inf as the row gives."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a row whose square overflows is inf here
+            word_norms = norm(np.asarray(self.vectors, dtype=float))
+        word_norms.flags.writeable = False
+        return word_norms
+
+    def score(self, qid: int, metric: str) -> np.ndarray:
+        """The distance of word qid to every candidate under vecdist.VECTOR_METRICS[metric].
+
+        A non-finite query vector raises NumericError. Under cosine, a
+        query whose kept norm is finite needs no check (a sum of squares
+        is finite only when every term is); one whose kept norm is not
+        computes it again under the caller's errstate and is checked, so
+        it warns and raises as a fresh computation does. A zero-norm
+        query or candidate raises in cosine.
+        """
+        d, vector = VECTOR_METRICS[metric], self.vectors[qid]
+        if metric != "cosine":
+            check_finite(vector, "the query's vector")
+            return d(vector, self.rows)
+        norms, a_norm = self.norms, self.word_norms[qid]
+        if not math.isfinite(a_norm):
+            a_norm = norm(np.asarray(vector, dtype=float))
+            check_finite(vector, "the query's vector")
+        return d(vector, self.rows, norms, a_norm=a_norm)
 
 
 # entries in a lexicon's memo: each kind on both candidate sets the program's entry points
@@ -192,10 +185,8 @@ def _prepared(lex: Lexicon, kind: str, candidate_ids: np.ndarray, vectors=None):
     owns its data (encode_all's codes, a loaded or trained
     EmbeddingMatrix's U, a raw matrix made so), and count only while built
     from that very array; a writeable array or a view is prepared on each
-    call. A kept entry also keeps the norm of each query word's vector
-    from that word's first cosine ask, while a per-call entry computes it
-    on every ask. A kept array is taken as fixed: editing it after making
-    it writeable again leaves the old rows and norms in place.
+    call. A kept array is taken as fixed: editing it after making it
+    writeable again leaves the old rows and norms in place.
     """
     if vectors is not None and (vectors.flags.writeable or vectors.base is not None):
         return _CandidateRows(vectors, candidate_ids)
@@ -210,40 +201,45 @@ def _prepared(lex: Lexicon, kind: str, candidate_ids: np.ndarray, vectors=None):
     return entry
 
 
+def _learned_rows(name: str, kind: str, model, lex: Lexicon, candidate_ids: np.ndarray) -> _CandidateRows:
+    """The prepared _CandidateRows of a learned metric's model for candidate_ids.
+
+    The model's lexicon binding is checked first; name is the metric's
+    name in a ConfigError for a missing model.
+    """
+    if model is None:
+        raise ConfigError(f"metric {name!r} needs a model in params")
+    if kind == "learned-Da":
+        if not isinstance(model, AutoencoderModel):
+            raise ConfigError("learned-Da expects an AutoencoderModel")
+        vectors = encode_all(model, lex)  # checks the lexicon binding
+    else:
+        if isinstance(model, EmbeddingMatrix):
+            lex.check_binding(model)
+        vectors = embedding_rows(model)
+        if vectors.shape[0] != len(lex):
+            raise BindingError(
+                f"embedding has {vectors.shape[0]} rows, but the lexicon has {len(lex)} words"
+            )
+    return _prepared(lex, kind, candidate_ids, vectors)
+
+
 def _scorer(spec: MetricSpec, lex: Lexicon, candidate_ids: np.ndarray):
     """score(query id, its Query of the candidates) -> its distance to every candidate under spec.
 
-    A learned spec is resolved here, before any query is scored: the
-    model's lexicon binding is checked and the candidates' rows (and, for
-    cosine, their norms) prepared. A cosine query's norm comes from the
-    prepared entry (_CandidateRows.query_norm), and only a query whose
-    norm is not finite needs its vector checked. A non-finite query or
-    candidate vector raises NumericError.
+    A learned spec is resolved here, before any query is scored: its
+    prepared entry is found or built (_learned_rows) and, for cosine, the
+    candidates' norms are checked nonzero. Each query is then scored by
+    that entry (_CandidateRows.score).
     """
     if spec.kind == "classical":
         score = _classical(spec)
         return lambda qid, query: score(query)
-    vectors = _learned_vectors(spec, lex)
+    candidates = _learned_rows(spec.name, spec.kind, spec.params.get("model"), lex, candidate_ids)
     metric = spec.params.get("vec_metric", "cosine")
-    d = vector_metric(metric)
-    candidates = _prepared(lex, spec.kind, candidate_ids, vectors)
-    rows = candidates.rows
-    if metric != "cosine":
-        def score(qid, query):
-            vector = vectors[qid]
-            check_finite(vector, "the query's vector")
-            return d(vector, rows)
-
-        return score
-    norms = candidates.norms
-
-    def score(qid, query):
-        vector, a_norm = vectors[qid], candidates.query_norm(qid)
-        if not math.isfinite(a_norm):  # a sum of squares is finite only when every term is
-            check_finite(vector, "the query's vector")
-        return d(vector, rows, norms, a_norm=a_norm)
-
-    return score
+    if metric == "cosine":
+        candidates.norms  # a zero candidate raises before the first query is scored
+    return lambda qid, query: candidates.score(qid, metric)
 
 
 def _rows(specs, lex: Lexicon, query_ids, candidate_ids):

@@ -23,9 +23,10 @@ a relative 2*gamma_(d+2).
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
-__all__ = ["l1", "l2", "cosine", "norm", "nonzero_norms", "check_finite", "VECTOR_METRICS", "vector_metric"]
+__all__ = ["l1", "l2", "cosine", "norm", "nonzero_norms", "check_finite", "VECTOR_METRICS",
+           "check_vec_metric"]
 
 # subscripts by the operands' ranks; explicit, so a 3-D operand is refused, never broadcast
 _DOT_SUBSCRIPTS = {(1, 1): "j,j->", (2, 1): "ij,j->i", (2, 2): "ij,ij->i"}
@@ -92,10 +93,9 @@ def check_finite(v, what: str):
 VECTOR_METRICS = {"L1": l1, "L2": l2, "cosine": cosine}
 
 
-def vector_metric(name: str):
-    try:
-        return VECTOR_METRICS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown vector metric {name!r}; choose from {sorted(VECTOR_METRICS)}"
-        ) from None
+def check_vec_metric(metric: str, vec_metric):
+    """ConfigError naming the choices unless vec_metric is a key of VECTOR_METRICS; metric reads it."""
+    if not isinstance(vec_metric, str) or vec_metric not in VECTOR_METRICS:
+        raise ConfigError(
+            f"metric {metric!r} has unknown vec_metric {vec_metric!r}; choose from {sorted(VECTOR_METRICS)}"
+        )

@@ -24,6 +24,7 @@ from wordsim.denoise import build_autoencoder, encode_all, train_autoencoder
 from wordsim.errors import BindingError, ConfigError, NumericError
 from wordsim.lexicon import Corpus
 from wordsim.neural import TrainConfig, init_network
+from wordsim.vecdist import VECTOR_METRICS
 
 from conftest import MALFORMED_ARRAYS, identity_codes, second_piece_write, wide_lexicon
 from oracles import context_windows_reference
@@ -444,6 +445,14 @@ class TestDistanceDc:
         for source in (rows, EmbeddingMatrix(U=rows, lexicon_fingerprint="")):
             with pytest.raises(ConfigError, match=re.escape(f"2-D array of word rows, got shape {shape}")):
                 distance_Dc(source, 0, 1)
+
+    @pytest.mark.parametrize("vec_metric", ["cosin", "l2", None, ["L1"]])
+    def test_an_unknown_vec_metric_names_the_choices(self, vec_metric):
+        message = f"metric 'Dc' has unknown vec_metric {vec_metric!r}; choose from {sorted(VECTOR_METRICS)}"
+        U = np.ones((3, 2))
+        for source in (U, EmbeddingMatrix(U=U, lexicon_fingerprint="")):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                distance_Dc(source, 0, 1, vec_metric)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row(self, bad):

@@ -480,7 +480,7 @@ class TestPreparedCandidates:
         assert lex._prepared[self.key(lex)].vectors is encode_all(loaded, lex)
 
     def assert_prepared_once(self, source, key, lex, monkeypatch):
-        """Repeated queries reuse one entry's read-only rows and norms, and each query's norm.
+        """Repeated queries reuse one entry's read-only rows and norms, and every word's norm.
 
         Nothing is checked again: a query whose kept norm is finite has only finite values.
         """
@@ -497,7 +497,7 @@ class TestPreparedCandidates:
                 nearest_standard(source, lex, q)
         assert lex._prepared[key] is prepared
         assert prepared.rows is rows and prepared.norms is norms
-        assert len(normed) == len(lex) - 1  # word 0's norm was kept by the first call
+        assert not normed  # the first call kept every word's norm
         assert not checked
 
     def test_repeated_calls_reuse_the_prepared_arrays(self, lex, monkeypatch):
@@ -528,13 +528,16 @@ class TestPreparedCandidates:
     def test_kept_query_norms_give_the_cosine_of_the_prepared_rows(self, lex, name):
         source, key = self.source(name, lex)
         n = len(lex.standard_ids)
-        for _ in range(2):  # the first round keeps each query's norm, the second reads it
+        for _ in range(2):  # the first ask keeps every word's norm, the others read it
             for q in range(len(lex)):
                 got = nearest_standard(source, lex, q, k=n)
                 entry = lex._prepared[key]
                 row = cosine(entry.vectors[q], entry.rows)
                 order = np.lexsort((lex.standard_array, row))
                 assert got == list(zip(lex.standard_array[order].tolist(), row[order].tolist()))
+        # the one pass over every word gives each word's own norm bit for bit
+        one_by_one = np.array([vecdist.norm(np.asarray(v, dtype=float)) for v in entry.vectors])
+        assert entry.word_norms.tobytes() == one_by_one.tobytes()
 
     def kept_rows_with(self, lex, word, value):
         """read_only_rows(lex) with the row of word set to value."""
@@ -569,6 +572,25 @@ class TestPreparedCandidates:
                     if q != never:
                         nearest_standard(rows, lex, q)
 
+    def test_a_word_whose_square_overflows_scores_as_a_fresh_computation(self, lex):
+        """Its kept norm is inf, so each ask computes it again: the same warnings and distances."""
+        word, candidates = lex.nonstandard_ids[0], lex.standard_array
+        rows = self.kept_rows_with(lex, word, 1e200)
+        nearest_standard(rows, lex, 0)  # keeps every word's norm, word's inf among them
+        assert lex._prepared[self.key(lex, "learned-Dc")].word_norms[word] == np.inf
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as asked:
+                warnings.simplefilter("always")
+                got = nearest_standard(rows, lex, word, k=len(candidates))
+            with warnings.catch_warnings(record=True) as computed:
+                warnings.simplefilter("always")
+                row = cosine(rows[word], rows[candidates])
+            assert [str(w.message) for w in asked] == [str(w.message) for w in computed]
+            order = np.lexsort((candidates, row))
+            assert [(i, d.hex()) for i, d in got] == [
+                (i, d.hex()) for i, d in zip(candidates[order].tolist(), row[order].tolist())
+            ]
+
     def test_alternating_da_and_dc_keep_both_entries(self, lex):
         (model, da_key), (rows, dc_key) = self.source("Da", lex), self.source("Dc-array", lex)
         nearest_standard(model, lex, 0)
@@ -602,24 +624,31 @@ class TestPreparedCandidates:
 
     @pytest.mark.parametrize("step", ["sgd_step", "train_autoencoder"])
     def test_a_stepped_model_ranks_as_its_reloaded_copy(self, lex, tmp_path, step):
+        """No norm, row or scorer kept from the weights before the step is read after it."""
         model, _ = trained_model(lex, epochs=5)
+        for metric in VECTOR_METRICS:  # every word's norm and each metric's rows are kept first
+            for q in range(len(lex)):
+                nearest_standard(model, lex, q, vec_metric=metric)
         before = [nearest_standard(model, lex, q) for q in range(len(lex))]
         prepared = lex._prepared[self.key(lex)]
         if step == "sgd_step":
             grads, _ = neural.backward(model.net, np.array([0, 3]), np.array([1, 2]))
             neural.sgd_step(model.net, grads, 0.5)
         else:
-            train_autoencoder(model, lex, TrainConfig(batch_size=4, learning_rate=0.5, epochs=2))
+            train_autoencoder(model, lex, TrainConfig(batch_size=4, learning_rate=0.5, epochs=1))
         assert model.net._codes is None
         after = [nearest_standard(model, lex, q) for q in range(len(lex))]
         assert lex._prepared[self.key(lex)] is not prepared
         assert after != before
         save_autoencoder(model, tmp_path / "ae.json")
-        reloaded = load_autoencoder(tmp_path / "ae.json")
+        # the reloaded copy is asked on a lexicon of its own, so nothing it reads was kept before
+        reloaded, fresh = load_autoencoder(tmp_path / "ae.json"), dataclasses.replace(lex)
+        n = len(lex.standard_ids)
         for metric in VECTOR_METRICS:
             for q in range(len(lex)):
-                got = nearest_standard(model, lex, q, k=4, vec_metric=metric)
-                assert got == nearest_standard(reloaded, lex, q, k=4, vec_metric=metric)
+                got = nearest_standard(model, lex, q, k=n, vec_metric=metric)
+                want = nearest_standard(reloaded, fresh, q, k=n, vec_metric=metric)
+                assert [(i, d.hex()) for i, d in got] == [(i, d.hex()) for i, d in want]
 
     def test_codes_computed_again_are_prepared_again(self, lex):
         model, _ = trained_model(lex, epochs=5)

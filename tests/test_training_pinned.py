@@ -13,8 +13,10 @@ in a child Python on one thread of OpenBLAS's ``Prescott`` kernels,
 which every x86-64 CPU executes, with numpy held to its baseline
 instructions, so the pins hold whatever the CPU offers and whatever
 kernels the test process itself uses. The C library's exp and log still
-pick their own code by CPU; the pins were recorded where they use FMA.
-Run as a script, this file prints the child's results as JSON.
+pick their own code by CPU, so the child also reports a probe of them
+(libm_probe), and each pin is compared with the value recorded on that
+code; a libm with no recorded pins fails and prints its probe. Run as a
+script, this file prints the child's results as JSON.
 """
 
 import hashlib
@@ -95,18 +97,33 @@ def combined_embedding_rows(context_lexicon, context_corpus):
     return {"embedding": digest(emb.U), "net": net_digest(ae.net)}
 
 
+def libm_probe():
+    """sha256 of exp and log over fixed grids, which tells which libm body numpy called."""
+    return digest(np.exp(np.linspace(-20.0, 20.0, 2**18)), np.log(np.linspace(1e-3, 1e3, 2**18)))
+
+
 def train_all():
-    """Every pinned training's results, by name."""
+    """Every pinned training's results, by name, and the libm probe of the process."""
     from conftest import make_context_corpus, make_context_lexicon, make_toy_lexicon
 
     context_lexicon = make_context_lexicon()
     context_corpus = make_context_corpus(context_lexicon)
     return {
+        "libm_probe": libm_probe(),
         "autoencoder_on_word_ids": autoencoder_on_word_ids(make_toy_lexicon()),
         "supervised_on_dense_rows": supervised_on_dense_rows(),
         "context_encoder": context_encoder(context_lexicon, context_corpus),
         "combined_embedding_rows": combined_embedding_rows(context_lexicon, context_corpus),
     }
+
+
+# x86-64 glibc runs exp and log on an FMA body where the CPU has FMA and AVX2 and on an SSE2
+# body otherwise, or under GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA,-AVX,-FMA4,-AVX512F;
+# the child's libm_probe names the body, and each pin is the value recorded on it
+LIBM_BODIES = {
+    "c469f839dc30c9970cd5c85bdf3ad9ea9445f7b7f74d240b6c19a070966ca91c": "fma",
+    "39443d469069466a9f88d33e938691842c9278066751846905f79584e5f9edb4": "sse2",
+}
 
 
 @pytest.fixture(scope="module")
@@ -117,15 +134,28 @@ def pinned():
     return json.loads(done.stdout)
 
 
-def test_autoencoder_on_word_ids(pinned):
+@pytest.fixture(scope="module")
+def body(pinned):
+    """The libm body the child ran on; a body with no recorded pins fails with its probe."""
+    probe = pinned["libm_probe"]
+    if probe not in LIBM_BODIES:
+        pytest.fail(f"no pins are recorded for this libm; its libm_probe is {probe}")
+    return LIBM_BODIES[probe]
+
+
+def test_autoencoder_on_word_ids(pinned, body):
     got = pinned["autoencoder_on_word_ids"]
     assert got["trace"] == [
         "0x1.0f57192e89fadp+2", "0x1.ddf7b2744edf8p+1", "0x1.b690cbf52b7bap+1"
     ]
-    assert got["net"] == "40aac4d3d984fccabea675dc5736f20a260b3d2590f36e304400bdeeb0063ed1"
+    assert got["net"] == {
+        "fma": "40aac4d3d984fccabea675dc5736f20a260b3d2590f36e304400bdeeb0063ed1",
+        "sse2": "3dab6283e7ff1fabedb27c74fe91cd5797155f5b4199751e2f1000e80aeccdff",
+    }[body]
 
 
-def test_supervised_on_dense_rows(pinned):
+def test_supervised_on_dense_rows(pinned, body):
+    """The same on both bodies; a body with no recorded pins still fails."""
     got = pinned["supervised_on_dense_rows"]
     assert got["trace"] == [
         "0x1.1c578c08fa489p+0", "0x1.15638676609c1p+0", "0x1.146c3910a73efp+0"
@@ -133,13 +163,20 @@ def test_supervised_on_dense_rows(pinned):
     assert got["net"] == "3941322efedaaab27d67c27966e2782e254d6f9a513466ebd2ee0b5c284ede55"
 
 
-def test_context_encoder(pinned):
+def test_context_encoder(pinned, body):
     got = pinned["context_encoder"]
     assert got["trace"] == [
-        "-0x1.76d45b45c15d0p+1", "-0x1.39e26a3dc02a0p+1", "-0x1.dc295edb3eb36p+0"
+        "-0x1.76d45b45c15d0p+1", "-0x1.39e26a3dc02a0p+1",
+        {"fma": "-0x1.dc295edb3eb36p+0", "sse2": "-0x1.dc295edb3eb38p+0"}[body],
     ]
-    assert got["embedding"] == "bf833acdac51d74d60f77b0c7ded429bfd09ac8bfa42736ddf806ad4ab697c38"
-    assert got["net"] == "ddc3ff5283a2bab7ba9a911e552056200224693cb0bc06e7c3a75701ae71b02e"
+    assert got["embedding"] == {
+        "fma": "bf833acdac51d74d60f77b0c7ded429bfd09ac8bfa42736ddf806ad4ab697c38",
+        "sse2": "d452d3ef73374bbac24f967f9d19f5a607532cde2a839644b6715104b19aa69d",
+    }[body]
+    assert got["net"] == {
+        "fma": "ddc3ff5283a2bab7ba9a911e552056200224693cb0bc06e7c3a75701ae71b02e",
+        "sse2": "4a3857021bf3ee1e8842838a6a241307e74b51016384a1fdf9f4d7043681c66f",
+    }[body]
 
 
 def test_context_trace_of_a_certain_prediction_is_positive_zero(context_lexicon):
@@ -156,9 +193,12 @@ def test_context_trace_of_a_certain_prediction_is_positive_zero(context_lexicon)
     assert all(math.copysign(1.0, x) == 1.0 for x in trace)
 
 
-def test_combined_embedding_rows(pinned):
+def test_combined_embedding_rows(pinned, body):
     got = pinned["combined_embedding_rows"]
-    assert got["embedding"] == "db004d11e85cf1826864be547caa770e43ac8d45940d76edc036a063a787eeb0"
+    assert got["embedding"] == {
+        "fma": "db004d11e85cf1826864be547caa770e43ac8d45940d76edc036a063a787eeb0",
+        "sse2": "20b0c61981465c9c6b1ad4c19a06d48c2983f6c8fa16d1f9ec7581b97314115e",
+    }[body]
     assert got["net"] == "e54bce4f3cb4fe3e18a674604b1164498e6684d49420ca6d05734d47abccced1"
 
 
