@@ -161,7 +161,11 @@ def _cmd_dist(args):
             raise WordsimError("--lexicon is required for learned metrics")
         lex = load_lexicon(args.lexicon)
         i, j = _word_id(lex, args.x), _word_id(lex, args.y)
-        value = float(evalharness.scores(_learned_spec(name, args), lex, [i], [j])[0, 0])
+        model = _learned_spec(name, args).params["model"]
+        if name == "Da":
+            value = denoise.distance_Da(model, lex, i, j, args.vec_metric)
+        else:
+            value = contextenc.distance_Dc(contextenc.bound_rows(model, lex), i, j, args.vec_metric)
     else:
         return _unknown_metric(name)
     print(f"{name}: {value}")

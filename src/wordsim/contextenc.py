@@ -15,7 +15,7 @@ import numpy as np
 
 from . import neural
 from .denoise import AutoencoderModel, encode_all, train_autoencoder
-from .errors import ConfigError
+from .errors import BindingError, ConfigError
 from .lexicon import Corpus, Lexicon, word_id, word_ids
 from .neural import Network, TrainConfig
 from .vecdist import VECTOR_METRICS, check_finite, check_vec_metric
@@ -30,6 +30,7 @@ __all__ = [
     "train_context",
     "train_combined",
     "embedding_rows",
+    "bound_rows",
     "distance_Dc",
     "save_embedding",
     "load_embedding",
@@ -236,6 +237,20 @@ def embedding_rows(source) -> np.ndarray:
     rows = source.U if isinstance(source, EmbeddingMatrix) else np.asarray(source, dtype=float)
     if rows.ndim != 2:
         raise ConfigError(f"a D_c source must be a 2-D array of word rows, got shape {rows.shape}")
+    return rows
+
+
+def bound_rows(source, lex: Lexicon) -> np.ndarray:
+    """embedding_rows(source), checked to be lex's word rows.
+
+    BindingError for an EmbeddingMatrix bound to another lexicon, or for
+    a row count other than |A|.
+    """
+    if isinstance(source, EmbeddingMatrix):
+        lex.check_binding(source)
+    rows = embedding_rows(source)
+    if rows.shape[0] != len(lex):
+        raise BindingError(f"embedding has {rows.shape[0]} rows, but the lexicon has {len(lex)} words")
     return rows
 
 

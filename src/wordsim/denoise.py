@@ -12,7 +12,7 @@ from . import neural
 from .errors import ConfigError
 from .lexicon import Lexicon, one_hot, word_id
 from .neural import Network, TrainConfig
-from .vecdist import check_vec_metric
+from .vecdist import VECTOR_METRICS, check_finite, check_vec_metric
 
 __all__ = [
     "AutoencoderModel",
@@ -145,11 +145,19 @@ def train_autoencoder(model: AutoencoderModel, lex: Lexicon, config: TrainConfig
 
 
 def distance_Da(model, lex, a_i: int, a_j: int, vec_metric: str = "cosine") -> float:
-    """Vector distance between the codes of two lexicon words, as eval ranks by it."""
-    # evalharness imports this module, so its scoring path is imported here
-    from .evalharness import MetricSpec, scores
-    spec = MetricSpec("Da", "learned-Da", {"model": model, "vec_metric": vec_metric})
-    return float(scores(spec, lex, [a_i], [a_j])[0, 0])
+    """Vector distance between the codes of two lexicon words, as eval ranks by it.
+
+    ConfigError for a vec_metric not in vecdist.VECTOR_METRICS or a model
+    that is not an AutoencoderModel, BindingError for one bound to another
+    lexicon, NumericError if either code is not finite.
+    """
+    check_vec_metric("Da", vec_metric)
+    i, j = word_id(a_i, len(lex)), word_id(a_j, len(lex))
+    if not isinstance(model, AutoencoderModel):
+        raise ConfigError("learned-Da expects an AutoencoderModel")
+    codes = encode_all(model, lex)
+    check_finite(codes[[i, j]], "the words' codes")
+    return float(VECTOR_METRICS[vec_metric](codes[i], codes[j]))
 
 
 def nearest_standard(source, lex, query_id: int, k: int = 5, vec_metric: str = "cosine"):
@@ -167,8 +175,6 @@ def nearest_standard(source, lex, query_id: int, k: int = 5, vec_metric: str = "
     infinite query or candidate vector, or a zero one under cosine,
     raises NumericError.
     """
-    # evalharness imports this module, so its scoring path is imported here
-    from .evalharness import _check_k, _learned_rows, _top_k
     _check_k(k)
     name = "Da" if isinstance(source, AutoencoderModel) else "Dc"
     check_vec_metric(name, vec_metric)
@@ -215,3 +221,7 @@ def load_autoencoder(path) -> AutoencoderModel:
     except KeyError as exc:
         raise ConfigError(f"model file lacks the field {exc}: {path}") from None
     return model
+
+
+# evalharness imports this module's names, so its scoring path is imported once they are defined
+from .evalharness import _check_k, _learned_rows, _top_k  # noqa: E402

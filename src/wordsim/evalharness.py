@@ -14,11 +14,12 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from . import editfam, gramfam, neural
+# contextenc's names are read at call time: contextenc imports denoise, which imports this
+# module once its own names are defined, so contextenc may be partly run when this module runs
+from . import contextenc, editfam, gramfam, neural
 from .candidates import CandidateTable, Query
 from .denoise import AutoencoderModel, encode_all
-from .contextenc import EmbeddingMatrix, embedding_rows
-from .errors import BindingError, ConfigError
+from .errors import ConfigError
 from .lexicon import Lexicon, _normalize, word_ids
 from .vecdist import VECTOR_METRICS, check_finite, check_vec_metric, nonzero_norms, norm
 
@@ -180,8 +181,8 @@ def _prepared(lex: Lexicon, kind: str, candidate_ids: np.ndarray, vectors=None):
 
     A "classical" entry is the CandidateTable of their words, a learned one
     the _CandidateRows of vectors. The memo keys an entry by (kind,
-    candidate id bytes) and drops the least recently used past
-    MEMO_ENTRIES. Learned rows are kept only when vectors is read-only and
+    candidate id bytes), those of lex.standard_array taken once per
+    lexicon, and drops the least recently used past MEMO_ENTRIES. Learned rows are kept only when vectors is read-only and
     owns its data (encode_all's codes, a loaded or trained
     EmbeddingMatrix's U, a raw matrix made so), and count only while built
     from that very array; a writeable array or a view is prepared on each
@@ -190,7 +191,7 @@ def _prepared(lex: Lexicon, kind: str, candidate_ids: np.ndarray, vectors=None):
     """
     if vectors is not None and (vectors.flags.writeable or vectors.base is not None):
         return _CandidateRows(vectors, candidate_ids)
-    key = (kind, candidate_ids.tobytes())
+    key = (kind, lex._standard_key if candidate_ids is lex.standard_array else candidate_ids.tobytes())
     entry = lex._prepared.pop(key, None)  # put back last: the memo runs from least to most recent
     if entry is None or (vectors is not None and entry.vectors is not vectors):
         entry = (CandidateTable(lex.word_of(c) for c in candidate_ids.tolist()) if vectors is None
@@ -214,13 +215,7 @@ def _learned_rows(name: str, kind: str, model, lex: Lexicon, candidate_ids: np.n
             raise ConfigError("learned-Da expects an AutoencoderModel")
         vectors = encode_all(model, lex)  # checks the lexicon binding
     else:
-        if isinstance(model, EmbeddingMatrix):
-            lex.check_binding(model)
-        vectors = embedding_rows(model)
-        if vectors.shape[0] != len(lex):
-            raise BindingError(
-                f"embedding has {vectors.shape[0]} rows, but the lexicon has {len(lex)} words"
-            )
+        vectors = contextenc.bound_rows(model, lex)
     return _prepared(lex, kind, candidate_ids, vectors)
 
 
@@ -297,9 +292,11 @@ def _top_k(distances, ids, k):
     covers every entry or the k-th smallest distance is NaN.
     """
     if k < len(distances):
-        kth = np.partition(distances, k - 1)[k - 1]
+        part = distances.copy()
+        part.partition(k - 1)
+        kth = part[k - 1]
         if not math.isnan(kth):
-            near = np.nonzero(distances <= kth)[0]
+            near = (distances <= kth).nonzero()[0]
             return near[np.lexsort((ids[near], distances[near]))[:k]]
     return np.lexsort((ids, distances))[:k]
 

@@ -71,6 +71,11 @@ class Lexicon:
         return _read_only(np.array(self.standard_ids, dtype=np.intp))
 
     @cached_property
+    def _standard_key(self) -> bytes:
+        """standard_array's bytes, the candidate part of its memo key, computed once."""
+        return self.standard_array.tobytes()
+
+    @cached_property
     def _digest(self) -> str:
         """sha256 of a line per word: the word, its flag and its standard id (-1 if none), tab-separated."""
         tails = ["\t1\t-1\n" if flag else "\t0\t-1\n" for flag in self.standard_flags]

@@ -81,7 +81,9 @@ def cosine(a, b, b_norms=None, a_norm=None):
     if na == 0.0:
         raise NumericError("cosine distance undefined for zero vectors")
     nb = nonzero_norms(b) if b_norms is None else b_norms
-    return 1.0 - _dots(b, a) / (na * nb)
+    s = _dots(b, a)
+    s /= na * nb  # in place on a row per candidate; a one-pair value is a scalar, divided anew
+    return np.subtract(1.0, s, out=s if s.ndim else None)
 
 
 def check_finite(v, what: str):

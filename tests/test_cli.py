@@ -658,6 +658,10 @@ class TestLearnedScoring:
         )
         assert rc == 3
         assert "lexicon" in capsys.readouterr().err
+        rc = main(["dist", "--metric", "Dc", "--embedding", models["Dc"], "--lexicon", str(other),
+                   "thng", "thing"])
+        assert rc == 3
+        assert "lexicon" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra_rows", [-1, 1])
     def test_nearest_embedding_of_the_wrong_row_count_exit_3(
@@ -670,6 +674,9 @@ class TestLearnedScoring:
         broken = tmp_path / "emb.json"
         contextenc.save_embedding(emb, broken)
         rc = main(["nearest", "--embedding", str(broken), "--lexicon", pairs, "--query", "thng"])
+        assert rc == 3
+        assert f"embedding has {rows} rows" in capsys.readouterr().err
+        rc = main(["dist", "--metric", "Dc", "--embedding", str(broken), "--lexicon", pairs, "thng", "thing"])
         assert rc == 3
         assert f"embedding has {rows} rows" in capsys.readouterr().err
 

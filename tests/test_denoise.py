@@ -291,6 +291,52 @@ class TestDistanceDa:
             with pytest.raises(IndexError, match=f"word id {bad} out of range"):
                 distance_Da(model, small_lexicon, *pair)
 
+    @pytest.mark.parametrize("metric", sorted(VECTOR_METRICS))
+    def test_equals_the_scores_entry_bit_for_bit(self, model, small_lexicon, metric):
+        """A pair scored alone equals its entry of a row against every word (vecdist's row-equals-pair)."""
+        spec = MetricSpec("Da", "learned-Da", {"model": model, "vec_metric": metric})
+        n = len(small_lexicon)
+        table = scores(spec, small_lexicon, range(n), range(n))
+        for i in range(n):
+            for j in range(n):
+                assert distance_Da(model, small_lexicon, i, j, metric).hex() == table[i, j].hex()
+
+    def test_leaves_the_prepared_standard_entry_in_place(self, model, small_lexicon):
+        lex = dataclasses.replace(small_lexicon)  # a memo of its own
+        nearest_standard(model, lex, 0)
+        entries = dict(lex._prepared)
+        for j in range(10):  # more distinct pairs than the memo holds entries
+            distance_Da(model, lex, 0, j)
+        assert list(lex._prepared) == list(entries)
+        assert all(lex._prepared[key] is entry for key, entry in entries.items())
+
+    def test_config_and_binding_errors(self, model, small_lexicon):
+        with pytest.raises(ConfigError, match="unknown vec_metric 'cosin'"):
+            distance_Da(model, small_lexicon, 0, 1, "cosin")
+        with pytest.raises(ConfigError, match="expects an AutoencoderModel"):
+            distance_Da(np.ones((len(small_lexicon), 4)), small_lexicon, 0, 1)
+        with pytest.raises(BindingError):
+            distance_Da(model, build_lexicon([("thng", "thing"), ("wter", "water")]), 0, 1)
+
+    @pytest.mark.parametrize("metric", sorted(VECTOR_METRICS))
+    @pytest.mark.parametrize("role", [0, 1])
+    def test_non_finite_code(self, small_lexicon, metric, role):
+        model = build_autoencoder(small_lexicon, code_size=4, depth=3, seed=0)
+        pair = (0, 3)
+        model.net.layers[0].W[1, pair[role]] = np.nan
+        with pytest.raises(NumericError, match="^non-finite value in the words' codes$"):
+            distance_Da(model, small_lexicon, *pair, metric)
+
+    @pytest.mark.parametrize("role", [0, 1])
+    def test_zero_code_under_cosine(self, small_lexicon, role):
+        model = build_autoencoder(small_lexicon, code_size=4, depth=3, seed=0)
+        pair = (0, 3)
+        model.net.layers[0].W[:, pair[role]] = 0.0
+        model.net.layers[0].b[:] = 0.0
+        with pytest.raises(NumericError, match="undefined for zero vectors"):
+            distance_Da(model, small_lexicon, *pair)
+        assert distance_Da(model, small_lexicon, *pair, "L2") >= 0.0
+
 
 class TestNearestStandard:
     def test_standard_query_ranks_itself_first(self, small_lexicon):
