@@ -275,9 +275,12 @@ def _cmd_eval(args):
     if not names:
         print("--metrics names no metric", file=sys.stderr)
         return EXIT_USAGE
-    for name in names:
+    for i, name in enumerate(names):
         if name not in CLASSICAL_METRICS and name not in ("Da", "Dc"):
             return _unknown_metric(name)
+        if name in names[:i]:
+            print(f"--metrics names {name!r} twice", file=sys.stderr)
+            return EXIT_USAGE
     lex = load_lexicon(args.lexicon)
     specs = []
     for name in names:

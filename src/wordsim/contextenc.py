@@ -160,9 +160,9 @@ def train_context(model: ContextModel, corpus: Corpus, config: TrainConfig) -> l
     # every sentence id is the target of its own window, so this checks them all before any step
     word_ids(targets, len(model.U))
 
-    def batch(idx):
+    def batch(idx, spare):
         ctx_b, tgt_b = contexts[idx], targets[idx]
-        grads, outs, dx = neural._backward_full(model.predictor, _gather(model, ctx_b), tgt_b)
+        grads, outs, dx = neural._backward_full(model.predictor, _gather(model, ctx_b), tgt_b, spare)
         # scatter the input gradient back onto the embedding rows
         dslices = dx.reshape(len(idx), model.window, model.n_embed)
         step = config.learning_rate / len(idx)

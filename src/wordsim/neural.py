@@ -17,6 +17,13 @@ out[i, ids[i]] and the output delta subtracts 1 there. Both give the
 one-hot results bit for bit, since a one-hot product adds only exact
 zeros; repeated input ids sum their deltas in another order. An id
 outside [0, d) raises IndexError.
+
+A training step holds one batch's large arrays. train_epochs keeps a
+spare dict across its steps, and backward writes each step's dense
+weight gradients, output activation and output delta into the arrays
+that the step before it consumed (see _spare_array), so no step frees
+an array that the next one allocates again. The results are those of
+freshly allocated arrays, bit for bit.
 """
 
 import base64
@@ -231,19 +238,45 @@ def _is_ids(a) -> bool:
     return isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"
 
 
-def _affine(layer: DenseLayer, a) -> np.ndarray:
-    """a @ W.T + b, for float rows or for the one-hot rows that word ids stand for."""
+def _affine(layer: DenseLayer, a, out=None) -> np.ndarray:
+    """a @ W.T + b, for float rows or for the one-hot rows that word ids stand for.
+
+    The product of float rows is written into out if it is given.
+    """
     if _is_ids(a):
         # a C-ordered gather, as the product eye[ids] @ W.T is
         z = layer.W.T[word_ids(a, layer.in_dim)]
     else:
-        z = a @ layer.W.T
+        z = np.matmul(a, layer.W.T, out=out)
     z += layer.b
     return z
 
 
-def forward(net: Network, x) -> list:
-    """Activations of every layer; the last entry is the network output."""
+def _spare_array(spare: dict, key, shape) -> np.ndarray:
+    """The array spare[key], to write a result of the given shape into.
+
+    A key spare lacks gets a new array, which spare keeps for the next
+    step. The batch arrays "out" and "delta" may have more rows than the
+    batch, as a short last batch finds them, and give their leading rows.
+    Any other shape raises ValueError, before the array is written.
+    """
+    a = spare.get(key)
+    if a is None:
+        a = spare[key] = np.empty(shape)
+    if key in ("out", "delta") and a.shape[1:] == shape[1:] and len(a) >= shape[0]:
+        return a[: shape[0]]
+    if a.shape != shape:
+        raise ValueError(f"spare array {key!r} has shape {a.shape}, the step needs {shape}")
+    return a
+
+
+def forward(net: Network, x, spare=None) -> list:
+    """Activations of every layer; the last entry is the network output.
+
+    Given a spare dict (see backward) and a batch of 2-D rows, the output
+    layer's logits are written into its "out" array, unless that layer
+    reads word ids, which it gathers.
+    """
     if _is_ids(x):
         a = x
     else:
@@ -254,7 +287,10 @@ def forward(net: Network, x) -> list:
             )
     outs = []
     for layer in net.layers:
-        a = _apply(layer.activation, _affine(layer, a))
+        out = None
+        if spare is not None and layer is net.layers[-1] and not _is_ids(a):
+            out = _spare_array(spare, "out", (len(a), layer.out_dim))
+        a = _apply(layer.activation, _affine(layer, a, out))
         outs.append(a)
     # a softmax has already refused non-finite logits, and finite ones give finite outputs
     if net.layers[-1].activation != "softmax" and not np.all(np.isfinite(a)):
@@ -280,22 +316,32 @@ def loss_value(output, target) -> float:
     return float(np.mean(-np.sum(target * np.log(np.clip(output, 1e-300, None)), axis=-1)))
 
 
-def backward(net: Network, x, target):
+def backward(net: Network, x, target, spare=None):
     """Analytic gradients of the mean batch cross-entropy for every (W, b).
 
     Returns ``(grads, outputs)`` where grads is a list of (dW, db) pairs
     aligned with net.layers. For word-id inputs the first dW is a
-    ColumnGrad.
+    ColumnGrad, new on every call.
+
+    spare is a dict that keeps a step's large arrays for the next one:
+    every dense dW and db, the output activation and the output delta are
+    written into its arrays, which it gains on the first call. So the
+    returned dense gradients and output are spare's arrays, and the next
+    call with the same spare overwrites them: pass it again only once they
+    are consumed, as train_epochs does after sgd_step. A spare array of
+    another shape raises ValueError (see _spare_array). Without spare,
+    every array is new.
     """
-    grads, outs, _ = _backward_full(net, x, target)
+    grads, outs, _ = _backward_full(net, x, target, spare)
     return grads, outs
 
 
-def _backward_full(net: Network, x, target):
+def _backward_full(net: Network, x, target, spare=None):
     """backward's gradients and outputs, plus the input gradient (None for id inputs)."""
+    spare = {} if spare is None else spare
     ids = _is_ids(x)
     x2 = x if ids else np.atleast_2d(np.asarray(x, dtype=float))
-    outs = forward(net, x2)  # checks the range of input ids before the scatter below reads them
+    outs = forward(net, x2, spare)  # checks the range of input ids before the scatter below reads them
     out = outs[-1]
     batch = out.shape[0]
     if _is_ids(target):
@@ -307,24 +353,26 @@ def _backward_full(net: Network, x, target):
 
     if net.layers[-1].activation != "softmax":
         raise ValueError("cross-entropy requires a softmax output layer")
+    delta = _spare_array(spare, "delta", out.shape)
     if t2.ndim == 1:
-        delta = out.copy()
+        np.copyto(delta, out)
         delta[np.arange(batch), t2] -= 1.0
     else:
-        delta = out - t2
+        np.subtract(out, t2, out=delta)
 
     grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
         if i == 0 and ids:
             dW = _column_grad(x2, delta, batch)
         else:
             inputs = outs[i - 1] if i > 0 else x2
-            dW = delta.T @ inputs
+            dW = np.matmul(delta.T, inputs, out=_spare_array(spare, ("dW", i), layer.W.shape))
             dW /= batch
-        db = np.mean(delta, axis=0)
+        db = np.mean(delta, axis=0, out=_spare_array(spare, ("db", i), layer.b.shape))
         grads[i] = (dW, db)
         if i > 0:
-            delta = delta @ net.layers[i].W
+            delta = delta @ layer.W
             prev = outs[i - 1]
             if net.layers[i - 1].activation == "sigmoid":
                 delta = delta * prev * (1.0 - prev)
@@ -405,9 +453,11 @@ def train_epochs(net: Network, n: int, config: TrainConfig, batch) -> list:
     """Minibatch SGD over n examples; returns the per-epoch mean loss trace.
 
     Each epoch visits the examples in a seeded shuffled order, batch_size
-    at a time. batch(idx) returns the gradients and outputs of net and
-    the targets for the examples idx; the loop adds up their loss and
-    steps net. Anything else a batch moves, batch steps itself.
+    at a time. batch(idx, spare) returns the gradients and outputs of net
+    and the targets for the examples idx, taking its gradients from
+    backward with spare, the one dict this loop keeps across its steps;
+    the loop adds up their loss and steps net. Anything else a batch
+    moves, batch steps itself.
     """
     if n == 0:
         raise ConfigError("no training examples")
@@ -415,14 +465,17 @@ def train_epochs(net: Network, n: int, config: TrainConfig, batch) -> list:
     net.check_finite()
     rng = np.random.default_rng(config.seed)
     trace = []
+    spare = {}
     for _ in range(config.epochs):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            grads, outs, target = batch(idx)
+            grads, outs, target = batch(idx, spare)
             total += loss_value(outs[-1], target) * len(idx)
             sgd_step(net, grads, config.learning_rate)
+            # drop the rest of the finished batch: only spare's arrays live into the next one
+            del grads, outs, target
         loss = total / n
         if not math.isfinite(loss):
             raise NumericError("training loss became non-finite")
@@ -439,7 +492,9 @@ def train_supervised(net, X, Y, config: TrainConfig) -> list:
     for name, a in (("inputs", X), ("targets", Y)):
         if not _is_ids(a) and not np.all(np.isfinite(a)):
             raise NumericError(f"non-finite training {name}")
-    return train_epochs(net, X.shape[0], config, lambda idx: (*backward(net, X[idx], Y[idx]), Y[idx]))
+    return train_epochs(
+        net, X.shape[0], config, lambda idx, spare: (*backward(net, X[idx], Y[idx], spare), Y[idx])
+    )
 
 
 def encode_array(a) -> dict:

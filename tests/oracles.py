@@ -10,20 +10,25 @@ writes a ColumnGrad out as the full weight gradient it stands for.
 The loop and np.add.at builders that the library replaced with array
 passes stay here as the references those passes must equal bit for bit:
 the first layer's column gradient, the context windows, the corpus
-loader and the lexicon fingerprint's text.
+loader and the lexicon fingerprint's text. So does the training step
+that allocated every array anew, which the steps that write into the
+arrays of the step before them must equal bit for bit.
 """
 
 import hashlib
+import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 
+from wordsim import contextenc, neural
 from wordsim.contextenc import PAD
-from wordsim.errors import WordsimError
+from wordsim.errors import ConfigError, NumericError, WordsimError
 from wordsim.lexicon import Corpus, _lines, _normalize
-from wordsim.neural import ColumnGrad, backward, forward, loss_value
+from wordsim.neural import ColumnGrad, backward, forward, loss_value, sgd_step
 
 
 def all_strings(alphabet, max_len):
@@ -171,6 +176,90 @@ def column_grad_reference(ids, delta, batch) -> ColumnGrad:
     rows = np.zeros((len(cols), delta.shape[1]))
     np.add.at(rows, where, delta / batch)
     return ColumnGrad(cols, rows)
+
+
+def backward_full_reference(net, x, target):
+    """neural._backward_full with every array of the step new: its gradients, outputs and input gradient."""
+    ids = neural._is_ids(x)
+    x2 = x if ids else np.atleast_2d(np.asarray(x, dtype=float))
+    outs = forward(net, x2)
+    out = outs[-1]
+    batch = out.shape[0]
+    if neural._is_ids(target):
+        t2 = neural._target_ids(target, out)
+    else:
+        t2 = np.atleast_2d(np.asarray(target, dtype=float))
+        if t2.shape != out.shape:
+            raise ValueError(f"target shape {t2.shape} != output shape {out.shape}")
+    if net.layers[-1].activation != "softmax":
+        raise ValueError("cross-entropy requires a softmax output layer")
+    if t2.ndim == 1:
+        delta = out.copy()
+        delta[np.arange(batch), t2] -= 1.0
+    else:
+        delta = out - t2
+    grads = [None] * len(net.layers)
+    for i in range(len(net.layers) - 1, -1, -1):
+        if i == 0 and ids:
+            dW = neural._column_grad(x2, delta, batch)
+        else:
+            inputs = outs[i - 1] if i > 0 else x2
+            dW = delta.T @ inputs
+            dW /= batch
+        db = np.mean(delta, axis=0)
+        grads[i] = (dW, db)
+        if i > 0:
+            delta = delta @ net.layers[i].W
+            prev = outs[i - 1]
+            if net.layers[i - 1].activation == "sigmoid":
+                delta = delta * prev * (1.0 - prev)
+            elif net.layers[i - 1].activation == "softmax":
+                raise ValueError("softmax is only supported as the final layer")
+    dx = None if ids else delta @ net.layers[0].W
+    return grads, outs, dx
+
+
+@neural._numeric_guard()
+def train_epochs_reference(net, n, config, batch):
+    """neural.train_epochs where batch(idx) allocates its own arrays, kept until the next batch returns."""
+    if n == 0:
+        raise ConfigError("no training examples")
+    net.check_finite()
+    rng = np.random.default_rng(config.seed)
+    trace = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            grads, outs, target = batch(idx)
+            total += loss_value(outs[-1], target) * len(idx)
+            sgd_step(net, grads, config.learning_rate)
+        loss = total / n
+        if not math.isfinite(loss):
+            raise NumericError("training loss became non-finite")
+        trace.append(loss)
+    return trace
+
+
+def train_supervised_reference(net, X, Y, config):
+    """neural.train_supervised over float rows or word ids, each step allocating its own arrays."""
+    return train_epochs_reference(
+        net, len(X), config, lambda idx: (*backward_full_reference(net, X[idx], Y[idx])[:2], Y[idx])
+    )
+
+
+def train_context_reference(model, corpus, config):
+    """contextenc.train_context run through train_epochs_reference and backward_full_reference."""
+
+    def loop(net, n, config, batch):
+        return train_epochs_reference(net, n, config, lambda idx: batch(idx, None))
+
+    def full(net, x, target, spare):
+        return backward_full_reference(net, x, target)
+
+    with mock.patch.object(neural, "train_epochs", loop), mock.patch.object(neural, "_backward_full", full):
+        return contextenc.train_context(model, corpus, config)
 
 
 def context_windows_reference(corpus, window):

@@ -473,12 +473,29 @@ class TestEval:
         assert not report.exists()
 
     @pytest.mark.parametrize(
+        "metrics,model", [("levenshtein,levenshtein,lcs", None), ("Da,dice,Da", "Da"), ("Dc,Dc", "Dc")]
+    )
+    def test_metric_named_twice_exit_2(self, tmp_path, capsys, metrics, model):
+        # refused before the lexicon or a model is read: neither file exists
+        repeated = metrics.split(",")[0]
+        report = tmp_path / "report.json"
+        argv = ["eval", "--lexicon", str(tmp_path / "missing.tsv"), "--metrics", metrics, "--out", str(report)]
+        if model == "Da":
+            argv += ["--model", str(tmp_path / "missing-model.json")]
+        elif model == "Dc":
+            argv += ["--embedding", str(tmp_path / "missing-embedding.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"--metrics names {repeated!r} twice\n" and captured.out == ""
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
         "argv,stdout",
         [
             (
-                ["--metrics", "levenshtein,levenshtein,dice", "--ks", "1,2,5"],
+                ["--metrics", "levenshtein,lcs,dice", "--ks", "1,2,5"],
                 "levenshtein: acc@1=96.67%  acc@2=100.00%  acc@5=100.00%\n"
-                "levenshtein: acc@1=96.67%  acc@2=100.00%  acc@5=100.00%\n"
+                "lcs: acc@1=98.33%  acc@2=100.00%  acc@5=100.00%\n"
                 "dice: acc@1=96.67%  acc@2=100.00%  acc@5=100.00%\n",
             ),
             (
@@ -495,7 +512,7 @@ class TestEval:
                 "qgram: acc@1=85.00%  acc@3=95.00%\n",
             ),
         ],
-        ids=["repeated-names", "all-classical-n3"],
+        ids=["listed-order", "all-classical-n3"],
     )
     def test_stdout_is_pinned(self, pairs_file, argv, stdout, capsys):
         # the lines as the metric-by-metric evaluation printed them, byte for byte

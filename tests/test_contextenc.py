@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import re
@@ -27,7 +28,7 @@ from wordsim.neural import TrainConfig, init_network
 from wordsim.vecdist import VECTOR_METRICS
 
 from conftest import MALFORMED_ARRAYS, identity_codes, second_piece_write, wide_lexicon
-from oracles import context_windows_reference
+from oracles import context_windows_reference, train_context_reference
 
 
 def zeroed(model):
@@ -210,6 +211,28 @@ class TestTrainContext:
             with pytest.raises(IndexError, match=f"word id {bad} out of range"):
                 train_context(model, corpus, TrainConfig(batch_size=8, epochs=1, seed=seed))
             assert snapshot() == before, seed
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        sentences=st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=6), min_size=1, max_size=8),
+        window=st.integers(1, 3),
+        batch_size=st.integers(1, 9),
+        epochs=st.integers(1, 2),
+        seed=st.integers(0, 5),
+    )
+    def test_training_equals_the_allocating_loop(self, context_lexicon, sentences, window, batch_size, epochs, seed):
+        # every sentence's first window holds PAD; few ids, so rows repeat within a batch
+        corpus = Corpus(sentences=tuple(map(tuple, sentences)))
+        model = build_context_model(context_lexicon, n_embed=3, window=window, hidden_size=4, seed=seed)
+        reference = copy.deepcopy(model)
+        config = TrainConfig(batch_size=batch_size, learning_rate=0.5, epochs=epochs, seed=seed)
+        trace = train_context(model, corpus, config)
+        want = train_context_reference(reference, corpus, config)
+        assert np.array(trace).tobytes() == np.array(want).tobytes()
+        state = lambda m: [m.U.tobytes(), m.pad_vec.tobytes()] + [  # noqa: E731
+            a.tobytes() for l in m.predictor.layers for a in (l.W, l.b)
+        ]
+        assert state(model) == state(reference)
 
     def test_repeated_sentence_memorized(self, context_lexicon):
         sent = tuple(context_lexicon.id_of(w) for w in ["the", "dog", "is", "very", "happy"])

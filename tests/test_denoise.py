@@ -227,13 +227,20 @@ class TestTrain:
         # |A| = 2000: one |A| x |A| float64 matrix is 32 MB, which training on ids never builds
         lex = build_lexicon([(f"v{i:04d}", f"s{i:04d}") for i in range(1000)])
         model = build_autoencoder(lex, code_size=11, depth=3, seed=0)
+        config = TrainConfig(epochs=1)
         tracemalloc.start()
         try:
-            train_autoencoder(model, lex, TrainConfig(epochs=1))
+            train_autoencoder(model, lex, config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < len(lex) ** 2 * 8
+        # a step holds one batch's large arrays: its B x |A| output and delta and the output
+        # layer's dense dW; a step that still held the one before it would exceed this bound
+        weights = sum(layer.W.nbytes + layer.b.nbytes for layer in model.net.layers)
+        output = model.net.layers[-1]
+        step = 2 * config.batch_size * len(lex) * 8 + output.W.nbytes + output.b.nbytes
+        assert peak < weights + 1.25 * step
 
     def test_empty_pair_set_rejected(self):
         from wordsim.lexicon import Lexicon

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from fractions import Fraction
@@ -27,7 +28,12 @@ from wordsim.neural import (
     train_supervised,
 )
 
-from oracles import column_grad_reference, dense_gradient, gradient_check
+from oracles import (
+    column_grad_reference,
+    dense_gradient,
+    gradient_check,
+    train_supervised_reference,
+)
 
 rng = np.random.default_rng(7)
 
@@ -461,6 +467,89 @@ class TestColumnStep:
         delta = np.array(data.draw(st.lists(row, min_size=len(ids), max_size=len(ids))))
         got = neural._column_grad(ids, delta.copy(), len(ids))
         assert_same_column_grad(got, column_grad_reference(ids, delta, len(ids)))
+
+
+def parameters(net):
+    return [a.tobytes() for layer in net.layers for a in (layer.W, layer.b)]
+
+
+class TestStepArrays:
+    """A step writes its large arrays into those of the step before it, with the results of new ones."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        data=st.data(),
+        widths=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+        id_inputs=st.booleans(),
+        id_targets=st.booleans(),
+        n=st.integers(1, 23),
+        batch_size=st.integers(1, 9),
+        epochs=st.integers(1, 2),
+        seed=st.integers(0, 5),
+    )
+    def test_training_equals_the_allocating_loop(
+        self, data, widths, id_inputs, id_targets, n, batch_size, epochs, seed
+    ):
+        # few input ids over many examples, so batches repeat ids; n need not divide into batches
+        widths[-1] = max(widths[-1], 2)
+        activation = st.sampled_from(["sigmoid", "identity"])
+        hidden = data.draw(st.lists(activation, min_size=len(widths) - 2, max_size=len(widths) - 2))
+        r = np.random.default_rng(seed)
+        net = init_network(widths, hidden + ["softmax"], r)
+        reference = copy.deepcopy(net)
+        X = r.integers(0, widths[0], n) if id_inputs else r.normal(size=(n, widths[0]))
+        if id_targets:
+            Y = r.integers(0, widths[-1], n)
+        else:
+            Y = np.array([distribution(r, widths[-1]) for _ in range(n)])
+        config = TrainConfig(batch_size=batch_size, learning_rate=0.5, epochs=epochs, seed=seed)
+        trace = train_supervised(net, X, Y, config)
+        want = train_supervised_reference(reference, X, Y, config)
+        assert np.array(trace).tobytes() == np.array(want).tobytes()
+        assert parameters(net) == parameters(reference)
+
+    def test_a_step_returns_the_arrays_it_was_handed(self):
+        net, spare = id_net(), {}
+        dense = lambda grads: [grads[0][1]] + [a for pair in grads[1:] for a in pair]  # noqa: E731
+        first, first_outs = backward(net, np.array([1, 4, 4]), np.array([0, 2, 8]), spare)
+        second, second_outs = backward(net, np.array([3, 3, 5]), np.array([7, 7, 1]), spare)
+        assert len(dense(second)) == 5 and all(a is b for a, b in zip(dense(second), dense(first)))
+        assert second_outs[-1].base is first_outs[-1].base is spare["out"]
+        # the first layer's column set changes from batch to batch, so its gradient is new
+        assert isinstance(second[0][0], neural.ColumnGrad) and second[0][0] is not first[0][0]
+        assert second[0][0].cols.tolist() == [3, 5]
+        # a short batch writes into the leading rows of the batch arrays
+        _, short_outs = backward(net, np.array([2]), np.array([6]), spare)
+        assert short_outs[-1].base is spare["out"] and len(short_outs[-1]) == 1
+
+    @pytest.mark.parametrize(
+        "key,shape",
+        [(("dW", 2), (9, 3)), (("db", 1), (5,)), ("out", (2, 9)), ("delta", (3, 8))],
+        ids=["dW", "db", "out-rows", "delta-width"],
+    )
+    def test_a_mis_shaped_spare_array_raises_before_any_weight_moves(self, key, shape):
+        net = id_net()
+        before = parameters(net)
+
+        def batch(idx, spare):
+            spare[key] = np.empty(shape)
+            return (*backward(net, idx, idx, spare), idx)
+
+        with pytest.raises(ValueError, match=f"spare array {re.escape(repr(key))} has shape"):
+            neural.train_epochs(net, 9, TrainConfig(batch_size=3, epochs=1), batch)
+        assert parameters(net) == before
+
+    def test_the_loop_hands_every_batch_one_spare(self):
+        # it keeps the dense gradients and the output layer's arrays, and no first-layer ColumnGrad
+        net, seen = id_net(), []
+
+        def batch(idx, spare):
+            seen.append(spare)
+            return (*backward(net, idx, idx, spare), idx)
+
+        neural.train_epochs(net, 9, TrainConfig(batch_size=4, epochs=2), batch)
+        assert len(seen) == 6 and all(s is seen[0] for s in seen)
+        assert set(seen[0]) == {"out", "delta", ("db", 0), ("dW", 1), ("db", 1), ("dW", 2), ("db", 2)}
 
 
 class TestNumericAborts:
