@@ -285,7 +285,7 @@ def load_embedding(path) -> EmbeddingMatrix:
     U is read-only and owns its data, so scoring keeps its candidates'
     rows prepared (see evalharness._prepared). Edit a copy.
     """
-    data = neural._read_json(path)
+    data = neural._read_json(path, lambda data: [data.get("rows")])
     if data.get("kind") != "embedding":
         raise ConfigError(f"not an embedding file: {path}")
     neural.check_format_version(data, "embedding")

@@ -203,7 +203,7 @@ def save_autoencoder(model: AutoencoderModel, path, extra_metadata=None):
 
 def load_autoencoder(path) -> AutoencoderModel:
     """The model saved at path; ConfigError if a stored shape key disagrees with the layers."""
-    data = neural._read_json(path)
+    data = neural._read_json(path, lambda data: neural._network_arrays(data.get("network")))
     if data.get("kind") != "autoencoder":
         raise ConfigError(f"not an autoencoder model file: {path}")
     try:

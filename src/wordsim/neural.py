@@ -27,11 +27,14 @@ freshly allocated arrays, bit for bit.
 """
 
 import base64
+import binascii
 import json
 import math
 import numbers
 import os
+import re
 import shutil
+import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -503,14 +506,26 @@ def encode_array(a) -> dict:
     return {"shape": list(a.shape), "f8le": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
+class _Decoded:
+    """An array that _read_json decoded from the file, where its encode_array object stood."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array):
+        self.array = array
+
+
 def decode_array(value, field: str, ndim: int) -> np.ndarray:
     """The ndim-dimensional float64 array an encode_array object holds.
 
     A list is a format-1 array stored as nested numbers and is read as
-    such. Anything malformed, a NaN or infinite value included, raises
-    ConfigError naming the field.
+    such; a _Decoded from _read_json is taken as it is. Anything
+    malformed, a NaN or infinite value included, raises ConfigError
+    naming the field.
     """
-    if isinstance(value, list):
+    if isinstance(value, _Decoded):
+        a = value.array
+    elif isinstance(value, list):
         try:
             a = np.array(value, dtype=float)
         except (TypeError, ValueError):
@@ -606,16 +621,175 @@ def network_from_dict(data: dict) -> Network:
     return net
 
 
-def _read_json(path) -> dict:
-    """The JSON object stored at path; ConfigError if the file holds anything else."""
+def _network_arrays(network):
+    """The values network_from_dict passes to decode_array, as far as network is shaped for it."""
+    layers = network.get("layers") if isinstance(network, dict) else None
+    for layer in layers if isinstance(layers, list) else ():
+        if isinstance(layer, dict):
+            yield layer.get("weights")
+            yield layer.get("biases")
+
+
+def _read_json(path, slots=lambda data: ()) -> dict:
+    """The JSON object stored at path; ConfigError if the file holds anything else.
+
+    This is the one reader of model, embedding and report files. It reads
+    the file in pieces, and each array written in _json_pieces's layout is
+    decoded straight into an array of its shape, which stands in the
+    result as a _Decoded for decode_array. So a load holds the arrays and
+    about one piece of the file. slots(data) gives the values the caller
+    passes to decode_array. A file that this does not read to what
+    json.load gives is read again whole by _read_whole, which raises the
+    ConfigError of a malformed file: an array in the writer's layout that
+    is not exactly one, text around the arrays that does not parse, or a
+    decoded array that is not in a slot.
+    """
+    with open(path, "rb") as fh:
+        data = _read_pieces(_Pieces(fh), slots)
+    return _read_whole(path) if data is None else data
+
+
+def _read_whole(path) -> dict:
+    """_read_json through json.load, holding the file's whole text."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # also a file that is not UTF-8
+        except (ValueError, RecursionError) as exc:  # also a file not UTF-8 or nested too deep
             raise ConfigError(f"not a JSON file: {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"not a JSON object: {path}")
     return data
+
+
+# the opening of an array object as _json_pieces writes it: its shape as
+# json.dumps writes a list of ints, each of at most 18 digits so that int()
+# and numpy hold it, then the start of its base64 string
+_ARRAY_OPENING = b'{"shape": ['
+_DIMENSION = rb"(?:0|[1-9][0-9]{0,17})"
+_ARRAY_HEAD = re.compile(rb'\{"shape": \[(%s(?:, %s)*)?\], "f8le": "' % (_DIMENSION, _DIMENSION))
+# the number that stands in the text for a decoded array; json.loads hands its text to parse_float
+_MARKER = "-0.0E-0"
+
+
+class _Pieces:
+    """An open binary file read one piece at a time: buf[pos:] is read and not yet taken.
+
+    A piece is as many bytes as _json_pieces writes for PIECE_BYTES of an array.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.step = 4 * PIECE_BYTES // 3
+        self.buf = b""
+        self.pos = 0
+        self.left = os.fstat(fh.fileno()).st_size  # bytes of the file from buf[pos] on
+        self.eof = False
+        self.more()
+
+    def more(self) -> bool:
+        """Append the next piece of the file to buf; False if the file has ended."""
+        if self.eof:
+            return False
+        chunk = self.fh.read(self.step)
+        self.buf, self.pos = self.buf[self.pos :] + chunk, 0
+        self.eof = len(chunk) < self.step  # a buffered read is short only at the end
+        return bool(chunk)
+
+    def take(self, end: int) -> bytes:
+        """buf[pos:end], taken."""
+        taken, self.pos = self.buf[self.pos : end], end
+        self.left -= len(taken)
+        return taken
+
+
+def _read_pieces(pieces: _Pieces, slots):
+    """The object _read_json reads from pieces, or None if the file must be read whole."""
+    text, arrays, marker = [], [], _MARKER.encode("ascii")
+    while True:
+        start = pieces.buf.find(_ARRAY_OPENING, pieces.pos)
+        found = start >= 0
+        if not found:  # keep what may be the start of an opening that the next piece completes
+            start = max(len(pieces.buf) - len(_ARRAY_OPENING) + 1, pieces.pos)
+        text.append(pieces.take(start))
+        # an array's head is matched with a piece's worth of text after its opening at hand
+        if not pieces.eof and (not found or len(pieces.buf) - start < pieces.step):
+            pieces.more()
+            continue
+        if not found:
+            text.append(pieces.take(len(pieces.buf)))
+            break
+        head = _ARRAY_HEAD.match(pieces.buf, start)
+        if head is None:  # not the writer's layout, or a head longer than a piece: text
+            text.append(pieces.take(start + 1))
+            continue
+        pieces.take(head.end())
+        shape = [int(n) for n in head[1].split(b", ")] if head[1] else []
+        array = _decode_pieces(pieces, shape)
+        if array is None:
+            return None
+        arrays.append(array)
+        text.append(b" " + marker + b" ")
+    text = b"".join(text)
+    # every marker in the text is one of ours, so the i-th number read as one is the i-th array
+    if text.count(marker) != len(arrays):
+        return None
+    decoded = iter(arrays)
+    # json.loads builds a decoder for any keyword, so a file without arrays gets none
+    hooks = {"parse_float": lambda s: _Decoded(next(decoded)) if s == _MARKER else float(s)}
+    try:
+        data = json.loads(text.decode("utf-8"), **(hooks if arrays else {}))
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(data, dict):
+        return None
+    if arrays and sum(isinstance(v, _Decoded) for v in slots(data)) != len(arrays):
+        return None  # an array that a duplicate key dropped, or one where no slot is
+    return data
+
+
+def _decode_pieces(pieces: _Pieces, shape):
+    """The array of the given shape whose base64 string and closing '"}' pieces reads next.
+
+    None if the text there is not exactly that, or if the rest of the file
+    could not hold its bytes, which is checked before the array is made.
+    """
+    size = 8 * math.prod(shape)
+    if 4 * -(-size // 3) + 2 > pieces.left:
+        return None
+    try:
+        a = np.empty(shape)
+    except ValueError:  # an empty array with more elements than numpy can index
+        return None
+    out = memoryview(a.reshape(-1)).cast("B")
+    filled, padded = 0, False
+    while True:
+        end = pieces.buf.find(b'"', pieces.pos)
+        last = end >= 0
+        if not last:  # whole groups of 4 characters decode on their own
+            end = pieces.pos + (len(pieces.buf) - pieces.pos) // 4 * 4
+        chunk = pieces.take(end)
+        if padded and chunk:  # only the end of the string may be padded
+            return None
+        try:
+            raw = binascii.a2b_base64(chunk, strict_mode=True)  # as b64decode(validate=True)
+        except binascii.Error:
+            return None
+        if filled + len(raw) > size:
+            return None
+        out[filled : filled + len(raw)] = raw
+        filled, padded = filled + len(raw), chunk.endswith(b"=")
+        if last:
+            break
+        if not pieces.more():
+            return None
+    while len(pieces.buf) - pieces.pos < 2 and pieces.more():
+        pass
+    if filled != size or not pieces.buf.startswith(b'"}', pieces.pos):
+        return None
+    pieces.take(pieces.pos + 2)
+    if sys.byteorder == "big":
+        a.byteswap(inplace=True)
+    return a
 
 
 def _json_pieces(value):

@@ -12,10 +12,15 @@ passes stay here as the references those passes must equal bit for bit:
 the first layer's column gradient, the context windows, the corpus
 loader and the lexicon fingerprint's text. So does the training step
 that allocated every array anew, which the steps that write into the
-arrays of the step before them must equal bit for bit.
+arrays of the step before them must equal bit for bit, and the file
+reader that parsed a whole model file with json.load and decoded each
+base64 string afterwards, which the reader that decodes each array as it
+reads must equal.
 """
 
+import base64
 import hashlib
+import json
 import math
 from collections import deque
 from fractions import Fraction
@@ -299,3 +304,57 @@ def fingerprint_reference(lex) -> str:
         for i, (w, flag) in enumerate(zip(lex.words, lex.standard_flags))
     )
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def read_json_reference(path, slots=None) -> dict:
+    """neural._read_json as json.load of the whole file; slots is ignored."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # also a file that is not UTF-8
+            raise ConfigError(f"not a JSON file: {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"not a JSON object: {path}")
+    return data
+
+
+def decode_array_reference(value, field: str, ndim: int) -> np.ndarray:
+    """neural.decode_array of a value that json.load read: a format-1 list or an encode_array object."""
+    if isinstance(value, list):
+        try:
+            a = np.array(value, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{field} is not a nested list of numbers") from None
+    elif not isinstance(value, dict):
+        raise ConfigError(f"{field} is not an array object")
+    else:
+        shape = value.get("shape")
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise ConfigError(
+                f"{field}.shape must be a list of non-negative integers, got {shape!r}"
+            )
+        if "f8le" not in value:
+            raise ConfigError(f"{field} lacks the field 'f8le'")
+        try:
+            raw = base64.b64decode(value["f8le"], validate=True)
+        except (TypeError, ValueError):  # binascii.Error is a ValueError
+            raise ConfigError(f"{field}.f8le is not valid base64") from None
+        expected = 8 * math.prod(shape)
+        if len(raw) != expected:
+            raise ConfigError(
+                f"{field}.f8le holds {len(raw)} bytes; shape {shape} needs {expected}"
+            )
+        a = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+    if a.ndim != ndim:
+        raise ConfigError(f"{field} must have {ndim} dimensions, got shape {list(a.shape)}")
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{field} holds a non-finite value")
+    return a
+
+
+def load_reference(load, path):
+    """load(path), a loader of denoise, contextenc or evalharness, reading through the references."""
+    with mock.patch.object(neural, "_read_json", read_json_reference), mock.patch.object(
+        neural, "decode_array", decode_array_reference
+    ):
+        return load(path)
